@@ -3,11 +3,16 @@
 Trace files are line-delimited JSON, one object per round after a header
 line, so they stream and diff cleanly:
 
-    {"format": "ringdisperse-trace-v1", "scenario": {...}, "ruleset": "..."}
+    {"format": "ringdisperse-trace-v1", "scenario": {...}, "ruleset": "...",
+     "result": "...", "rounds": R}
     {"round": 0, "phase": 1, "rip": 1, "moves": [[label, from, to, port], ...],
      "occ": [...], "obs": {"<label>": [alone, increase, decrease]}}
 
-The ``obs`` key appears only under --verbose.
+The ``obs`` key appears only under --verbose.  ``verify`` checks the header
+against the scenario and the row count, then runs the replay that
+``validate_trace`` runs.  Participation gating is checked only in memory,
+because v1 files carry no robot statuses.  A violation prints as
+``[kind] phase P round R: ...``; a malformed row is invalid input.
 
 Exit codes: 0 dispersed / no violations, 2 livelock, 3 budget exceeded,
 4 invalid input, 1 verification violations.
@@ -20,13 +25,12 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import RunOutcome, RunResult, Trace, run
-from .perception import observe
+from .engine import RoundRecord, RunOutcome, RunResult, run
+from .perception import Observation
 from .protocol import Ruleset
-from .ring import move_target
 from .scenario import Scenario, ScenarioError, load_scenario, render_scenario
 from .sweep import SweepSpec, fit_rounds, rows_to_csv, run_sweep
-from .verify import exhaustive_search, worker_count
+from .verify import exhaustive_search, replay_violations, worker_count
 
 TRACE_FORMAT = "ringdisperse-trace-v1"
 
@@ -84,68 +88,54 @@ def read_trace(path) -> tuple[dict, list[dict]]:
     if not lines:
         raise ValueError("empty trace file")
     header = json.loads(lines[0])
-    if header.get("format") != TRACE_FORMAT:
-        raise ValueError(f"unsupported trace format {header.get('format')!r}")
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != TRACE_FORMAT:
+        raise ValueError(f"unsupported trace format {fmt!r}")
     return header, [json.loads(line) for line in lines[1:]]
 
 
+def _ints(*values) -> tuple[int, ...]:
+    if not all(type(v) is int for v in values):
+        raise TypeError(f"{values} are not all integers")
+    return values
+
+
+def _round_records(rows):
+    """Trace rows as RoundRecords, converted one at a time so that the
+    replay holds no second copy of the rows; ValueError on a malformed row."""
+    for index, row in enumerate(rows, start=1):
+        try:
+            obs = row.get("obs")
+            if not isinstance(row["occ"], list):
+                raise TypeError("occ is not a list")
+            record = RoundRecord(
+                *_ints(row["round"], row["phase"], row["rip"]),
+                tuple(_ints(label, frm, to, port) for label, frm, to, port in row["moves"]),
+                None if obs is None else {
+                    int(label): Observation(alone, increase, decrease, row["rip"])
+                    for label, (alone, increase, decrease) in obs.items()
+                },
+                row["occ"],
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"trace row {index} is malformed: {exc!r}") from exc
+        yield record
+
+
 def verify_trace_file(header: dict, rows: list[dict], scenario: Scenario) -> list[str]:
-    """File-level validation: move legality, occupancy replay, and, when
-    the trace is verbose, perception replay."""
+    """Check the header against the scenario and the row count, then run
+    the replay ``validate_trace`` runs.  Participation gating is not
+    checked: it needs the phase-start statuses, which v1 files do not
+    carry.  Raises ValueError on a malformed row."""
     problems: list[str] = []
-    n = scenario.n
-    position = {label: node for label, node in scenario.robots}
     if header.get("scenario") != _scenario_json(scenario):
         problems.append("trace header scenario differs from the scenario file")
-    prev_counts = {
-        label: sum(1 for v in position.values() if v == node)
-        for label, node in position.items()
-    }
-    moved_last: set[int] = set()
-    expected_round = 0
-    for row in rows:
-        if row["round"] != expected_round:
-            problems.append(f"round {row['round']}: expected round {expected_round}")
-        expected_round = row["round"] + 1
-        if "obs" in row:
-            for label_str, (alone, inc, dec) in sorted(row["obs"].items()):
-                label = int(label_str)
-                node = position[label]
-                count = sum(1 for v in position.values() if v == node)
-                expect = observe(count, prev_counts[label], label in moved_last, row["rip"])
-                if (alone, inc, dec) != (expect.alone, expect.increase, expect.decrease):
-                    problems.append(
-                        f"round {row['round']}: robot {label} observation "
-                        f"({alone},{inc},{dec}) != replayed "
-                        f"({expect.alone},{expect.increase},{expect.decrease})"
-                    )
-        counts_now = {
-            label: sum(1 for v in position.values() if v == position[label])
-            for label in position
-        }
-        moving: set[int] = set()
-        for label, frm, to, port in row["moves"]:
-            if label not in position:
-                problems.append(f"round {row['round']}: unknown robot {label}")
-                continue
-            if frm != position[label]:
-                problems.append(
-                    f"round {row['round']}: robot {label} moves from {frm} "
-                    f"but is at {position[label]}"
-                )
-            if to != move_target(n, frm, port):
-                problems.append(
-                    f"round {row['round']}: robot {label} claims {frm}->{to} "
-                    f"via port {port}"
-                )
-            position[label] = to
-            moving.add(label)
-        occ = [sum(1 for v in position.values() if v == node) for node in range(n)]
-        if occ != row.get("occ", occ):
-            problems.append(f"round {row['round']}: occupancy mismatch")
-        prev_counts = counts_now
-        moved_last = moving
-    return problems
+    if header.get("rounds") != len(rows):
+        problems.append(
+            f"trace header records {header.get('rounds')} rounds, file has {len(rows)} rows"
+        )
+    violations = replay_violations(_round_records(rows), scenario)
+    return problems + [str(v) for v in violations]
 
 
 def _cmd_run(args) -> int:
@@ -224,10 +214,10 @@ def _cmd_verify(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
         header, rows = read_trace(args.trace)
-    except (OSError, ScenarioError, ValueError, json.JSONDecodeError) as exc:
+        problems = verify_trace_file(header, rows, scenario)
+    except (OSError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    problems = verify_trace_file(header, rows, scenario)
     for problem in problems:
         print(f"violation: {problem}")
     print(f"{len(problems)} violations")

@@ -7,8 +7,8 @@ import enum
 from dataclasses import dataclass, field
 
 from .perception import Observation, observe
-from .protocol import PORT_ONE, Ruleset, step
-from .ring import Placement, move_target
+from .protocol import Ruleset, step
+from .ring import PORT_ONE, Placement, move_target
 from .robots import (
     DISPERSAL_STATUSES,
     RobotState,

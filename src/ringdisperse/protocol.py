@@ -17,10 +17,8 @@ import enum
 from typing import NamedTuple
 
 from .perception import Observation, latch_window
+from .ring import PORT_ONE, PORT_ZERO
 from .robots import RobotState, Status, bit_at
-
-PORT_ZERO = 0
-PORT_ONE = 1
 
 
 class Ruleset(enum.Enum):

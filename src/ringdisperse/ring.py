@@ -17,12 +17,6 @@ class ConfigurationError(Exception):
     """Raised when a placement operation references an unknown robot."""
 
 
-def check_ring_size(n: int) -> int:
-    if n < MIN_RING_SIZE:
-        raise ValueError(f"ring size must be >= {MIN_RING_SIZE}, got {n}")
-    return n
-
-
 def succ(n: int, v: int) -> int:
     """Node reached from v through port 1."""
     return (v + 1) % n
@@ -54,15 +48,9 @@ class Placement:
             by_node.setdefault(node, set()).add(label)
         self.by_node = by_node
 
-    def node_of(self, label: int) -> int:
-        return self.by_robot[label]
-
     def count_at(self, node: int) -> int:
         group = self.by_node.get(node)
         return len(group) if group else 0
-
-    def occupied_nodes(self) -> list[int]:
-        return sorted(node for node, group in self.by_node.items() if group)
 
     def occupancy_vector(self) -> tuple[int, ...]:
         return tuple(self.count_at(v) for v in range(self.n))

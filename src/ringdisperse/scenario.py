@@ -33,12 +33,6 @@ class Scenario:
     def labels(self) -> tuple[int, ...]:
         return tuple(label for label, _ in self.robots)
 
-    def start_of(self, label: int) -> int:
-        for lab, node in self.robots:
-            if lab == label:
-                return node
-        raise KeyError(label)
-
 
 def make_scenario(n: int, max_label: int, robots) -> Scenario:
     """Validate and normalize; raises ScenarioError naming the broken rule."""

@@ -9,6 +9,7 @@ crashes: the harness exists to surface them.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from multiprocessing import Pool
 from .engine import ROUNDS_PER_PHASE, RunOutcome, RunResult, Trace, run  # noqa: F401
 from .perception import observe
 from .protocol import EFFECTIVE_PARTICIPATION, LEADER_ROUNDS
-from .ring import move_target, ring_distance, succ
+from .ring import PORT_ONE, PORT_ZERO, move_target, ring_distance, succ
 from .robots import LEGAL_TRANSITIONS, Status, max_label_bits
 from .scenario import Scenario, make_scenario
 
@@ -71,50 +72,60 @@ def chain_of_robots(scenario: Scenario) -> dict[int, int]:
     return {label: node_to_chain[node] for label, node in scenario.robots}
 
 
-def validate_trace(trace: Trace, scenario: Scenario) -> list[Violation]:
-    """Check a trace against the model itself.
+def replay_violations(records, scenario: Scenario) -> list[Violation]:
+    """Replay an iterable of RoundRecords against the model.
 
-    Covers move legality, perception replay, participation gating and
-    idle immobility; all recomputed independently from the recorded
-    moves, never trusting the engine's own bookkeeping.
+    Checks the round counter (contiguous from round 0, matching phase and
+    round-in-phase), move legality, the perception flags of each record
+    whose ``observations`` is not None, and the post-round occupancy.  An
+    illegal move is reported and not applied, so the replay stays on the
+    ring.  This is the only replay of moves in the package.
     """
     violations: list[Violation] = []
     n = scenario.n
-    labels = trace.labels
-    position = {label: node for label, node in scenario.robots}
+    position = dict(scenario.robots)
     node_counts = Counter(position.values())
-    prev_counts = {label: node_counts[position[label]] for label in labels}
+    prev_counts = {label: node_counts[node] for label, node in position.items()}
     moved_last: set[int] = set()
+    expected_round = 0
 
-    for record in trace.records:
-        expected_round = ROUNDS_PER_PHASE * (record.phase - 1) + record.round_in_phase - 1
-        if record.global_round != expected_round:
+    for record in records:
+        phase, rip = divmod(expected_round, ROUNDS_PER_PHASE)
+        if (record.global_round, record.phase, record.round_in_phase) != (
+                expected_round, phase + 1, rip + 1):
             violations.append(
                 Violation(
                     "round-counter", record.phase, record.global_round,
-                    detail=f"global round {record.global_round} != {expected_round}",
+                    detail=f"round-in-phase {record.round_in_phase}; expected round "
+                           f"{expected_round}, phase {phase + 1}, round-in-phase {rip + 1}",
                 )
             )
-        snapshot = trace.snapshot_for(record.phase)
+        expected_round = record.global_round + 1
 
         # perception replay against the placement entering this round
         node_counts = Counter(position.values())
-        counts_now = {label: node_counts[position[label]] for label in labels}
-        for label in labels:
-            expected_obs = observe(
-                counts_now[label],
-                prev_counts[label],
-                label in moved_last,
-                record.round_in_phase,
-            )
-            got = record.observations.get(label)
-            if got != expected_obs:
-                violations.append(
-                    Violation(
-                        "perception-replay", record.phase, record.global_round,
-                        robots=(label,),
-                        detail=f"recorded {got}, recomputed {expected_obs}",
+        counts_now = {label: node_counts[node] for label, node in position.items()}
+        if record.observations is not None:
+            for label in position:
+                expected_obs = observe(
+                    counts_now[label],
+                    prev_counts[label],
+                    label in moved_last,
+                    record.round_in_phase,
+                )
+                got = record.observations.get(label)
+                if got != expected_obs:
+                    violations.append(
+                        Violation(
+                            "perception-replay", record.phase, record.global_round,
+                            robots=(label,),
+                            detail=f"recorded {got}, recomputed {expected_obs}",
+                        )
                     )
+            for label in record.observations.keys() - position.keys():
+                violations.append(
+                    Violation("perception-replay", record.phase, record.global_round,
+                              robots=(label,), detail="observation of an unknown robot")
                 )
 
         moving = set()
@@ -131,14 +142,44 @@ def validate_trace(trace: Trace, scenario: Scenario) -> list[Violation]:
                               robots=(label,),
                               detail=f"claims from {frm}, actually at {position.get(label)}")
                 )
-            if to != move_target(n, frm, port):
+            elif port not in (PORT_ZERO, PORT_ONE) or to != move_target(n, frm, port):
                 violations.append(
                     Violation("move-legality", record.phase, record.global_round,
                               robots=(label,),
                               detail=f"port {port} from {frm} cannot reach {to}")
                 )
-            status = snapshot.states[label][_STATUS]
-            is_leader = snapshot.states[label][_LEADER]
+            else:
+                position[label] = to
+
+        occupancy = [0] * n
+        for node in position.values():
+            occupancy[node] += 1
+        if occupancy != list(record.occupancy):
+            diff = [(node, got, want) for node, (got, want) in enumerate(
+                itertools.zip_longest(record.occupancy, occupancy)) if got != want]
+            violations.append(
+                Violation("occupancy", record.phase, record.global_round,
+                          nodes=tuple(node for node, _, _ in diff),
+                          detail=f"(node, recorded, replayed): {diff}")
+            )
+        prev_counts = counts_now
+        moved_last = moving
+    return violations
+
+
+def validate_trace(trace: Trace, scenario: Scenario) -> list[Violation]:
+    """Check a trace against the model itself: ``replay_violations``,
+    plus participation gating and idle immobility against the phase-start
+    states, which only an in-memory trace carries.
+    """
+    violations = replay_violations(trace.records, scenario)
+    for record in trace.records:
+        states = trace.snapshot_for(record.phase).states
+        for label, *_ in record.moves:
+            if label not in states:
+                continue  # reported by the replay
+            status = states[label][_STATUS]
+            is_leader = states[label][_LEADER]
             if status is Status.IDLE:
                 violations.append(
                     Violation("idle-moved", record.phase, record.global_round,
@@ -156,17 +197,6 @@ def validate_trace(trace: Trace, scenario: Scenario) -> list[Violation]:
                               robots=(label,),
                               detail=f"{status.value} moved in round {record.round_in_phase}")
                 )
-            position[label] = to
-
-        post_counts = Counter(position.values())
-        occupancy = tuple(post_counts.get(v, 0) for v in range(n))
-        if occupancy != record.occupancy:
-            violations.append(
-                Violation("occupancy", record.phase, record.global_round,
-                          detail=f"recorded {record.occupancy}, replayed {occupancy}")
-            )
-        prev_counts = counts_now
-        moved_last = moving
     return violations
 
 
@@ -504,15 +534,8 @@ def estimate_enumeration(n_max: int, k_max: int, l_max: int) -> int:
     total = 0
     for n in range(3, n_max + 1):
         for k in range(1, min(k_max, n - 1) + 1):
-            total += _comb(l_max + 1, k) * n**k
+            total += math.comb(l_max + 1, k) * n**k
     return total
-
-
-def _comb(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def enumerate_scenarios(n_max: int, k_max: int, l_max: int):

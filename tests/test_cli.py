@@ -59,20 +59,47 @@ def test_trace_roundtrip_verifies_clean(rooted_scenario, tmp_path, capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+def _two_edge_hop(lines):
+    target = next(i for i, line in enumerate(lines) if '"moves":[[' in line)
+    row = json.loads(lines[target])
+    row["moves"][0][2] = (row["moves"][0][2] + 1) % 4
+    return lines[:target] + [json.dumps(row, separators=(",", ":"))] + lines[target + 1:]
+
+
 def test_corrupted_trace_fails_verification(rooted_scenario, tmp_path, capsys):
     trace_path = tmp_path / "trace.jsonl"
     main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path),
           "--verbose"])
     lines = trace_path.read_text().splitlines()
-    target = next(i for i, line in enumerate(lines) if '"moves":[[' in line)
-    row = json.loads(lines[target])
-    row["moves"][0][2] = (row["moves"][0][2] + 1) % 4  # two-edge hop
-    lines[target] = json.dumps(row, separators=(",", ":"))
+    corruptions = {
+        "two-edge hop": _two_edge_hop(lines),
+        "truncated to 39 rows": lines[:40],
+        "last row dropped": lines[:-1],
+    }
+    for name, corrupted in corruptions.items():
+        trace_path.write_text("\n".join(corrupted) + "\n")
+        code = main(["verify", "--trace", str(trace_path),
+                     "--scenario", str(rooted_scenario)])
+        assert code == 1, name
+        assert "violation: " in capsys.readouterr().out, name
+
+
+@pytest.mark.parametrize("line, row", [
+    (1, {"round": 0, "phase": 1, "rip": 1, "occ": [2, 0, 0, 0]}),
+    (1, {"round": 0, "phase": 1, "rip": 1, "moves": [[1, 0, 1]], "occ": [1, 1, 0, 0]}),
+    (1, [1, 2, 3]),
+    (0, [1, 2, 3]),
+], ids=["no-moves", "three-element-move", "not-an-object", "header-not-an-object"])
+def test_verify_malformed_row_exits_input(rooted_scenario, tmp_path, capsys, line, row):
+    trace_path = tmp_path / "trace.jsonl"
+    main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])
+    lines = trace_path.read_text().splitlines()
+    lines[line] = json.dumps(row)
     trace_path.write_text("\n".join(lines) + "\n")
     code = main(["verify", "--trace", str(trace_path),
                  "--scenario", str(rooted_scenario)])
-    assert code == 1
-    assert "violation" in capsys.readouterr().out
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_trace_bytes_are_deterministic(rooted_scenario, tmp_path):

@@ -45,6 +45,15 @@ def test_mutated_move_is_caught(chain_outcome):
     assert any(v.kind == "move-legality" for v in violations)
 
 
+def test_dropped_record_is_caught(chain_outcome):
+    scenario, outcome = chain_outcome
+    trace = outcome.trace
+    target = next(i for i, r in enumerate(trace.records) if not r.moves)
+    records = trace.records[:target] + trace.records[target + 1:]
+    violations = validate_trace(dataclasses.replace(trace, records=records), scenario)
+    assert any(v.kind == "round-counter" for v in violations)
+
+
 def test_mutated_observation_is_caught(chain_outcome):
     scenario, outcome = chain_outcome
     trace = outcome.trace
