@@ -3,16 +3,19 @@
 Trace files are line-delimited JSON, one object per round after a header
 line, so they stream and diff cleanly:
 
-    {"format": "ringdisperse-trace-v1", "scenario": {...}, "ruleset": "...",
+    {"format": "ringdisperse-trace-v2", "scenario": {...}, "ruleset": "...",
      "result": "...", "rounds": R}
     {"round": 0, "phase": 1, "rip": 1, "moves": [[label, from, to, port], ...],
-     "occ": [...], "obs": {"<label>": [alone, increase, decrease]}}
+     "occ": [[node, count], ...], "obs": {"<label>": [alone, increase, decrease]}}
 
-The ``obs`` key appears only under --verbose.  ``verify`` checks the header
-against the scenario and the row count, then runs the replay that
+``occ`` is the sparse post-round occupancy: the occupied nodes only, sorted,
+each count at least 1, so a row's size grows with k and not with the ring
+size.  The ``obs`` key appears only under --verbose.  ``verify`` checks the
+header against the scenario and the row count, then runs the replay that
 ``validate_trace`` runs.  Participation gating is checked only in memory,
-because v1 files carry no robot statuses.  A violation prints as
-``[kind] phase P round R: ...``; a malformed row is invalid input.
+because trace files carry no robot statuses.  A violation prints as
+``[kind] phase P round R: ...``; a malformed row, and any file in another
+format (the dense-occupancy v1 included), is invalid input.
 
 Exit codes: 0 dispersed / no violations, 2 livelock, 3 budget exceeded,
 4 invalid input, 1 verification violations.
@@ -32,7 +35,7 @@ from .scenario import Scenario, ScenarioError, load_scenario, render_scenario
 from .sweep import SweepSpec, fit_rounds, rows_to_csv, run_sweep
 from .verify import exhaustive_search, replay_violations, worker_count
 
-TRACE_FORMAT = "ringdisperse-trace-v1"
+TRACE_FORMAT = "ringdisperse-trace-v2"
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -72,7 +75,7 @@ def write_trace(outcome: RunOutcome, path, verbose: bool = False) -> None:
                 "phase": record.phase,
                 "rip": record.round_in_phase,
                 "moves": [list(move) for move in record.moves],
-                "occ": list(record.occupancy),
+                "occ": [list(cell) for cell in record.occupancy],
             }
             if verbose:
                 row["obs"] = {
@@ -84,14 +87,15 @@ def write_trace(outcome: RunOutcome, path, verbose: bool = False) -> None:
 
 def read_trace(path) -> tuple[dict, list[dict]]:
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty trace file")
-    header = json.loads(lines[0])
-    fmt = header.get("format") if isinstance(header, dict) else None
-    if fmt != TRACE_FORMAT:
-        raise ValueError(f"unsupported trace format {fmt!r}")
-    return header, [json.loads(line) for line in lines[1:]]
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise ValueError("empty trace file")
+        header = json.loads(first)
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != TRACE_FORMAT:
+            raise ValueError(f"unsupported trace format {fmt!r}")
+        return header, [json.loads(line) for line in lines]
 
 
 def _ints(*values) -> tuple[int, ...]:
@@ -115,7 +119,7 @@ def _round_records(rows):
                     int(label): Observation(alone, increase, decrease, row["rip"])
                     for label, (alone, increase, decrease) in obs.items()
                 },
-                row["occ"],
+                tuple(_ints(node, count) for node, count in row["occ"]),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"trace row {index} is malformed: {exc!r}") from exc
@@ -125,7 +129,7 @@ def _round_records(rows):
 def verify_trace_file(header: dict, rows: list[dict], scenario: Scenario) -> list[str]:
     """Check the header against the scenario and the row count, then run
     the replay ``validate_trace`` runs.  Participation gating is not
-    checked: it needs the phase-start statuses, which v1 files do not
+    checked: it needs the phase-start statuses, which trace files do not
     carry.  Raises ValueError on a malformed row."""
     problems: list[str] = []
     if header.get("scenario") != _scenario_json(scenario):

@@ -12,6 +12,7 @@ from .ring import PORT_ONE, Placement, move_target
 from .robots import (
     DISPERSAL_STATUSES,
     RobotState,
+    StateSnapshot,
     Status,
     apply_pending_status,
     max_label_bits,
@@ -36,7 +37,7 @@ class RoundRecord:
     round_in_phase: int
     moves: tuple[tuple[int, int, int, int], ...]  # (label, from, to, port)
     observations: dict[int, Observation]
-    occupancy: tuple[int, ...]
+    occupancy: tuple[tuple[int, int], ...]  # ring.occupancy_cells after the round
 
 
 @dataclass
@@ -45,7 +46,7 @@ class PhaseSnapshot:
 
     phase: int
     nodes: dict[int, int]
-    states: dict[int, tuple]  # label -> RobotState.snapshot()
+    states: dict[int, StateSnapshot]  # label -> RobotState.snapshot()
 
 
 @dataclass
@@ -115,15 +116,17 @@ class Engine:
         )
 
     def snapshot_key(self) -> tuple:
-        """Placement plus state vector, canonicalized over ring rotations."""
+        """Placement plus state vector, canonicalized over ring rotations.
+
+        The canonical placement is the lexicographic minimum over all n
+        rotations.  Only the rotation that puts ``labels[0]`` on node 0
+        has 0 as its first coordinate, so that rotation is the minimum and
+        the key costs O(k), not O(n·k).
+        """
         states = tuple(self.robots[label].snapshot() for label in self.labels)
         by_robot = self.placement.by_robot
-        best = None
-        for r in range(self.n):
-            candidate = tuple((by_robot[label] + r) % self.n for label in self.labels)
-            if best is None or candidate < best:
-                best = candidate
-        return (best, states)
+        origin = by_robot[self.labels[0]]
+        return (tuple((by_robot[label] - origin) % self.n for label in self.labels), states)
 
     def step_round(self) -> RoundRecord | None:
         """Run one synchronous round; returns the record when recording."""

@@ -31,6 +31,19 @@ def move_target(n: int, v: int, port: int) -> int:
     return succ(n, v) if port == PORT_ONE else pred(n, v)
 
 
+def occupancy_cells(nodes) -> tuple[tuple[int, int], ...]:
+    """Sparse occupancy of robot positions: the occupied cells only, as
+    ``(node, count)`` pairs sorted by node, every count at least 1.
+
+    This is the one form of occupancy in records and trace files; its
+    size grows with the number of robots, never with the ring size.
+    """
+    counts: dict[int, int] = {}
+    for node in nodes:
+        counts[node] = counts.get(node, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 class Placement:
     """Bidirectional robot-to-node map with value semantics.
 
@@ -52,8 +65,8 @@ class Placement:
         group = self.by_node.get(node)
         return len(group) if group else 0
 
-    def occupancy_vector(self) -> tuple[int, ...]:
-        return tuple(self.count_at(v) for v in range(self.n))
+    def occupancy_vector(self) -> tuple[tuple[int, int], ...]:
+        return occupancy_cells(self.by_robot.values())
 
     def all_distinct(self) -> bool:
         return all(len(group) <= 1 for group in self.by_node.values())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class Status(enum.Enum):
@@ -52,6 +53,25 @@ def bit_at(label: int, i: int, max_size: int) -> int:
     return (label >> (i - 1)) & 1
 
 
+class StateSnapshot(NamedTuple):
+    """The persistent fields of a RobotState (everything but obs_log).
+
+    A plain tuple underneath, so snapshots hash and compare as tuples.
+    """
+
+    status: Status
+    pending_status: Status | None
+    leader: bool
+    proceed: int
+    move_var: int
+    start: int
+    settle: int
+    advance: int
+    le_bit: int
+    disp_bit: int
+    net_disp: int
+
+
 @dataclass
 class RobotState:
     """One robot's protocol variables.
@@ -87,9 +107,9 @@ class RobotState:
     def advance_disp_bit(self) -> None:
         self.disp_bit = min(self.disp_bit + 1, self.max_size + 1)
 
-    def snapshot(self) -> tuple:
+    def snapshot(self) -> StateSnapshot:
         """Hashable view of the persistent fields (excludes obs_log)."""
-        return (
+        return StateSnapshot(
             self.status,
             self.pending_status,
             self.leader,

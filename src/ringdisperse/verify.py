@@ -11,19 +11,15 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
 from .engine import ROUNDS_PER_PHASE, RunOutcome, RunResult, Trace, run  # noqa: F401
 from .perception import observe
 from .protocol import EFFECTIVE_PARTICIPATION, LEADER_ROUNDS
-from .ring import PORT_ONE, PORT_ZERO, move_target, ring_distance, succ
+from .ring import PORT_ONE, PORT_ZERO, move_target, occupancy_cells, ring_distance, succ
 from .robots import LEGAL_TRANSITIONS, Status, max_label_bits
 from .scenario import Scenario, make_scenario
-
-# indices into RobotState.snapshot()
-_STATUS, _PENDING, _LEADER, _PROCEED, _MOVE_VAR, _START, _SETTLE, _ADVANCE, _LE_BIT, _DISP_BIT = range(10)
 
 _POST_MERGE = {Status.ACTIVE_DISPERSE, Status.PASSIVE, Status.WAIT, Status.JUMP}
 _ACTIVE_SIDE = {Status.ACTIVE_DISPERSE, Status.WAIT, Status.JUMP}
@@ -79,12 +75,14 @@ def replay_violations(records, scenario: Scenario) -> list[Violation]:
     round-in-phase), move legality, the perception flags of each record
     whose ``observations`` is not None, and the post-round occupancy.  An
     illegal move is reported and not applied, so the replay stays on the
-    ring.  This is the only replay of moves in the package.
+    ring.  The occupancy is compared as a sequence of ``occupancy_cells``,
+    so a zero count, a repeated node or an unsorted cell is a mismatch.
+    This is the only replay of moves in the package.
     """
     violations: list[Violation] = []
     n = scenario.n
     position = dict(scenario.robots)
-    node_counts = Counter(position.values())
+    node_counts = dict(occupancy_cells(position.values()))
     prev_counts = {label: node_counts[node] for label, node in position.items()}
     moved_last: set[int] = set()
     expected_round = 0
@@ -103,7 +101,6 @@ def replay_violations(records, scenario: Scenario) -> list[Violation]:
         expected_round = record.global_round + 1
 
         # perception replay against the placement entering this round
-        node_counts = Counter(position.values())
         counts_now = {label: node_counts[node] for label, node in position.items()}
         if record.observations is not None:
             for label in position:
@@ -151,16 +148,22 @@ def replay_violations(records, scenario: Scenario) -> list[Violation]:
             else:
                 position[label] = to
 
-        occupancy = [0] * n
-        for node in position.values():
-            occupancy[node] += 1
-        if occupancy != list(record.occupancy):
-            diff = [(node, got, want) for node, (got, want) in enumerate(
-                itertools.zip_longest(record.occupancy, occupancy)) if got != want]
+        occupancy = occupancy_cells(position.values())
+        node_counts = dict(occupancy)
+        if tuple(record.occupancy) != occupancy:
+            recorded: dict[int, int] = {}
+            for node, count in record.occupancy:
+                recorded[node] = recorded.get(node, 0) + count
+            diff = [(node, recorded.get(node, 0), node_counts.get(node, 0))
+                    for node in sorted(recorded.keys() | node_counts.keys())
+                    if recorded.get(node, 0) != node_counts.get(node, 0)]
+            detail = (f"(node, recorded, replayed): {diff}" if diff else
+                      f"cells {list(record.occupancy)} are not sorted, distinct "
+                      f"and positive")
             violations.append(
                 Violation("occupancy", record.phase, record.global_round,
                           nodes=tuple(node for node, _, _ in diff),
-                          detail=f"(node, recorded, replayed): {diff}")
+                          detail=detail)
             )
         prev_counts = counts_now
         moved_last = moving
@@ -170,16 +173,29 @@ def replay_violations(records, scenario: Scenario) -> list[Violation]:
 def validate_trace(trace: Trace, scenario: Scenario) -> list[Violation]:
     """Check a trace against the model itself: ``replay_violations``,
     plus participation gating and idle immobility against the phase-start
-    states, which only an in-memory trace carries.
+    states, which only an in-memory trace carries.  The trace must hold
+    the 19 rounds of every phase it snapshots, so a record dropped from
+    the end is a round-counter violation too.
     """
     violations = replay_violations(trace.records, scenario)
+    expected_rounds = ROUNDS_PER_PHASE * (len(trace.phase_snapshots) - 1)
+    if len(trace.records) != expected_rounds:
+        violations.append(
+            Violation("round-counter",
+                      detail=f"{len(trace.records)} records for "
+                             f"{len(trace.phase_snapshots)} phase snapshots; "
+                             f"expected {expected_rounds}")
+        )
+    states_by_phase = {snap.phase: snap.states for snap in trace.phase_snapshots}
     for record in trace.records:
-        states = trace.snapshot_for(record.phase).states
+        states = states_by_phase.get(record.phase)
+        if states is None:
+            continue  # no such phase: reported by the replay
         for label, *_ in record.moves:
             if label not in states:
                 continue  # reported by the replay
-            status = states[label][_STATUS]
-            is_leader = states[label][_LEADER]
+            status = states[label].status
+            is_leader = states[label].leader
             if status is Status.IDLE:
                 violations.append(
                     Violation("idle-moved", record.phase, record.global_round,
@@ -213,10 +229,10 @@ def check_invariants(trace: Trace) -> list[Violation]:
     snaps = trace.phase_snapshots
 
     def status_of(snap, label):
-        return snap.states[label][_STATUS]
+        return snap.states[label].status
 
     def is_leader(snap, label):
-        return snap.states[label][_LEADER]
+        return snap.states[label].leader
 
     def groups_at(snap, include_leaders=True):
         by_node: dict[int, list[int]] = {}
@@ -418,7 +434,7 @@ def check_invariants(trace: Trace) -> list[Violation]:
         for node, group in by_node.items():
             actives = [label for label in group
                        if status_of(snap, label) is Status.ACTIVE_DISPERSE]
-            cursors = {snap.states[label][_DISP_BIT] for label in actives}
+            cursors = {snap.states[label].disp_bit for label in actives}
             if len(cursors) > 1:
                 violations.append(
                     Violation("cursor-misalignment", phase=snap.phase,

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from ringdisperse.cli import main
+from ringdisperse.cli import main, read_trace, verify_trace_file, write_trace
+from ringdisperse.engine import run
+from ringdisperse.scenario import gen_single_source
+from ringdisperse.verify import validate_trace
 
 
 @pytest.fixture()
@@ -66,6 +69,13 @@ def _two_edge_hop(lines):
     return lines[:target] + [json.dumps(row, separators=(",", ":"))] + lines[target + 1:]
 
 
+def _occ_cell_moved(lines):
+    row = json.loads(lines[-1])
+    node, count = row["occ"][-1]
+    row["occ"][-1] = [(node + 1) % 4, count]
+    return lines[:-1] + [json.dumps(row, separators=(",", ":"))]
+
+
 def test_corrupted_trace_fails_verification(rooted_scenario, tmp_path, capsys):
     trace_path = tmp_path / "trace.jsonl"
     main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path),
@@ -75,6 +85,7 @@ def test_corrupted_trace_fails_verification(rooted_scenario, tmp_path, capsys):
         "two-edge hop": _two_edge_hop(lines),
         "truncated to 39 rows": lines[:40],
         "last row dropped": lines[:-1],
+        "occ cell moved to the next node": _occ_cell_moved(lines),
     }
     for name, corrupted in corruptions.items():
         trace_path.write_text("\n".join(corrupted) + "\n")
@@ -89,7 +100,12 @@ def test_corrupted_trace_fails_verification(rooted_scenario, tmp_path, capsys):
     (1, {"round": 0, "phase": 1, "rip": 1, "moves": [[1, 0, 1]], "occ": [1, 1, 0, 0]}),
     (1, [1, 2, 3]),
     (0, [1, 2, 3]),
-], ids=["no-moves", "three-element-move", "not-an-object", "header-not-an-object"])
+    (0, {"format": "ringdisperse-trace-v1",
+         "scenario": {"n": 4, "max_label": 3, "robots": [[1, 0], [2, 0]]},
+         "ruleset": "repaired", "result": "dispersed", "rounds": 95}),
+    (1, {"round": 0, "phase": 1, "rip": 1, "moves": [], "occ": [2, 0, 0, 0]}),
+], ids=["no-moves", "three-element-move", "not-an-object", "header-not-an-object",
+        "v1-header", "occ-cell-not-a-pair"])
 def test_verify_malformed_row_exits_input(rooted_scenario, tmp_path, capsys, line, row):
     trace_path = tmp_path / "trace.jsonl"
     main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])
@@ -100,6 +116,28 @@ def test_verify_malformed_row_exits_input(rooted_scenario, tmp_path, capsys, lin
                  "--scenario", str(rooted_scenario)])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _traced_file_size(n, tmp_path):
+    """Record, write, read and verify one k=8 single-source run on ring size
+    n; the same seed draws the same labels for every n."""
+    scenario = gen_single_source(n, 8, 255, seed=7)
+    outcome = run(scenario)
+    assert outcome.dispersed
+    assert validate_trace(outcome.trace, scenario) == []
+    path = tmp_path / f"ring-{n}.jsonl"
+    write_trace(outcome, path, verbose=True)
+    header, rows = read_trace(path)
+    assert len(rows) == outcome.rounds_used
+    assert all(len(row["occ"]) <= scenario.k for row in rows)
+    assert verify_trace_file(header, rows, scenario) == []
+    return path.stat().st_size
+
+
+def test_trace_cost_is_flat_in_ring_size(tmp_path):
+    small = _traced_file_size(10**3, tmp_path)
+    large = _traced_file_size(10**6, tmp_path)
+    assert abs(large - small) <= 0.01 * small
 
 
 def test_trace_bytes_are_deterministic(rooted_scenario, tmp_path):

@@ -1,6 +1,8 @@
 """Executor tests: frozen hand-derived oracles, verdicts, determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringdisperse.engine import ROUNDS_PER_PHASE, Engine, RunResult, run
 from ringdisperse.protocol import Ruleset
@@ -139,12 +141,44 @@ def test_snapshot_key_state_sensitivity():
     assert a.snapshot_key() != b.snapshot_key()
 
 
+def all_rotations_key(engine):
+    """The livelock key by its definition: the lexicographic minimum of the
+    placement over all n ring rotations, plus the state vector."""
+    by_robot = engine.placement.by_robot
+    best = min(
+        tuple((by_robot[label] + r) % engine.n for label in engine.labels)
+        for r in range(engine.n)
+    )
+    return (best, tuple(engine.robots[label].snapshot() for label in engine.labels))
+
+
+@st.composite
+def engines_mid_run(draw):
+    n = draw(st.integers(min_value=3, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=min(n - 1, 5)))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=7),
+                           min_size=k, max_size=k, unique=True))
+    nodes = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                          min_size=k, max_size=k))
+    ruleset = draw(st.sampled_from(list(Ruleset)))
+    engine = Engine(make_scenario(n, 7, zip(labels, nodes)), ruleset, record_rounds=False)
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * ROUNDS_PER_PHASE))):
+        engine.step_round()
+    return engine
+
+
+@settings(max_examples=200, deadline=None)
+@given(engines_mid_run())
+def test_snapshot_key_equals_all_rotations_minimum(engine):
+    assert engine.snapshot_key() == all_rotations_key(engine)
+
+
 def test_round_counters_and_movement_limits():
     scenario = gen_chain([2, 2], gap=2, n=7, max_label=7)
     outcome = run(scenario, Ruleset.REPAIRED)
     for record in outcome.trace.records:
         assert record.global_round == 19 * (record.phase - 1) + record.round_in_phase - 1
-        assert sum(record.occupancy) == scenario.k
+        assert sum(count for _, count in record.occupancy) == scenario.k
         for label, frm, to, port in record.moves:
             assert to == (frm + 1) % scenario.n or to == (frm - 1) % scenario.n
 

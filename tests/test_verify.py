@@ -45,13 +45,43 @@ def test_mutated_move_is_caught(chain_outcome):
     assert any(v.kind == "move-legality" for v in violations)
 
 
-def test_dropped_record_is_caught(chain_outcome):
+@pytest.mark.parametrize("pick", [
+    lambda records: next(i for i, r in enumerate(records) if not r.moves),
+    lambda records: len(records) - 1,
+], ids=["first-no-move-record", "last-record"])
+def test_dropped_record_is_caught(chain_outcome, pick):
     scenario, outcome = chain_outcome
     trace = outcome.trace
-    target = next(i for i, r in enumerate(trace.records) if not r.moves)
+    target = pick(trace.records)
     records = trace.records[:target] + trace.records[target + 1:]
     violations = validate_trace(dataclasses.replace(trace, records=records), scenario)
     assert any(v.kind == "round-counter" for v in violations)
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda cells: cells + ((max(node for node, _ in cells) + 1, 0),),
+    lambda cells: cells[:-1] + (cells[-1], cells[-1]),
+    lambda cells: cells[::-1],
+], ids=["zero-count-cell", "duplicate-cell", "unsorted-cells"])
+def test_noncanonical_occupancy_is_caught(chain_outcome, rewrite):
+    scenario, outcome = chain_outcome
+    trace = outcome.trace
+    target = next(i for i, r in enumerate(trace.records) if len(r.occupancy) > 1)
+    records = list(trace.records)
+    records[target] = dataclasses.replace(
+        records[target], occupancy=rewrite(records[target].occupancy))
+    violations = validate_trace(dataclasses.replace(trace, records=records), scenario)
+    assert [(v.kind, v.global_round) for v in violations] == [("occupancy", target)]
+
+
+def test_record_without_phase_snapshot_is_reported():
+    scenario = make_scenario(4, 3, [(1, 0), (2, 0)])
+    trace = run(scenario, Ruleset.REPAIRED).trace
+    records = list(trace.records)
+    records[3] = dataclasses.replace(records[3], phase=99)
+    violations = validate_trace(dataclasses.replace(trace, records=records), scenario)
+    assert [v.kind for v in violations] == ["round-counter"]
+    assert violations[0].global_round == 3
 
 
 def test_mutated_observation_is_caught(chain_outcome):
