@@ -33,7 +33,7 @@ from .perception import Observation
 from .protocol import Ruleset
 from .scenario import Scenario, ScenarioError, load_scenario, render_scenario
 from .sweep import SweepSpec, fit_rounds, rows_to_csv, run_sweep
-from .verify import exhaustive_search, replay_violations, worker_count
+from .verify import exhaustive_search, replay_violations
 
 TRACE_FORMAT = "ringdisperse-trace-v2"
 
@@ -116,7 +116,7 @@ def _round_records(rows):
                 *_ints(row["round"], row["phase"], row["rip"]),
                 tuple(_ints(label, frm, to, port) for label, frm, to, port in row["moves"]),
                 None if obs is None else {
-                    int(label): Observation(alone, increase, decrease, row["rip"])
+                    int(label): Observation(alone, increase, decrease)
                     for label, (alone, increase, decrease) in obs.items()
                 },
                 tuple(_ints(node, count) for node, count in row["occ"]),
@@ -165,6 +165,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.step < 1:
+        print(f"error: --step must be at least 1, not {args.step}", file=sys.stderr)
+        return EXIT_INPUT
     points = tuple(range(args.start, args.stop + 1, args.step))
     spec = SweepSpec(
         vary=args.vary,
@@ -175,7 +178,11 @@ def _cmd_sweep(args) -> int:
         seeds=args.seeds,
         ruleset=Ruleset(args.ruleset),
     )
-    rows = run_sweep(spec)
+    try:
+        rows = run_sweep(spec)
+    except ValueError as exc:  # a malformed RINGDISPERSE_WORKERS
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     csv_text = rows_to_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")

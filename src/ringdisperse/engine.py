@@ -13,7 +13,6 @@ from .robots import (
     DISPERSAL_STATUSES,
     RobotState,
     StateSnapshot,
-    Status,
     apply_pending_status,
     max_label_bits,
 )
@@ -138,16 +137,8 @@ class Engine:
         for label in self.labels:
             state = self.robots[label]
             node = placement.by_robot[label]
-            obs = observe(
-                placement.count_at(node),
-                prev.count_at(node),
-                label in self.moved_last,
-                rip,
-            )
+            obs = observe(placement.count_at(node), prev.count_at(node), label in self.moved_last)
             observations[label] = obs
-            state.obs_log.append(obs)
-            if state.status is Status.IDLE:
-                continue
             action = step(state, obs, rip, self.ruleset)
             if action.port is not None:
                 moves[label] = action.port

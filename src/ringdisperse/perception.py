@@ -1,9 +1,10 @@
 """What a silent robot may perceive in a round, and nothing more.
 
-A robot sees whether it is alone right now, and whether the number of
-co-located robots rose or fell during the previous round -- but only if it
-stayed put that round, and only as a net change: an equal number of
-arrivals and departures is invisible.
+A robot sees three bits: whether it is alone right now, and whether the
+number of co-located robots rose or fell during the previous round -- but
+only if it stayed put that round, and only as a net change: an equal
+number of arrivals and departures is invisible.  The round number is not
+part of what it perceives; the robot's own phase clock supplies it.
 """
 
 from __future__ import annotations
@@ -15,15 +16,9 @@ class Observation(NamedTuple):
     alone: bool
     increase: bool
     decrease: bool
-    round_in_phase: int
 
 
-def observe(
-    current_count: int,
-    previous_count: int,
-    moved_last_round: bool,
-    round_in_phase: int,
-) -> Observation:
+def observe(current_count: int, previous_count: int, moved_last_round: bool) -> Observation:
     """Observation delivered at the start of a round.
 
     ``current_count`` is the occupancy of the robot's node at the end of
@@ -32,23 +27,5 @@ def observe(
     """
     alone = current_count == 1
     if moved_last_round:
-        return Observation(alone, False, False, round_in_phase)
-    return Observation(
-        alone,
-        current_count > previous_count,
-        current_count < previous_count,
-        round_in_phase,
-    )
-
-
-def latch_window(obs_log: list[Observation], from_round: int, to_round: int, flag: str) -> bool:
-    """True iff ``flag`` was observed in any logged round in [from_round, to_round]."""
-    if not 1 <= from_round <= to_round <= 19:
-        raise ValueError(f"window [{from_round}, {to_round}] outside a phase")
-    if obs_log and to_round > obs_log[-1].round_in_phase:
-        raise ValueError("window extends past the current round")
-    idx = 1 if flag == "increase" else 2
-    for obs in obs_log:
-        if from_round <= obs.round_in_phase <= to_round and obs[idx]:
-            return True
-    return False
+        return Observation(alone, False, False)
+    return Observation(alone, current_count > previous_count, current_count < previous_count)

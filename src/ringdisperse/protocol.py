@@ -4,7 +4,12 @@ Each phase is 19 synchronous rounds.  A robot runs the subroutine matching
 its status at the phase start; a status change decided mid-phase is held
 in ``pending_status`` and committed only at the phase boundary.  The
 ``Ruleset`` switch selects between the literal rules and a repaired
-variant that fixes three flag-timing defects (see the clause comments).
+variant that fixes four flag-timing defects (see the clause comments).
+
+A robot perceives the three bits of an ``Observation`` per round.  Before
+the participation gate ``step`` latches the two that repaired rules read
+later: a decrease in round 7 (merge follow) and an increase in rounds
+10-12 (retreat).
 
 ``step`` mutates the passed RobotState in place and returns the move.
 All robots' moves within a round are computed against the same pre-round
@@ -16,7 +21,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .perception import Observation, latch_window
+from .perception import Observation
 from .ring import PORT_ONE, PORT_ZERO
 from .robots import RobotState, Status, bit_at
 
@@ -77,6 +82,12 @@ def participates(state: RobotState, round_in_phase: int) -> bool:
 
 def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Ruleset) -> Action:
     """Decide one robot's action for this round; mutates ``state``."""
+    # the latches read by repairs 1 and 2, set whether or not the robot
+    # participates; apply_pending_status clears them at the phase boundary
+    if round_in_phase == 7 and obs.decrease:
+        state.decrease_at_7 = True
+    elif 10 <= round_in_phase <= 12 and obs.increase:
+        state.increase_in_10_12 = True
     if not participates(state, round_in_phase):
         return STAY
     sub = _SUBROUTINES[state.status]
@@ -172,7 +183,7 @@ def active_merge_step(
         if obs.increase:
             state.pending_status = Status.ACTIVE_DISPERSE
             return STAY
-        if latch_window(state.obs_log, 7, 7, "decrease"):
+        if state.decrease_at_7:
             return Action(PORT_ONE)
         return STAY
 
@@ -203,10 +214,10 @@ def _retreat_on_leader_arrival(state: RobotState, obs: Observation, ruleset: Rul
 
     The arrival happens during round 9 or 10, so the literal rule (which
     reads the instantaneous round-12 flag) demonstrably misses it; the
-    repaired rule latches increase over the window [10, 12].
+    repaired rule reads the increase latched over rounds 10-12.
     """
     if ruleset is Ruleset.REPAIRED:
-        arrived = latch_window(state.obs_log, 10, 12, "increase")
+        arrived = state.increase_in_10_12
     else:
         arrived = obs.increase
     if arrived:

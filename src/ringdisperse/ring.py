@@ -31,6 +31,14 @@ def move_target(n: int, v: int, port: int) -> int:
     return succ(n, v) if port == PORT_ONE else pred(n, v)
 
 
+def count_nodes(nodes) -> dict[int, int]:
+    """Robots per occupied node; the one place robots are counted."""
+    counts: dict[int, int] = {}
+    for node in nodes:
+        counts[node] = counts.get(node, 0) + 1
+    return counts
+
+
 def occupancy_cells(nodes) -> tuple[tuple[int, int], ...]:
     """Sparse occupancy of robot positions: the occupied cells only, as
     ``(node, count)`` pairs sorted by node, every count at least 1.
@@ -38,38 +46,31 @@ def occupancy_cells(nodes) -> tuple[tuple[int, int], ...]:
     This is the one form of occupancy in records and trace files; its
     size grows with the number of robots, never with the ring size.
     """
-    counts: dict[int, int] = {}
-    for node in nodes:
-        counts[node] = counts.get(node, 0) + 1
-    return tuple(sorted(counts.items()))
+    return tuple(sorted(count_nodes(nodes).items()))
 
 
 class Placement:
-    """Bidirectional robot-to-node map with value semantics.
+    """Robot-to-node map with value semantics.
 
-    ``by_robot`` maps robot label -> node, ``by_node`` maps node -> set of
-    labels.  The two views are kept consistent by construction.
+    ``by_robot`` maps robot label -> node; ``counts`` maps each occupied
+    node to its number of robots, computed once per placement.
     """
 
-    __slots__ = ("n", "by_robot", "by_node")
+    __slots__ = ("n", "by_robot", "counts")
 
     def __init__(self, n: int, by_robot: dict[int, int]):
         self.n = n
         self.by_robot = dict(by_robot)
-        by_node: dict[int, set[int]] = {}
-        for label, node in self.by_robot.items():
-            by_node.setdefault(node, set()).add(label)
-        self.by_node = by_node
+        self.counts = count_nodes(self.by_robot.values())
 
     def count_at(self, node: int) -> int:
-        group = self.by_node.get(node)
-        return len(group) if group else 0
+        return self.counts.get(node, 0)
 
     def occupancy_vector(self) -> tuple[tuple[int, int], ...]:
-        return occupancy_cells(self.by_robot.values())
+        return tuple(sorted(self.counts.items()))
 
     def all_distinct(self) -> bool:
-        return all(len(group) <= 1 for group in self.by_node.values())
+        return len(self.counts) == len(self.by_robot)
 
     def apply_moves(self, moves: dict[int, int]) -> "Placement":
         """Apply all moves simultaneously; ``moves`` maps label -> port.

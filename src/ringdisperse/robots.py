@@ -1,9 +1,10 @@
-"""Robot identity, label bit access, statuses and per-robot protocol state."""
+"""Robot identity, label bit access, statuses and per-robot protocol state:
+small counters, two label-bit cursors and two latches, no observation log."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -54,9 +55,11 @@ def bit_at(label: int, i: int, max_size: int) -> int:
 
 
 class StateSnapshot(NamedTuple):
-    """The persistent fields of a RobotState (everything but obs_log).
+    """The persistent fields of a RobotState (everything but the two latches).
 
-    A plain tuple underneath, so snapshots hash and compare as tuples.
+    Snapshots and livelock keys are taken only at phase starts, where both
+    latches are always False, so leaving them out loses nothing.  A plain
+    tuple underneath, so snapshots hash and compare as tuples.
     """
 
     status: Status
@@ -79,8 +82,10 @@ class RobotState:
     ``le_bit`` is the label-bit cursor for leader election (1..max_size);
     ``disp_bit`` is the separate cursor for the dispersal splits, where
     max_size + 1 means exhausted (the robot then behaves as if its current
-    bit were 0).  ``obs_log`` collects this phase's observations, indexed
-    by round-in-phase, and is cleared at every phase boundary.
+    bit were 0).  The two latches are the only memory of past
+    observations: ``decrease_at_7`` records a decrease perceived in round 7
+    and ``increase_in_10_12`` an increase perceived in rounds 10-12 of the
+    current phase.  Both are cleared at every phase boundary.
     """
 
     label: int
@@ -96,7 +101,8 @@ class RobotState:
     le_bit: int = 1
     disp_bit: int = 1
     net_disp: int = 0       # net displacement since dispersal began
-    obs_log: list = field(default_factory=list)
+    decrease_at_7: bool = False
+    increase_in_10_12: bool = False
 
     def current_disp_bit(self) -> int:
         """Bit under the dispersal cursor; 0 once the cursor is exhausted."""
@@ -108,7 +114,7 @@ class RobotState:
         self.disp_bit = min(self.disp_bit + 1, self.max_size + 1)
 
     def snapshot(self) -> StateSnapshot:
-        """Hashable view of the persistent fields (excludes obs_log)."""
+        """Hashable view of the persistent fields (excludes the latches)."""
         return StateSnapshot(
             self.status,
             self.pending_status,
@@ -127,8 +133,8 @@ class RobotState:
 def apply_pending_status(state: RobotState) -> None:
     """Commit the pending status at a phase boundary.
 
-    Resets move_var and clears the observation log; proceed, start,
-    settle, advance and leader persist across phases.
+    Resets move_var and clears both latches; proceed, start, settle,
+    advance and leader persist across phases.
     """
     if state.pending_status is not None:
         target = state.pending_status
@@ -139,4 +145,5 @@ def apply_pending_status(state: RobotState) -> None:
         state.status = target
         state.pending_status = None
     state.move_var = 0
-    state.obs_log.clear()
+    state.decrease_at_7 = False
+    state.increase_in_10_12 = False

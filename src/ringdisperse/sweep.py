@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -11,7 +10,7 @@ from .engine import run
 from .protocol import Ruleset
 from .robots import max_label_bits
 from .scenario import ScenarioError, gen_single_source
-from .verify import worker_count
+from .verify import map_jobs
 
 CSV_COLUMNS = ("n", "k", "L", "seed", "ruleset", "outcome", "rounds", "phases")
 
@@ -72,12 +71,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
         (n, k, max_label, seed, spec.ruleset.value)
         for n, k, max_label, seed in spec.parameters()
     ]
-    if workers is None:
-        workers = worker_count()
-    if workers > 1 and len(jobs) > 16:
-        with Pool(workers) as pool:
-            return pool.map(_sweep_worker, jobs, chunksize=8)
-    return [_sweep_worker(job) for job in jobs]
+    return map_jobs(_sweep_worker, jobs, workers, chunksize=8, serial_max=16)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

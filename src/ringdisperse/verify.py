@@ -104,12 +104,7 @@ def replay_violations(records, scenario: Scenario) -> list[Violation]:
         counts_now = {label: node_counts[node] for label, node in position.items()}
         if record.observations is not None:
             for label in position:
-                expected_obs = observe(
-                    counts_now[label],
-                    prev_counts[label],
-                    label in moved_last,
-                    record.round_in_phase,
-                )
+                expected_obs = observe(counts_now[label], prev_counts[label], label in moved_last)
                 got = record.observations.get(label)
                 if got != expected_obs:
                     violations.append(
@@ -235,12 +230,12 @@ def check_invariants(trace: Trace) -> list[Violation]:
         return snap.states[label].leader
 
     def groups_at(snap, include_leaders=True):
-        by_node: dict[int, list[int]] = {}
+        at_node: dict[int, list[int]] = {}
         for label in labels:
             if not include_leaders and is_leader(snap, label):
                 continue
-            by_node.setdefault(snap.nodes[label], []).append(label)
-        return by_node
+            at_node.setdefault(snap.nodes[label], []).append(label)
+        return at_node
 
     # (a) unique leader per chain whose back group started with >1 robot
     if len(snaps) > max_size:
@@ -265,11 +260,11 @@ def check_invariants(trace: Trace) -> list[Violation]:
         for label, _, to, _ in record.moves:
             position[label] = to
         snap = trace.snapshot_for(record.phase)
-        by_node: dict[int, list[int]] = {}
+        at_node: dict[int, list[int]] = {}
         for label in labels:
             if status_of(snap, label) in (Status.LEADER_ELECTION, Status.ACTIVE_MERGE):
-                by_node.setdefault(position[label], []).append(label)
-        for node, group in by_node.items():
+                at_node.setdefault(position[label], []).append(label)
+        for node, group in at_node.items():
             chains_here = {chain_of[label] for label in group}
             if len(chains_here) > 1:
                 violations.append(
@@ -281,9 +276,9 @@ def check_invariants(trace: Trace) -> list[Violation]:
 
     # (c) robots from different chains on adjacent nodes are never merging
     for snap in snaps:
-        by_node = groups_at(snap)
-        for node, group in by_node.items():
-            other = by_node.get(succ(n, node))
+        at_node = groups_at(snap)
+        for node, group in at_node.items():
+            other = at_node.get(succ(n, node))
             if not other:
                 continue
             for r1 in group:
@@ -319,10 +314,10 @@ def check_invariants(trace: Trace) -> list[Violation]:
     # their breakage.  Leader-only nodes are the leader's scout post, not
     # part of the chain.
     for snap in snaps:
-        by_node = groups_at(snap, include_leaders=False)
-        for node, group in by_node.items():
+        at_node = groups_at(snap, include_leaders=False)
+        for node, group in at_node.items():
             nxt = succ(n, node)
-            other = by_node.get(nxt)
+            other = at_node.get(nxt)
             if not other:
                 continue
             involved = group + other
@@ -430,8 +425,8 @@ def check_invariants(trace: Trace) -> list[Violation]:
 
     # (i) co-located same-status dispersing robots agree on the bit cursor
     for snap in snaps:
-        by_node = groups_at(snap, include_leaders=False)
-        for node, group in by_node.items():
+        at_node = groups_at(snap, include_leaders=False)
+        for node, group in at_node.items():
             actives = [label for label in group
                        if status_of(snap, label) is Status.ACTIVE_DISPERSE]
             cursors = {snap.states[label].disp_bit for label in actives}
@@ -616,10 +611,24 @@ def _worker(args) -> ScenarioOutcome:
 
 
 def worker_count() -> int:
+    """``RINGDISPERSE_WORKERS`` clamped to [1, cpu count]; the cpu count when unset."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("RINGDISPERSE_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    try:
+        return min(max(1, int(env)), cpus) if env else cpus
+    except ValueError:
+        raise ValueError(f"RINGDISPERSE_WORKERS must be an integer, not {env!r}") from None
+
+
+def map_jobs(fn, jobs: list, workers: int | None, chunksize: int, serial_max: int) -> list:
+    """``[fn(job) for job in jobs]`` across a pool of ``workers`` (default
+    ``worker_count()``), or in this process for one worker or few jobs."""
+    if workers is None:
+        workers = worker_count()
+    if workers > 1 and len(jobs) > serial_max:
+        with Pool(workers) as pool:
+            return pool.map(fn, jobs, chunksize=chunksize)
+    return [fn(job) for job in jobs]
 
 
 def evaluate_many(
@@ -634,12 +643,7 @@ def evaluate_many(
         (s.n, s.max_label, s.robots, ruleset.value, validate, invariants)
         for s in scenarios
     ]
-    if workers is None:
-        workers = worker_count()
-    if workers > 1 and len(jobs) > 64:
-        with Pool(workers) as pool:
-            return pool.map(_worker, jobs, chunksize=64)
-    return [_worker(job) for job in jobs]
+    return map_jobs(_worker, jobs, workers, chunksize=64, serial_max=64)
 
 
 def exhaustive_search(

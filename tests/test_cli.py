@@ -178,6 +178,27 @@ def test_sweep_infeasible_rows_recorded_not_fatal(tmp_path):
     assert any("dispersed" in line for line in lines)
 
 
+@pytest.mark.parametrize("step", [0, -1])
+def test_sweep_rejects_step_below_one(tmp_path, capsys, step):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--vary", "k", "--from", "2", "--to", "4",
+                 "--step", str(step), "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--vary", "k", "--from", "2", "--to", "3", "--seeds", "1", "--n", "8"],
+    ["search", "--n-max", "4", "--k-max", "2", "--l-max", "3"],
+], ids=["sweep", "search"])
+def test_malformed_worker_count_exits_input(monkeypatch, capsys, argv):
+    monkeypatch.setenv("RINGDISPERSE_WORKERS", "abc")
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "RINGDISPERSE_WORKERS" in err
+
+
 def test_search_writes_report_and_findings(tmp_path, capsys):
     out_dir = tmp_path / "findings"
     code = main(["search", "--n-max", "4", "--k-max", "2", "--l-max", "3",

@@ -153,7 +153,7 @@ def all_rotations_key(engine):
 
 
 @st.composite
-def engines_mid_run(draw):
+def small_engines(draw, record_rounds):
     n = draw(st.integers(min_value=3, max_value=12))
     k = draw(st.integers(min_value=1, max_value=min(n - 1, 5)))
     labels = draw(st.lists(st.integers(min_value=0, max_value=7),
@@ -161,7 +161,12 @@ def engines_mid_run(draw):
     nodes = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
                           min_size=k, max_size=k))
     ruleset = draw(st.sampled_from(list(Ruleset)))
-    engine = Engine(make_scenario(n, 7, zip(labels, nodes)), ruleset, record_rounds=False)
+    return Engine(make_scenario(n, 7, zip(labels, nodes)), ruleset, record_rounds=record_rounds)
+
+
+@st.composite
+def engines_mid_run(draw):
+    engine = draw(small_engines(record_rounds=False))
     for _ in range(draw(st.integers(min_value=0, max_value=3 * ROUNDS_PER_PHASE))):
         engine.step_round()
     return engine
@@ -200,3 +205,42 @@ def test_all_singletons_disperse_immediately():
     outcome = run(scenario)
     assert outcome.result is RunResult.DISPERSED
     assert outcome.phases_used == 1
+
+
+def latch_window(seen, from_round, to_round, flag):
+    """The observation-window rule the two latches replace: True iff
+    ``flag`` was perceived in a round of [from_round, to_round] among the
+    ``(round_in_phase, Observation)`` pairs of the current phase."""
+    return any(from_round <= rip <= to_round and getattr(obs, flag) for rip, obs in seen)
+
+
+def assert_latches_match_window(engine, rounds):
+    """Step ``engine`` and check every robot's latches after every round;
+    returns how many (robot, round) pairs had each latch set."""
+    decreases = increases = 0
+    for _ in range(rounds):
+        engine.step_round()
+        phase_records = [r for r in engine.trace.records if r.phase == engine.phase]
+        for label, state in engine.robots.items():
+            seen = [(r.round_in_phase, r.observations[label]) for r in phase_records]
+            assert state.decrease_at_7 == latch_window(seen, 7, 7, "decrease")
+            assert state.increase_in_10_12 == latch_window(seen, 10, 12, "increase")
+            decreases += state.decrease_at_7
+            increases += state.increase_in_10_12
+    return decreases, increases
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_engines(record_rounds=True), st.integers(min_value=1, max_value=6 * ROUNDS_PER_PHASE))
+def test_latches_equal_the_observation_window(engine, rounds):
+    assert_latches_match_window(engine, rounds)
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_latches_are_set_on_a_merging_chain(ruleset):
+    # followers perceive their leader leave in round 7, and a scouting
+    # leader lands on a dispersing group in rounds 10-12, so neither latch
+    # is checked only in its all-False state
+    engine = Engine(gen_chain([3, 1], gap=2, n=7, max_label=7), ruleset)
+    decreases, increases = assert_latches_match_window(engine, 12 * ROUNDS_PER_PHASE)
+    assert decreases > 0 and increases > 0

@@ -1,53 +1,27 @@
-import pytest
-
-from ringdisperse.perception import Observation, latch_window, observe
+from ringdisperse.perception import Observation, observe
 
 
 def test_stayed_with_arrival_sees_increase():
-    obs = observe(3, 2, moved_last_round=False, round_in_phase=5)
+    obs = observe(3, 2, moved_last_round=False)
     assert obs.increase and not obs.decrease
 
 
 def test_net_zero_churn_is_invisible():
-    obs = observe(3, 3, moved_last_round=False, round_in_phase=5)
+    obs = observe(3, 3, moved_last_round=False)
     assert not obs.increase and not obs.decrease
 
 
 def test_alone_flag():
-    obs = observe(1, 4, moved_last_round=False, round_in_phase=2)
+    obs = observe(1, 4, moved_last_round=False)
     assert obs.alone
     assert obs.decrease
 
 
 def test_mover_gets_no_change_flags():
-    obs = observe(5, 1, moved_last_round=True, round_in_phase=9)
+    obs = observe(5, 1, moved_last_round=True)
     assert not obs.increase and not obs.decrease
     assert not obs.alone
 
 
-def _log(*entries):
-    return [Observation(False, inc, dec, rip) for rip, inc, dec in entries]
-
-
-def test_latch_window_hit():
-    log = _log((9, False, False), (10, True, False), (11, False, False), (12, False, False))
-    assert latch_window(log, 10, 12, "increase")
-
-
-def test_latch_window_empty():
-    log = _log((10, False, False), (11, False, False), (12, False, False))
-    assert not latch_window(log, 10, 12, "increase")
-    assert not latch_window(log, 10, 12, "decrease")
-
-
-def test_latch_window_excludes_earlier_rounds():
-    log = _log((7, True, False), (10, False, False), (11, False, False), (12, False, False))
-    assert not latch_window(log, 10, 12, "increase")
-
-
-def test_latch_window_bad_bounds():
-    log = _log((7, True, False))
-    with pytest.raises(ValueError):
-        latch_window(log, 12, 10, "increase")
-    with pytest.raises(ValueError):
-        latch_window(log, 1, 9, "increase")  # past the current round
+def test_observation_is_three_bits():
+    assert Observation._fields == ("alone", "increase", "decrease")

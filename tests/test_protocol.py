@@ -17,8 +17,8 @@ from ringdisperse.robots import RobotState, Status
 from ringdisperse.scenario import make_scenario
 
 
-def obs(alone=False, increase=False, decrease=False, rip=1):
-    return Observation(alone, increase, decrease, rip)
+def obs(alone=False, increase=False, decrease=False):
+    return Observation(alone, increase, decrease)
 
 
 def robot(**kw):
@@ -46,19 +46,19 @@ def phase_engine(n, max_label, robots_spec, ruleset=Ruleset.REPAIRED):
 
 def test_idle_robot_stays():
     st = robot(status=Status.IDLE)
-    assert step(st, obs(rip=13), 13, Ruleset.REPAIRED).port is None
+    assert step(st, obs(), 13, Ruleset.REPAIRED).port is None
 
 
 def test_passive_stays_in_round_13():
     st = robot(status=Status.PASSIVE)
-    action = step(st, obs(rip=13), 13, Ruleset.REPAIRED)
+    action = step(st, obs(), 13, Ruleset.REPAIRED)
     assert action.port is None
     assert st.pending_status is None
 
 
 def test_wait_turns_passive_in_round_17():
     st = robot(status=Status.WAIT)
-    action = step(st, obs(rip=17), 17, Ruleset.REPAIRED)
+    action = step(st, obs(), 17, Ruleset.REPAIRED)
     assert action.port is None
     assert st.pending_status is Status.PASSIVE
 
@@ -66,19 +66,19 @@ def test_wait_turns_passive_in_round_17():
 def test_wait_never_moves():
     st = robot(status=Status.WAIT)
     for rip in range(1, 20):
-        assert step(st, obs(rip=rip), rip, Ruleset.REPAIRED).port is None
+        assert step(st, obs(), rip, Ruleset.REPAIRED).port is None
 
 
 def test_singleton_elects_itself_in_round_1():
     st = robot(status=Status.LEADER_ELECTION)
-    action = step(st, obs(alone=True, rip=1), 1, Ruleset.REPAIRED)
+    action = step(st, obs(alone=True), 1, Ruleset.REPAIRED)
     assert action.port is None
     assert st.leader
 
 
 def test_leader_is_gated_outside_its_rounds():
     st = robot(status=Status.LEADER_ELECTION, leader=True)
-    action = step(st, obs(rip=1), 1, Ruleset.REPAIRED)
+    action = step(st, obs(), 1, Ruleset.REPAIRED)
     assert action.port is None
     assert st.proceed == 0  # bit processing skipped entirely
 
@@ -88,7 +88,7 @@ def test_retired_candidate_is_inert():
     # every later election phase, including round 3
     st = robot(status=Status.LEADER_ELECTION, proceed=2)
     for rip in range(1, 6):
-        action = step(st, obs(rip=rip, decrease=True), rip, Ruleset.REPAIRED)
+        action = step(st, obs(decrease=True), rip, Ruleset.REPAIRED)
         if rip == 5:
             continue  # bookkeeping round, no move either way
         assert action.port is None, f"moved in round {rip}"
@@ -96,23 +96,23 @@ def test_retired_candidate_is_inert():
 
 def test_fresh_informer_returns_in_round_3():
     st = robot(status=Status.LEADER_ELECTION, proceed=0)
-    action = step(st, obs(decrease=True, rip=2), 2, Ruleset.REPAIRED)
+    action = step(st, obs(decrease=True), 2, Ruleset.REPAIRED)
     assert action.port == PORT_ONE
     assert st.proceed == 2
-    action = step(st, obs(rip=3), 3, Ruleset.REPAIRED)
+    action = step(st, obs(), 3, Ruleset.REPAIRED)
     assert action.port == PORT_ZERO
 
 
 def test_literal_round3_drops_candidacy_without_increase():
     st = robot(status=Status.LEADER_ELECTION, proceed=1)
-    action = step(st, obs(increase=False, rip=3), 3, Ruleset.LITERAL)
+    action = step(st, obs(increase=False), 3, Ruleset.LITERAL)
     assert action.port == PORT_ZERO
     assert st.proceed == 0
 
 
 def test_repaired_round3_keeps_candidacy():
     st = robot(status=Status.LEADER_ELECTION, proceed=1)
-    action = step(st, obs(increase=False, rip=3), 3, Ruleset.REPAIRED)
+    action = step(st, obs(increase=False), 3, Ruleset.REPAIRED)
     assert action.port == PORT_ZERO
     assert st.proceed == 1
 
@@ -231,38 +231,38 @@ def test_displaced_robot_does_not_self_retire():
     # repaired rules: a robot that has moved since dispersal began must
     # wait for its predecessor's announcement instead of self-arming
     st = robot(status=Status.ACTIVE_DISPERSE, net_disp=1)
-    step(st, obs(alone=True, rip=13), 13, Ruleset.REPAIRED)
+    step(st, obs(alone=True), 13, Ruleset.REPAIRED)
     assert st.start == 0
     st_literal = robot(status=Status.ACTIVE_DISPERSE, net_disp=1)
-    step(st_literal, obs(alone=True, rip=13), 13, Ruleset.LITERAL)
+    step(st_literal, obs(alone=True), 13, Ruleset.LITERAL)
     assert st_literal.start == 1
 
 
 def test_announced_robot_settles_wherever_it_is():
     st = robot(status=Status.ACTIVE_DISPERSE, net_disp=3, start=1)
-    step(st, obs(alone=True, rip=13), 13, Ruleset.REPAIRED)
+    step(st, obs(alone=True), 13, Ruleset.REPAIRED)
     assert st.settle == 1
 
 
 def test_passive_hears_retirement_announcement():
     st = robot(status=Status.PASSIVE)
-    step(st, obs(increase=True, rip=19), 19, Ruleset.REPAIRED)
+    step(st, obs(increase=True), 19, Ruleset.REPAIRED)
     assert st.start == 1
 
 
 def test_leader_probe_rounds():
     st = robot(status=Status.ACTIVE_DISPERSE, leader=True)
-    assert step(st, obs(alone=False, rip=9), 9, Ruleset.REPAIRED).port == PORT_ONE
+    assert step(st, obs(alone=False), 9, Ruleset.REPAIRED).port == PORT_ONE
     assert st.advance == 1
-    assert step(st, obs(alone=True, rip=10), 10, Ruleset.REPAIRED).port == PORT_ONE
-    assert step(st, obs(alone=True, rip=11), 11, Ruleset.REPAIRED).port == PORT_ZERO
+    assert step(st, obs(alone=True), 10, Ruleset.REPAIRED).port == PORT_ONE
+    assert step(st, obs(alone=True), 11, Ruleset.REPAIRED).port == PORT_ZERO
     assert st.advance == 0
 
 
 def test_leader_never_runs_late_rounds():
     st = robot(status=Status.ACTIVE_DISPERSE, leader=True, settle=1)
     for rip in (12, 13, 14, 15, 16, 17, 18, 19):
-        action = step(st, obs(alone=True, increase=True, decrease=True, rip=rip),
+        action = step(st, obs(alone=True, increase=True, decrease=True),
                       rip, Ruleset.REPAIRED)
         assert action.port is None
     assert st.pending_status is None
@@ -271,16 +271,19 @@ def test_leader_never_runs_late_rounds():
 def test_retreat_detection_literal_misses_early_arrival():
     # the foreign leader lands at the end of round 10; only the latched
     # window notices by round 12
-    log = [obs(rip=10), obs(increase=True, rip=11), obs(rip=12)]
+    rounds = [(10, obs()), (11, obs(increase=True))]
     st_rep = robot(status=Status.ACTIVE_DISPERSE)
-    st_rep.obs_log.extend(log)
-    action = step(st_rep, obs(rip=12), 12, Ruleset.REPAIRED)
+    for rip, seen in rounds:
+        step(st_rep, seen, rip, Ruleset.REPAIRED)
+    assert st_rep.increase_in_10_12
+    action = step(st_rep, obs(), 12, Ruleset.REPAIRED)
     assert action.port == PORT_ZERO
     assert st_rep.pending_status is Status.PASSIVE
 
     st_lit = robot(status=Status.ACTIVE_DISPERSE)
-    st_lit.obs_log.extend(log)
-    action = step(st_lit, obs(rip=12), 12, Ruleset.LITERAL)
+    for rip, seen in rounds:
+        step(st_lit, seen, rip, Ruleset.LITERAL)
+    action = step(st_lit, obs(), 12, Ruleset.LITERAL)
     assert action.port is None
     assert st_lit.pending_status is None
 
@@ -288,18 +291,44 @@ def test_retreat_detection_literal_misses_early_arrival():
 def test_merge_follow_and_stop_precedence():
     # stop (leader returned) wins over follow (leader departed earlier)
     st = robot(status=Status.ACTIVE_MERGE)
-    st.obs_log.extend([obs(rip=6), obs(decrease=True, rip=7), obs(increase=True, rip=8)])
-    action = step(st, obs(increase=True, rip=8), 8, Ruleset.REPAIRED)
+    step(st, obs(), 6, Ruleset.REPAIRED)
+    step(st, obs(decrease=True), 7, Ruleset.REPAIRED)
+    assert st.decrease_at_7
+    action = step(st, obs(increase=True), 8, Ruleset.REPAIRED)
     assert action.port is None
     assert st.pending_status is Status.ACTIVE_DISPERSE
 
 
 def test_merge_follow_on_departure():
     st = robot(status=Status.ACTIVE_MERGE)
-    st.obs_log.extend([obs(rip=6), obs(decrease=True, rip=7), obs(rip=8)])
-    action = step(st, obs(rip=8), 8, Ruleset.REPAIRED)
+    step(st, obs(), 6, Ruleset.REPAIRED)
+    step(st, obs(decrease=True), 7, Ruleset.REPAIRED)
+    action = step(st, obs(), 8, Ruleset.REPAIRED)
     assert action.port == PORT_ONE
     assert st.pending_status is None
+
+
+def test_latches_set_in_rounds_the_robot_sits_out():
+    # the latches record what the robot perceived, participating or not
+    for status in (Status.LEADER_ELECTION, Status.WAIT, Status.JUMP, Status.IDLE):
+        st = robot(status=status)
+        assert step(st, obs(decrease=True), 7, Ruleset.REPAIRED).port is None
+        assert step(st, obs(increase=True), 11, Ruleset.REPAIRED).port is None
+        assert st.decrease_at_7 and st.increase_in_10_12, status
+
+
+def test_idle_robot_latches_a_leader_arrival():
+    # the leader of group {1, 2} probes forward in round 9 onto idle robot
+    # 3, which perceives the increase in round 10
+    eng = phase_engine(6, 3, {
+        1: (0, Status.ACTIVE_DISPERSE, {"leader": True}),
+        2: (0, Status.ACTIVE_DISPERSE, {}),
+        3: (1, Status.IDLE, {}),
+    })
+    for _ in range(10):
+        eng.step_round()
+    assert eng.trace.records[-1].observations[3].increase
+    assert eng.robots[3].increase_in_10_12
 
 
 def test_single_group_merges_in_one_phase():

@@ -70,10 +70,10 @@ def test_apply_moves_order_independent_and_conserving(n, robots, data):
     reordered = dict(reversed(list(movers.items())))
     assert p.apply_moves(reordered) == q
     assert len(q.by_robot) == len(robots)
-    assert sum(len(group) for group in q.by_node.values()) == len(robots)
-    # the two views stay consistent inverses
-    for label, node in q.by_robot.items():
-        assert label in q.by_node[node]
+    assert sum(count for _, count in q.occupancy_vector()) == len(robots)
+    # the counts stay consistent with the robot-to-node map
+    for node in q.by_robot.values():
+        assert q.count_at(node) == list(q.by_robot.values()).count(node)
 
 
 def test_ring_distance_wraps():

@@ -51,22 +51,22 @@ def _state(**kw) -> RobotState:
 def test_apply_pending_merge_to_disperse():
     st_ = _state(status=Status.ACTIVE_MERGE, pending_status=Status.ACTIVE_DISPERSE,
                  move_var=2, proceed=2)
-    st_.obs_log.append(object())
+    st_.decrease_at_7 = st_.increase_in_10_12 = True
     apply_pending_status(st_)
     assert st_.status is Status.ACTIVE_DISPERSE
     assert st_.pending_status is None
     assert st_.move_var == 0
-    assert st_.obs_log == []
+    assert not st_.decrease_at_7 and not st_.increase_in_10_12
     assert st_.proceed == 2  # persists across phases
 
 
 def test_apply_pending_noop_still_resets_phase_locals():
     st_ = _state(status=Status.PASSIVE, move_var=1, start=1)
-    st_.obs_log.append(object())
+    st_.decrease_at_7 = st_.increase_in_10_12 = True
     apply_pending_status(st_)
     assert st_.status is Status.PASSIVE
     assert st_.move_var == 0
-    assert st_.obs_log == []
+    assert not st_.decrease_at_7 and not st_.increase_in_10_12
     assert st_.start == 1
 
 

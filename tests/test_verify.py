@@ -1,6 +1,7 @@
 """Validator, invariant suite, displacement bound, search and shrinking."""
 
 import dataclasses
+import os
 
 import pytest
 
@@ -16,8 +17,10 @@ from ringdisperse.verify import (
     evaluate_scenario,
     exhaustive_search,
     initial_chains,
+    map_jobs,
     minimize_scenario,
     validate_trace,
+    worker_count,
 )
 
 
@@ -90,9 +93,7 @@ def test_mutated_observation_is_caught(chain_outcome):
     record = trace.records[0]
     label = trace.labels[0]
     original = record.observations[label]
-    record.observations[label] = Observation(
-        original.alone, True, original.decrease, original.round_in_phase
-    )
+    record.observations[label] = Observation(original.alone, True, original.decrease)
     violations = validate_trace(trace, scenario)
     record.observations[label] = original
     assert any(v.kind == "perception-replay" for v in violations)
@@ -185,3 +186,26 @@ def test_minimizer_shrinks_and_replays():
     assert minimized.n <= scenario.n
     check = evaluate_scenario(minimized, Ruleset.LITERAL, validate=False, invariants=False)
     assert check.result is outcome.result
+
+
+def test_worker_count_reads_and_clamps_the_variable(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.delenv("RINGDISPERSE_WORKERS", raising=False)
+    assert worker_count() == cpus
+    for value, expected in (("1", 1), ("0", 1), ("-3", 1), (str(cpus), cpus),
+                            ("1000000", cpus)):
+        monkeypatch.setenv("RINGDISPERSE_WORKERS", value)
+        assert worker_count() == expected, value
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "2 workers"])
+def test_worker_count_rejects_a_non_integer(monkeypatch, value):
+    monkeypatch.setenv("RINGDISPERSE_WORKERS", value)
+    with pytest.raises(ValueError, match="RINGDISPERSE_WORKERS"):
+        worker_count()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_jobs_keeps_input_order(workers):
+    jobs = list(range(-5, 5))
+    assert map_jobs(abs, jobs, workers, chunksize=3, serial_max=4) == [abs(j) for j in jobs]
