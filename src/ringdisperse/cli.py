@@ -17,8 +17,9 @@ because trace files carry no robot statuses.  A violation prints as
 ``[kind] phase P round R: ...``; a malformed row, and any file in another
 format (the dense-occupancy v1 included), is invalid input.
 
-Exit codes: 0 dispersed / no violations, 2 livelock, 3 budget exceeded,
-4 invalid input, 1 verification violations.
+Exit codes: 0 dispersed / no violations, 2 livelock (a proven cycle),
+3 budget exceeded (no proven cycle within the phase budget), 4 invalid
+input, 1 verification violations.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import RoundRecord, RunOutcome, RunResult, run
+from .engine import RoundRecord, RunOutcome, RunResult, phase_budget, run
 from .perception import Observation
 from .protocol import Ruleset
+from .robots import max_label_bits
 from .scenario import Scenario, ScenarioError, load_scenario, render_scenario
 from .sweep import SweepSpec, fit_rounds, rows_to_csv, run_sweep
 from .verify import exhaustive_search, replay_violations
@@ -154,6 +156,12 @@ def _cmd_run(args) -> int:
         f"{outcome.result.value}: {outcome.rounds_used} rounds "
         f"({outcome.phases_used} phases), ruleset {ruleset.value}"
     )
+    if outcome.result is RunResult.BUDGET_EXCEEDED:
+        bound = phase_budget(max_label_bits(scenario.max_label), scenario.k)
+        print(
+            f"no provable cycle in {outcome.phases_used} phases; "
+            f"the O(log L + k) bound is 8(p+k) = {bound} phases"
+        )
     if outcome.dispersed:
         final = outcome.final_placement.by_robot
         placed = " ".join(f"{label}@{node}" for label, node in sorted(final.items()))
@@ -165,9 +173,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.step < 1:
-        print(f"error: --step must be at least 1, not {args.step}", file=sys.stderr)
-        return EXIT_INPUT
+    for flag, value in (("--step", args.step), ("--seeds", args.seeds)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1, not {value}", file=sys.stderr)
+            return EXIT_INPUT
     points = tuple(range(args.start, args.stop + 1, args.step))
     spec = SweepSpec(
         vary=args.vary,

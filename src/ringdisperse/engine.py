@@ -76,9 +76,32 @@ class RunOutcome:
         return self.result is RunResult.DISPERSED
 
 
-def default_phase_budget(max_size: int, k: int) -> int:
-    # constant multiple of the round bound, with headroom
-    return 8 * (max_size + k) + 16
+def phase_budget(max_size: int, k: int) -> int:
+    """The phase bound a run may not exceed: 8(p + k), p = MaxSize.
+
+    The paper bounds dispersal at O(log L + k) rounds; the highest measured
+    dispersed phases/(p + k) is 2.29 on the (6,4,7) space and 2.38 on
+    n = 26, L = 1023, k = 2..24.  A run cut here without a provable cycle
+    has broken that bound.
+    """
+    return 8 * (max_size + k)
+
+
+def zero_test_stable(value: int, delta: int) -> bool:
+    """True when ``value + j*delta == 0`` reads the same for every j >= 0.
+
+    ``value`` is a robot's ``net_disp`` entering round 13 of some phase of
+    a cycle and ``delta`` the change of its ``net_disp`` over one pass of
+    the cycle, so ``value + j*delta`` is what that round reads in pass j.
+    """
+    if delta == 0:
+        return True
+    if value == 0:
+        return False
+    # value + j*delta == 0 for some j >= 1 iff delta divides -value with a
+    # positive quotient
+    quotient, remainder = divmod(-value, delta)
+    return remainder != 0 or quotient < 1
 
 
 class Engine:
@@ -102,6 +125,9 @@ class Engine:
         self.phase = 1
         self.round_in_phase = 1
         self.moves_in_phase = 0
+        # per finished phase, each robot's net_disp entering round 13, the
+        # one round whose rule can read it (in labels order)
+        self.net_disp_at_13: list[tuple[int, ...]] = []
         self.trace = Trace(scenario, ruleset, self.labels)
         self._snapshot_phase()
 
@@ -132,6 +158,8 @@ class Engine:
         rip = self.round_in_phase
         placement = self.placement
         prev = self.prev_placement
+        if rip == 13:
+            self.net_disp_at_13.append(tuple(self.robots[label].net_disp for label in self.labels))
         observations: dict[int, Observation] = {}
         moves: dict[int, int] = {}
         for label in self.labels:
@@ -187,6 +215,30 @@ class Engine:
         return self.moves_in_phase
 
 
+def _split_net_disp(key: tuple) -> tuple[tuple, tuple[int, ...]]:
+    """An exact ``snapshot_key`` as (the key without ``net_disp``, the
+    ``net_disp`` vector); ``net_disp`` is the last ``StateSnapshot`` field."""
+    positions, states = key
+    return (positions, tuple(state[:-1] for state in states)), tuple(
+        state.net_disp for state in states)
+
+
+def _repeats_forever(
+    engine: Engine, a: int, disp_a: tuple[int, ...], disp_b: tuple[int, ...]
+) -> bool:
+    """Whether phases [a, b) repeat forever, given equal keys modulo
+    ``net_disp`` at phase starts a and b; b is the engine's current phase."""
+    if engine.ruleset is Ruleset.LITERAL:
+        return True  # the literal rules never read net_disp
+    deltas = [(i, after - before)
+              for i, (before, after) in enumerate(zip(disp_a, disp_b)) if after != before]
+    return all(
+        zero_test_stable(values[i], delta)
+        for values in engine.net_disp_at_13[a - 1:engine.phase - 1]
+        for i, delta in deltas
+    )
+
+
 def run(
     scenario: Scenario,
     ruleset: Ruleset = Ruleset.REPAIRED,
@@ -197,14 +249,46 @@ def run(
 
     Dispersed requires both all-distinct positions and a full phase with
     zero moves: leaders keep probing while their node is shared, so a
-    merely distinct placement can be transient.  Livelock is a repeated
-    phase-start snapshot up to ring rotation, which in a deterministic
-    system certifies a cycle.
+    merely distinct placement can be transient.
+
+    Livelock is a proven cycle.  At every phase start the run compares
+    the state, up to ring rotation and with each robot's ``net_disp``
+    left out, with every earlier phase start.  ``net_disp`` must be left
+    out: it grows without bound while a chain translates, so the exact
+    state of a translating cycle never repeats.  Suppose phase starts a
+    and b (a < b) have equal keys.  The rules see no node identities and
+    read ``net_disp`` in one place only, ``net_disp == 0`` in round 13 of
+    active-disperse under the repaired rules.  So as long as that test
+    reads the same, phases b, b+1, ... replay phases a, a+1, ... with the
+    placement rotated: the same statuses, moves and perceptions.  Each
+    robot's ``net_disp`` then changes by the same delta over every pass
+    of the cycle, and a round-13 value v of pass 0 reads v + j*delta in
+    pass j.  By induction over the passes the cycle repeats forever if,
+    for every robot with delta != 0, no round-13 value v in phases
+    [a, b) is 0 and no j >= 1 gives v + j*delta == 0
+    (``zero_test_stable``).  A run that repeats forever never passes a
+    quiet, all-distinct phase, since no phase of [a, b) was one.  The
+    literal rules never read ``net_disp``, so under them every repeat is
+    a cycle.  An exact repeat (every delta 0) is always one.
+
+    The key leaves out the robots' perception state across the round 19
+    -> round 1 boundary as well (the previous placement and who moved
+    last), which can differ between a and b.  That state sets only the
+    increase and decrease flags of round 1, and no rule reads either in
+    round 1: the one round-1 rule, leader election's, reads ``alone``
+    only, and the latches are set in rounds 7 and 10-12.
+
+    Every earlier phase start is kept with its ``net_disp`` vector, and
+    the test runs against each one with the same key, so an exact repeat
+    is never missed.  A run that reaches ``max_phases`` (by default
+    ``phase_budget``) without a proven cycle is budget-exceeded.
     """
     engine = Engine(scenario, ruleset, record_rounds=record_rounds)
     if max_phases is None:
-        max_phases = default_phase_budget(engine.max_size, scenario.k)
-    seen: set[tuple] = {engine.snapshot_key()}
+        max_phases = phase_budget(engine.max_size, scenario.k)
+    abstract, disp = _split_net_disp(engine.snapshot_key())
+    # key modulo net_disp -> the (phase, net_disp vector) of each phase start with it
+    seen: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {abstract: [(engine.phase, disp)]}
 
     while True:
         phase_moves = engine.run_phase()
@@ -212,11 +296,12 @@ def run(
         if phase_moves == 0 and engine.placement.all_distinct():
             result = RunResult.DISPERSED
             break
-        key = engine.snapshot_key()
-        if key in seen:
+        abstract, disp = _split_net_disp(engine.snapshot_key())
+        earlier = seen.setdefault(abstract, [])
+        if any(_repeats_forever(engine, a, disp_a, disp) for a, disp_a in earlier):
             result = RunResult.LIVELOCK
             break
-        seen.add(key)
+        earlier.append((engine.phase, disp))
         if engine.phase > max_phases:
             result = RunResult.BUDGET_EXCEEDED
             break

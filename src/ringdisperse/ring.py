@@ -76,8 +76,12 @@ class Placement:
         """Apply all moves simultaneously; ``moves`` maps label -> port.
 
         Robots crossing the same edge in opposite directions swap nodes
-        without interacting.  Robots absent from ``moves`` stay put.
+        without interacting.  Robots absent from ``moves`` stay put; with
+        no moves at all the placement is returned as it is, since a
+        placement is never changed in place.
         """
+        if not moves:
+            return self
         new_by_robot = dict(self.by_robot)
         for label, port in moves.items():
             if label not in new_by_robot:

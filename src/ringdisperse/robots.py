@@ -60,6 +60,7 @@ class StateSnapshot(NamedTuple):
     Snapshots and livelock keys are taken only at phase starts, where both
     latches are always False, so leaving them out loses nothing.  A plain
     tuple underneath, so snapshots hash and compare as tuples.
+    ``net_disp`` stays the last field: ``engine.run`` drops it by slicing.
     """
 
     status: Status

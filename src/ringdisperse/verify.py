@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
-from .engine import ROUNDS_PER_PHASE, RunOutcome, RunResult, Trace, run  # noqa: F401
+from .engine import ROUNDS_PER_PHASE, RunOutcome, RunResult, Trace, phase_budget, run  # noqa: F401
 from .perception import observe
 from .protocol import EFFECTIVE_PARTICIPATION, LEADER_ROUNDS
 from .ring import PORT_ONE, PORT_ZERO, move_target, occupancy_cells, ring_distance, succ
@@ -574,18 +574,13 @@ def _is_rotation_canonical(nodes: tuple[int, ...], n: int) -> bool:
     return True
 
 
-def search_budget_phases(l_max: int, k: int) -> int:
-    return 8 * (max_label_bits(l_max) + k)
-
-
 def evaluate_scenario(
     scenario: Scenario,
     ruleset,
     validate: bool = True,
     invariants: bool = True,
 ) -> ScenarioOutcome:
-    budget = search_budget_phases(scenario.max_label, scenario.k)
-    outcome = run(scenario, ruleset, max_phases=budget)
+    outcome = run(scenario, ruleset)
     validation = validate_trace(outcome.trace, scenario) if validate else []
     kinds: tuple[str, ...] = ()
     if invariants:
@@ -595,7 +590,8 @@ def evaluate_scenario(
         result=outcome.result,
         rounds_used=outcome.rounds_used,
         phases_used=outcome.phases_used,
-        budget_rounds=budget * ROUNDS_PER_PHASE,
+        budget_rounds=ROUNDS_PER_PHASE * phase_budget(
+            max_label_bits(scenario.max_label), scenario.k),
         validation_count=len(validation),
         finding_kinds=kinds,
         final_positions=tuple(sorted(outcome.final_placement.by_robot.items())),
@@ -683,8 +679,7 @@ def minimize_scenario(scenario: Scenario, ruleset, expected: RunResult) -> Scena
     the failure reproduces; the result is replay-checked."""
 
     def reproduces(candidate: Scenario) -> bool:
-        budget = search_budget_phases(candidate.max_label, candidate.k)
-        return run(candidate, ruleset, max_phases=budget, record_rounds=False).result is expected
+        return run(candidate, ruleset, record_rounds=False).result is expected
 
     current = scenario
     changed = True

@@ -42,6 +42,7 @@ def test_run_budget_exit(chain_scenario, capsys):
     code = main(["run", "--scenario", str(chain_scenario), "--ruleset", "literal",
                  "--max-phases", "3"])
     assert code == 3
+    assert "no provable cycle in 3 phases" in capsys.readouterr().out
 
 
 def test_run_malformed_scenario_exit(tmp_path, capsys):
@@ -186,6 +187,16 @@ def test_sweep_rejects_step_below_one(tmp_path, capsys, step):
     assert code == 4
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", [0, -2])
+def test_sweep_rejects_seeds_below_one(capsys, seeds):
+    code = main(["sweep", "--vary", "k", "--from", "2", "--to", "3",
+                 "--seeds", str(seeds), "--n", "8"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --seeds must be at least 1, not {seeds}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,10 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringdisperse.engine import ROUNDS_PER_PHASE, Engine, RunResult, run
+from ringdisperse.engine import (
+    ROUNDS_PER_PHASE,
+    Engine,
+    RunResult,
+    _repeats_forever,
+    phase_budget,
+    run,
+    zero_test_stable,
+)
 from ringdisperse.protocol import Ruleset
 from ringdisperse.robots import Status
 from ringdisperse.scenario import gen_chain, make_scenario
+from ringdisperse.verify import enumerate_scenarios
 
 
 def moves_by_round(trace, phase):
@@ -126,6 +135,98 @@ def test_budget_exceeded_verdict():
     outcome = run(scenario, Ruleset.LITERAL, max_phases=3)
     assert outcome.result is RunResult.BUDGET_EXCEEDED
     assert outcome.phases_used == 3
+
+
+@pytest.mark.parametrize("value, delta, stable", [
+    (5, 1, True),     # moves away from 0
+    (-3, 2, True),    # steps over 0: -3, -1, 1, ...
+    (7, 0, True),     # an exact repeat
+    (0, 1, False),    # reads 0 now, never again
+    (-2, 1, False),   # reaches 0 in pass 2
+    (5, -5, False),   # reaches 0 in pass 1
+])
+def test_zero_test_stable_hand_cases(value, delta, stable):
+    assert zero_test_stable(value, delta) is stable
+
+
+def test_zero_test_stable_matches_its_definition():
+    for value in range(-12, 13):
+        for delta in range(-6, 7):
+            reads = [value + j * delta == 0 for j in range(30)]
+            assert zero_test_stable(value, delta) == (len(set(reads)) == 1)
+
+
+@pytest.mark.parametrize("ruleset, at_13, disp_b, proven", [
+    # robot 2 moved +2 over phases [2, 4); its round-13 values there are
+    # 4 and 3, which never reach 0; the 0 of phase 1 lies before the cycle
+    (Ruleset.REPAIRED, [(0, 0), (0, 4), (0, 3)], (0, 7), True),
+    # robot 2 moved -2 and read 4 in phase 2: it reads 0 two passes later
+    (Ruleset.REPAIRED, [(0, 0), (0, 4), (0, 3)], (0, 3), False),
+    # robot 1 read 0 in phase 2 and its net_disp rose by 1: it reads 1 next pass
+    (Ruleset.REPAIRED, [(0, 5), (0, 3), (0, 4)], (1, 5), False),
+    # the literal rules never read net_disp
+    (Ruleset.LITERAL, [(0, 0), (0, 3), (0, 4)], (0, 3), True),
+])
+def test_repeats_forever_reads_round_13_of_the_cycle(ruleset, at_13, disp_b, proven):
+    engine = Engine(make_scenario(6, 3, [(1, 0), (2, 0)]), ruleset, record_rounds=False)
+    engine.phase = 4  # phases 1-3 finished; the repeat is of phase start 2
+    engine.net_disp_at_13 = at_13
+    assert _repeats_forever(engine, 2, (0, 5), disp_b) is proven
+
+
+def exact_key_run(scenario, ruleset):
+    """The run loop with the exact livelock key, as the oracle: livelock
+    only when ``snapshot_key`` repeats exactly, and budget-exceeded after
+    ``phase_budget`` phases.  Returns (verdict, phases, final placement)."""
+    engine = Engine(scenario, ruleset, record_rounds=False)
+    budget = phase_budget(engine.max_size, scenario.k)
+    seen = {engine.snapshot_key()}
+    while True:
+        phase_moves = engine.run_phase()
+        finished = engine.phase - 1
+        if phase_moves == 0 and engine.placement.all_distinct():
+            return RunResult.DISPERSED, finished, engine.placement
+        key = engine.snapshot_key()
+        if key in seen:
+            return RunResult.LIVELOCK, finished, engine.placement
+        seen.add(key)
+        if engine.phase > budget:
+            return RunResult.BUDGET_EXCEEDED, finished, engine.placement
+
+
+@pytest.fixture(scope="module")
+def sample_647():
+    """Every 50th scenario of the (6,4,7) space."""
+    return list(enumerate_scenarios(6, 4, 7))[::50]
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_cycle_detection_agrees_with_the_exact_key(sample_647, ruleset):
+    changed = 0
+    for scenario in sample_647:
+        verdict, phases, placement = exact_key_run(scenario, ruleset)
+        outcome = run(scenario, ruleset, record_rounds=False)
+        if verdict is RunResult.BUDGET_EXCEEDED:
+            # a translating cycle the exact key cannot see
+            assert outcome.result is RunResult.LIVELOCK, scenario
+            assert outcome.phases_used < phases, scenario
+            changed += 1
+        else:
+            assert outcome.result is verdict, scenario
+            assert outcome.rounds_used == phases * ROUNDS_PER_PHASE, scenario
+            assert outcome.final_placement == placement, scenario
+    assert changed > 0
+
+
+def test_repaired_121_chain_is_a_proven_livelock():
+    # the (1,2,1) shape of the repaired multi-source gap translates
+    # forever; the exact key ran it out to the phase budget
+    scenario = gen_chain([1, 2, 1], gap=2, n=6, max_label=7)
+    budget = phase_budget(3, scenario.k)
+    assert exact_key_run(scenario, Ruleset.REPAIRED)[:2] == (RunResult.BUDGET_EXCEEDED, budget)
+    outcome = run(scenario, Ruleset.REPAIRED)
+    assert outcome.result is RunResult.LIVELOCK
+    assert outcome.phases_used < budget
 
 
 def test_snapshot_key_rotation_invariance():
