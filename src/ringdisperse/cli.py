@@ -145,6 +145,9 @@ def verify_trace_file(header: dict, rows: list[dict], scenario: Scenario) -> lis
 
 
 def _cmd_run(args) -> int:
+    if args.max_phases is not None and args.max_phases < 1:
+        print(f"error: --max-phases must be at least 1, not {args.max_phases}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         scenario = load_scenario(args.scenario)
     except (OSError, ScenarioError) as exc:

@@ -1,5 +1,17 @@
 """Synchronous executor: round loop, perception delivery, simultaneous
-commit, trace recording, termination and livelock detection."""
+commit, trace recording, termination and livelock detection.
+
+Each round steps only the robots the round can wake.  At round 1 of every
+phase the engine reads each robot's status and leader flag and builds a
+wake schedule from ``protocol.wake_rounds``: per round of the phase, the
+robots ``step`` may act on.  ``wake_rounds`` is a superset of the
+``participates`` gate that ``step`` still applies, so a skipped call is
+one that would have returned STAY and left the state as it was, latches
+included, since every status wakes in the latch rounds.  An unrecorded
+round observes and steps the woken robots only.  A recorded round
+observes every robot, because its record keeps every observation for the
+replay, and steps the woken ones.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .perception import Observation, observe
-from .protocol import Ruleset, step
+from .protocol import Ruleset, step, wake_rounds
 from .ring import PORT_ONE, Placement, move_target
 from .robots import (
     DISPERSAL_STATUSES,
@@ -128,6 +140,8 @@ class Engine:
         # per finished phase, each robot's net_disp entering round 13, the
         # one round whose rule can read it (in labels order)
         self.net_disp_at_13: list[tuple[int, ...]] = []
+        # per round of the current phase, the labels to step; built at round 1
+        self.wake_schedule: list[list[int]] = []
         self.trace = Trace(scenario, ruleset, self.labels)
         self._snapshot_phase()
 
@@ -153,21 +167,35 @@ class Engine:
         origin = by_robot[self.labels[0]]
         return (tuple((by_robot[label] - origin) % self.n for label in self.labels), states)
 
+    def _build_wake_schedule(self) -> list[list[int]]:
+        """Per round of the phase now starting, the labels ``step`` may act
+        on, in labels order."""
+        schedule: list[list[int]] = [[] for _ in range(ROUNDS_PER_PHASE)]
+        for label in self.labels:
+            state = self.robots[label]
+            for rip in wake_rounds(state.status, state.leader):
+                schedule[rip - 1].append(label)
+        return schedule
+
     def step_round(self) -> RoundRecord | None:
         """Run one synchronous round; returns the record when recording."""
         rip = self.round_in_phase
+        if rip == 1:
+            self.wake_schedule = self._build_wake_schedule()
         placement = self.placement
         prev = self.prev_placement
         if rip == 13:
             self.net_disp_at_13.append(tuple(self.robots[label].net_disp for label in self.labels))
+        woken = self.wake_schedule[rip - 1]
+        # a record keeps every robot's observation, woken or not
         observations: dict[int, Observation] = {}
-        moves: dict[int, int] = {}
-        for label in self.labels:
-            state = self.robots[label]
+        for label in self.labels if self.record_rounds else woken:
             node = placement.by_robot[label]
-            obs = observe(placement.count_at(node), prev.count_at(node), label in self.moved_last)
-            observations[label] = obs
-            action = step(state, obs, rip, self.ruleset)
+            observations[label] = observe(
+                placement.count_at(node), prev.count_at(node), label in self.moved_last)
+        moves: dict[int, int] = {}
+        for label in woken:
+            action = step(self.robots[label], observations[label], rip, self.ruleset)
             if action.port is not None:
                 moves[label] = action.port
 

@@ -9,7 +9,17 @@ variant that fixes four flag-timing defects (see the clause comments).
 A robot perceives the three bits of an ``Observation`` per round.  Before
 the participation gate ``step`` latches the two that repaired rules read
 later: a decrease in round 7 (merge follow) and an increase in rounds
-10-12 (retreat).
+10-12 (retreat); these are the ``LATCH_ROUNDS``.
+
+``wake_rounds`` is the participation table in the form the engine runs:
+the rounds of a phase in which ``step`` can change a robot's state or
+move it, given the robot's status and leader flag at the phase start.  It
+is a superset of the ``participates`` gate, which stays the source of
+truth: it adds the latch rounds for every status, and for leader
+election the leader rounds, because the leader flag can turn on in round
+1 or 5 of an election phase.  Status and every other flag ``participates``
+reads are fixed within a phase, so in every other round ``step`` returns
+STAY and changes nothing, and the engine skips the call.
 
 ``step`` mutates the passed RobotState in place and returns the move.
 All robots' moves within a round are computed against the same pre-round
@@ -71,6 +81,36 @@ EFFECTIVE_PARTICIPATION: dict[Status, frozenset[int]] = {
 # active-disperse once it gets there.
 LEADER_ROUNDS = frozenset({5, 6, 7, 9, 10, 11})
 
+# Rounds whose perception the latches keep: a decrease in round 7 and an
+# increase in rounds 10-12.  Every robot latches, participating or not.
+LATCH_ROUNDS = frozenset({7, 10, 11, 12})
+
+
+def _wake_table() -> dict[tuple[Status, bool], frozenset[int]]:
+    table = {}
+    for status in Status:
+        for leader in (False, True):
+            if status is Status.IDLE:
+                rounds = frozenset()
+            elif leader:
+                rounds = LEADER_ROUNDS
+            else:
+                rounds = EFFECTIVE_PARTICIPATION[status]
+            if status is Status.LEADER_ELECTION:
+                rounds |= LEADER_ROUNDS  # the leader flag turns on in round 1 or 5
+            table[status, leader] = rounds | LATCH_ROUNDS
+    return table
+
+
+_WAKE_ROUNDS = _wake_table()
+
+
+def wake_rounds(status: Status, leader: bool) -> frozenset[int]:
+    """The rounds of a phase in which ``step`` may act on a robot that
+    starts the phase with this status and leader flag (see the module
+    docstring); in every other round ``step`` is a no-op for it."""
+    return _WAKE_ROUNDS[status, leader]
+
 
 def participates(state: RobotState, round_in_phase: int) -> bool:
     if state.status is Status.IDLE:
@@ -84,10 +124,12 @@ def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Rule
     """Decide one robot's action for this round; mutates ``state``."""
     # the latches read by repairs 1 and 2, set whether or not the robot
     # participates; apply_pending_status clears them at the phase boundary
-    if round_in_phase == 7 and obs.decrease:
-        state.decrease_at_7 = True
-    elif 10 <= round_in_phase <= 12 and obs.increase:
-        state.increase_in_10_12 = True
+    if round_in_phase in LATCH_ROUNDS:
+        if round_in_phase == 7:
+            if obs.decrease:
+                state.decrease_at_7 = True
+        elif obs.increase:
+            state.increase_in_10_12 = True
     if not participates(state, round_in_phase):
         return STAY
     sub = _SUBROUTINES[state.status]

@@ -17,6 +17,11 @@ class Status(enum.Enum):
     JUMP = "jump"
     IDLE = "idle"
 
+    # hash by identity: members are singletons (a pickle round-trip returns
+    # the same member), and Enum's own hash, hash(self._name_), is a
+    # Python-level call on every dict and set lookup of the round loop
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # compact in traces and diffs
         return self.value
 

@@ -45,6 +45,15 @@ def test_run_budget_exit(chain_scenario, capsys):
     assert "no provable cycle in 3 phases" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("max_phases", [0, -5])
+def test_run_rejects_max_phases_below_one(chain_scenario, capsys, max_phases):
+    code = main(["run", "--scenario", str(chain_scenario), "--max-phases", str(max_phases)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --max-phases must be at least 1, not {max_phases}\n"
+    assert captured.out == ""
+
+
 def test_run_malformed_scenario_exit(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("ring 4\nmaxlabel 3\nrobot 1 0\nrobot 1 1\n")

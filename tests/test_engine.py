@@ -1,9 +1,12 @@
 """Executor tests: frozen hand-derived oracles, verdicts, determinism."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringdisperse import engine as engine_module
 from ringdisperse.engine import (
     ROUNDS_PER_PHASE,
     Engine,
@@ -216,6 +219,75 @@ def test_cycle_detection_agrees_with_the_exact_key(sample_647, ruleset):
             assert outcome.rounds_used == phases * ROUNDS_PER_PHASE, scenario
             assert outcome.final_placement == placement, scenario
     assert changed > 0
+
+
+def trajectory(scenario, ruleset, record_rounds, rounds):
+    """The placement and every robot's full state after each of ``rounds``
+    rounds of a fresh engine."""
+    engine = Engine(scenario, ruleset, record_rounds=record_rounds)
+    states = []
+    for _ in range(rounds):
+        engine.step_round()
+        states.append((engine.placement.by_robot,
+                       [dataclasses.replace(engine.robots[label]) for label in engine.labels]))
+    return states
+
+
+def wake_everyone(status, leader):
+    return frozenset(range(1, ROUNDS_PER_PHASE + 1))
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_wake_schedule_matches_stepping_every_robot(sample_647, ruleset, monkeypatch):
+    for scenario in sample_647:
+        outcome = run(scenario, ruleset)
+        rounds = outcome.rounds_used
+        recorded = trajectory(scenario, ruleset, True, rounds)
+        unrecorded = trajectory(scenario, ruleset, False, rounds)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "wake_rounds", wake_everyone)
+            everyone = trajectory(scenario, ruleset, True, rounds)
+            oracle = run(scenario, ruleset)
+        assert len(recorded) == len(unrecorded) == len(everyone) == rounds
+        for index, (a, b, c) in enumerate(zip(recorded, unrecorded, everyone)):
+            assert a == b == c, (scenario, index)
+        assert oracle.result is outcome.result, scenario
+        assert oracle.rounds_used == outcome.rounds_used, scenario
+        assert oracle.final_placement == outcome.final_placement, scenario
+        assert oracle.trace.records == outcome.trace.records, scenario
+        assert oracle.trace.phase_snapshots == outcome.trace.phase_snapshots, scenario
+
+
+@st.composite
+def rotated_scenarios(draw):
+    """A scenario on a ring of 3..9 nodes and the same scenario rotated by
+    ``shift`` nodes."""
+    n = draw(st.integers(min_value=3, max_value=9))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    max_label = draw(st.integers(min_value=k, max_value=15))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=max_label),
+                           min_size=k, max_size=k, unique=True))
+    nodes = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k))
+    shift = draw(st.integers(min_value=1, max_value=n - 1))
+    return (make_scenario(n, max_label, zip(labels, nodes)),
+            make_scenario(n, max_label, [(label, (node + shift) % n)
+                                         for label, node in zip(labels, nodes)]),
+            shift)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rotated_scenarios())
+def test_rotation_equivariance(scenarios):
+    # canonical-only enumeration of placements is sound only if this holds
+    scenario, rotated, shift = scenarios
+    for ruleset in Ruleset:
+        base = run(scenario, ruleset, record_rounds=False)
+        turned = run(rotated, ruleset, record_rounds=False)
+        assert turned.result is base.result
+        assert turned.rounds_used == base.rounds_used
+        assert turned.final_placement.by_robot == {
+            label: (node + shift) % scenario.n
+            for label, node in base.final_placement.by_robot.items()}
 
 
 def test_repaired_121_chain_is_a_proven_livelock():

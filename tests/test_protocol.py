@@ -1,17 +1,26 @@
 """Round-rule unit tests, including the hand-derived phase oracles."""
 
-import pytest
+import dataclasses
+import itertools
 
-from ringdisperse.engine import Engine
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ringdisperse.engine import ROUNDS_PER_PHASE, Engine
 from ringdisperse.perception import Observation
 from ringdisperse.protocol import (
     EFFECTIVE_PARTICIPATION,
+    LATCH_ROUNDS,
+    LEADER_ROUNDS,
     PAPER_PARTICIPATION,
     PARTICIPATION_CONFLICTS,
     PORT_ONE,
     PORT_ZERO,
+    STAY,
     Ruleset,
     step,
+    wake_rounds,
 )
 from ringdisperse.robots import RobotState, Status
 from ringdisperse.scenario import make_scenario
@@ -124,6 +133,63 @@ def test_participation_table_conflicts_are_annotated():
         )
     assert 14 in EFFECTIVE_PARTICIPATION[Status.JUMP]
     assert 14 not in EFFECTIVE_PARTICIPATION[Status.WAIT]
+
+
+def test_wake_table_covers_participation_and_latches():
+    assert wake_rounds(Status.IDLE, False) == wake_rounds(Status.IDLE, True) == LATCH_ROUNDS
+    for status in Status:
+        for leader in (False, True):
+            rounds = wake_rounds(status, leader)
+            assert LATCH_ROUNDS <= rounds <= frozenset(range(1, ROUNDS_PER_PHASE + 1))
+            if status is not Status.IDLE:
+                gate = LEADER_ROUNDS if leader else EFFECTIVE_PARTICIPATION[status]
+                assert gate <= rounds, (status, leader)
+    # the leader flag turns on mid-phase in rounds 1 and 5 of an election
+    assert LEADER_ROUNDS <= wake_rounds(Status.LEADER_ELECTION, False)
+
+
+ALL_OBSERVATIONS = tuple(
+    Observation(*bits) for bits in itertools.product((False, True), repeat=3))
+
+
+@st.composite
+def phase_fields(draw):
+    """Every RobotState field but status and leader, over its whole range."""
+    max_size = draw(st.integers(min_value=1, max_value=10))
+    return dict(
+        label=draw(st.integers(min_value=0, max_value=2 ** max_size - 1)),
+        max_size=max_size,
+        pending_status=draw(st.none() | st.sampled_from(list(Status))),
+        proceed=draw(st.integers(min_value=0, max_value=2)),
+        move_var=draw(st.integers(min_value=0, max_value=2)),
+        start=draw(st.integers(min_value=0, max_value=1)),
+        settle=draw(st.integers(min_value=0, max_value=1)),
+        advance=draw(st.integers(min_value=0, max_value=1)),
+        le_bit=draw(st.integers(min_value=1, max_value=max_size)),
+        disp_bit=draw(st.integers(min_value=1, max_value=max_size + 1)),
+        net_disp=draw(st.integers(min_value=-40, max_value=40)),
+        decrease_at_7=draw(st.booleans()),
+        increase_in_10_12=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(phase_fields())
+def test_step_is_a_no_op_outside_the_wake_rounds(fields):
+    # the engine skips step in these rounds, so step must stay and leave the
+    # state alone for every status, observation and ruleset
+    for status, leader in itertools.product(Status, (False, True)):
+        # an election phase can turn the leader flag on mid-phase
+        held = {leader, True} if status is Status.LEADER_ELECTION else {leader}
+        skipped = [rip for rip in range(1, ROUNDS_PER_PHASE + 1)
+                   if rip not in wake_rounds(status, leader)]
+        for now_leader, rip, ruleset, observation in itertools.product(
+                held, skipped, Ruleset, ALL_OBSERVATIONS):
+            state = RobotState(status=status, leader=now_leader, **fields)
+            before = dataclasses.replace(state)
+            assert step(state, observation, rip, ruleset) == STAY, (status, now_leader, rip)
+            # dataclass equality compares every field, the latches included
+            assert state == before, (status, now_leader, rip, observation)
 
 
 def test_all_zero_bits_leaves_group_still():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,3 +91,13 @@ def test_disp_bit_cursor_caps():
     st_.advance_disp_bit()
     assert st_.disp_bit == 4  # capped at max_size + 1
     assert st_.current_disp_bit() == 0  # exhausted cursor reads as 0
+
+
+def test_status_hashes_by_identity_and_survives_pickle():
+    for status in Status:
+        assert hash(status) == object.__hash__(status)
+    table = {status: status.value for status in Status}
+    restored = pickle.loads(pickle.dumps(table))
+    for status in Status:
+        assert restored[status] == status.value
+        assert pickle.loads(pickle.dumps(status)) is status
