@@ -11,11 +11,12 @@ line, so they stream and diff cleanly:
 ``occ`` is the sparse post-round occupancy: the occupied nodes only, sorted,
 each count at least 1, so a row's size grows with k and not with the ring
 size.  The ``obs`` key appears only under --verbose.  ``verify`` checks the
-header against the scenario and the row count, then runs the replay that
-``validate_trace`` runs.  Participation gating is checked only in memory,
-because trace files carry no robot statuses.  A violation prints as
-``[kind] phase P round R: ...``; a malformed row, and any file in another
-format (the dense-occupancy v1 included), is invalid input.
+header against the scenario and the row count, then feeds the rows to the
+one trace walk, ``verify.check_trace``.  Trace files carry no robot
+statuses, so from a file the walk runs its replay only; participation,
+idle immobility and the invariants are checked in memory.  A violation
+prints as ``[kind] phase P round R: ...``; a malformed row, and any file
+in another format (the dense-occupancy v1 included), is invalid input.
 
 Exit codes: 0 dispersed / no violations, 2 livelock (a proven cycle),
 3 budget exceeded (no proven cycle within the phase budget), 4 invalid
@@ -35,7 +36,7 @@ from .protocol import Ruleset
 from .robots import max_label_bits
 from .scenario import Scenario, ScenarioError, load_scenario, render_scenario
 from .sweep import SweepSpec, fit_rounds, rows_to_csv, run_sweep
-from .verify import exhaustive_search, replay_violations
+from .verify import check_trace, exhaustive_search
 
 TRACE_FORMAT = "ringdisperse-trace-v2"
 
@@ -129,10 +130,10 @@ def _round_records(rows):
 
 
 def verify_trace_file(header: dict, rows: list[dict], scenario: Scenario) -> list[str]:
-    """Check the header against the scenario and the row count, then run
-    the replay ``validate_trace`` runs.  Participation gating is not
-    checked: it needs the phase-start statuses, which trace files do not
-    carry.  Raises ValueError on a malformed row."""
+    """Check the header against the scenario and the row count, then walk
+    the rows with ``verify.check_trace``.  Without phase-start statuses,
+    which trace files do not carry, the walk runs the replay only.
+    Raises ValueError on a malformed row."""
     problems: list[str] = []
     if header.get("scenario") != _scenario_json(scenario):
         problems.append("trace header scenario differs from the scenario file")
@@ -140,7 +141,7 @@ def verify_trace_file(header: dict, rows: list[dict], scenario: Scenario) -> lis
         problems.append(
             f"trace header records {header.get('rounds')} rounds, file has {len(rows)} rows"
         )
-    violations = replay_violations(_round_records(rows), scenario)
+    violations = check_trace(scenario, _round_records(rows))
     return problems + [str(v) for v in violations]
 
 

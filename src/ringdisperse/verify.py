@@ -23,6 +23,7 @@ from .scenario import Scenario, make_scenario
 
 _POST_MERGE = {Status.ACTIVE_DISPERSE, Status.PASSIVE, Status.WAIT, Status.JUMP}
 _ACTIVE_SIDE = {Status.ACTIVE_DISPERSE, Status.WAIT, Status.JUMP}
+_TRACKED = _POST_MERGE | {Status.IDLE}  # (e) tracks a pair from here on
 
 ENUMERATION_GUARD = 10**7
 
@@ -62,405 +63,370 @@ def initial_chains(scenario: Scenario) -> list[list[int]]:
     return chains
 
 
-def chain_of_robots(scenario: Scenario) -> dict[int, int]:
-    chains = initial_chains(scenario)
-    node_to_chain = {node: idx for idx, chain in enumerate(chains) for node in chain}
-    return {label: node_to_chain[node] for label, node in scenario.robots}
+REPLAY_KINDS = frozenset({
+    "round-counter", "perception-replay", "move-legality", "occupancy",
+    "participation", "idle-moved",
+})
 
 
-def replay_violations(records, scenario: Scenario) -> list[Violation]:
-    """Replay an iterable of RoundRecords against the model.
+class TraceCheck:
+    """The one walk over a trace.  Give it each phase-start snapshot
+    (``phase_start``) and each RoundRecord (``round``) in trace order, then
+    call ``finish``.
 
-    Checks the round counter (contiguous from round 0, matching phase and
-    round-in-phase), move legality, the perception flags of each record
-    whose ``observations`` is not None, and the post-round occupancy.  An
-    illegal move is reported and not applied, so the replay stays on the
-    ring.  The occupancy is compared as a sequence of ``occupancy_cells``,
-    so a zero count, a repeated node or an unsorted cell is a mismatch.
-    This is the only replay of moves in the package.
+    One set of replayed positions and node counts serves the replay (the
+    round counter, contiguous from round 0 with the matching phase and
+    round-in-phase; the perception flags of each record whose
+    ``observations`` is not None; move legality; the post-round
+    occupancy), participation gating and idle immobility, cross-chain
+    co-location (b) and the round-12 retreats that net displacement
+    allows.  An illegal move is reported and not applied, so the replay
+    stays on the ring.  The occupancy is compared as a sequence of
+    ``occupancy_cells``, so a zero count, a repeated node or an unsorted
+    cell is a mismatch.  Most rounds are quiet: a round that follows two
+    rounds without a move entry perceives what the round before it
+    perceived, and a round without a move keeps the occupancy, so both
+    expectations are reused; every recorded observation and cell is
+    still compared.
+
+    Each phase start is checked for (a), (c), (d), (g), (i) and net
+    displacement, and updates the per-chain, per-robot and per-pair
+    tallies from which ``finish`` reports (e), (f), (h) and the record
+    count.  Without snapshots (trace files carry no statuses) only the
+    replay runs.
     """
-    violations: list[Violation] = []
-    n = scenario.n
-    position = dict(scenario.robots)
-    node_counts = dict(occupancy_cells(position.values()))
-    prev_counts = {label: node_counts[node] for label, node in position.items()}
-    moved_last: set[int] = set()
-    expected_round = 0
 
-    for record in records:
-        phase, rip = divmod(expected_round, ROUNDS_PER_PHASE)
+    def __init__(self, scenario: Scenario):
+        self.n, self.k = scenario.n, scenario.k
+        self.max_size = max_label_bits(scenario.max_label)
+        self.labels = labels = scenario.labels()
+        self.chains = initial_chains(scenario)
+        chain_at = {node: idx for idx, chain in enumerate(self.chains) for node in chain}
+        self.chain_of = {label: chain_at[node] for label, node in scenario.robots}
+        self.members = [[label for label in labels if self.chain_of[label] == idx]
+                        for idx in range(len(self.chains))]
+        starts = [node for _, node in scenario.robots]
+        # (a) holds for chains whose back group starts with more than one robot
+        self.electing_chains = [idx for idx, chain in enumerate(self.chains)
+                                if starts.count(chain[0]) > 1]
+        self.violations: list[Violation] = []
+        # the replay: positions and counts entering the next round
+        self.position = dict(scenario.robots)
+        self.occupancy = occupancy_cells(starts)
+        self.node_counts = dict(self.occupancy)
+        self.counts_now = {label: self.node_counts[node] for label, node in scenario.robots}
+        self.moved_last: set[int] = set()
+        self.moved_before = False
+        self.expected_obs: dict | None = None
+        self.expected_round = self.rounds = 0
+        self.colocated: list | None = None  # (b) at the current placement and phase
+        self.colocated_phase = None
+        # per phase: (states, the electing or merging robots if they span
+        # two chains, else []), and who retreated in its round 12
+        self.phases: dict[int, tuple] = {}
+        self.retreated: dict[int, set[int]] = {}
+        self.snapshots = 0
+        self.last = None
+        self.last_status: dict[int, Status] = {}
+        self.merged_at: list[int | None] = [None] * len(self.chains)
+        self.ever_leader: set[int] = set()
+        # (e) per pair: None until both are post-merge, then whether they
+        # have been distinguished; a pair leaves at its first violation
+        self.pairs = dict.fromkeys(itertools.combinations(labels, 2))
+        self.pair_violations: dict[tuple[int, int], Violation] = {}
+        # (f) per robot, phase starts per status after its first active-disperse one
+        self.after_disperse: dict[int, dict[Status, int]] = {}
+
+    def _at(self, record, kind: str, detail: str, robots=(), nodes=()) -> None:
+        self.violations.append(
+            Violation(kind, record.phase, record.global_round, robots, nodes, detail))
+
+    def round(self, record) -> None:
+        phase, rip = divmod(self.expected_round, ROUNDS_PER_PHASE)
         if (record.global_round, record.phase, record.round_in_phase) != (
-                expected_round, phase + 1, rip + 1):
-            violations.append(
-                Violation(
-                    "round-counter", record.phase, record.global_round,
-                    detail=f"round-in-phase {record.round_in_phase}; expected round "
-                           f"{expected_round}, phase {phase + 1}, round-in-phase {rip + 1}",
-                )
-            )
-        expected_round = record.global_round + 1
+                self.expected_round, phase + 1, rip + 1):
+            self._at(record, "round-counter",
+                     f"round-in-phase {record.round_in_phase}; expected round "
+                     f"{self.expected_round}, phase {phase + 1}, round-in-phase {rip + 1}")
+        self.expected_round = record.global_round + 1
+        self.rounds += 1
+        position, moved_last = self.position, self.moved_last
 
-        # perception replay against the placement entering this round
-        counts_now = {label: node_counts[node] for label, node in position.items()}
-        if record.observations is not None:
-            for label in position:
-                expected_obs = observe(counts_now[label], prev_counts[label], label in moved_last)
-                got = record.observations.get(label)
-                if got != expected_obs:
-                    violations.append(
-                        Violation(
-                            "perception-replay", record.phase, record.global_round,
-                            robots=(label,),
-                            detail=f"recorded {got}, recomputed {expected_obs}",
-                        )
-                    )
-            for label in record.observations.keys() - position.keys():
-                violations.append(
-                    Violation("perception-replay", record.phase, record.global_round,
-                              robots=(label,), detail="observation of an unknown robot")
-                )
+        # perception against the placement entering this round
+        prev_counts = self.counts_now
+        if moved_last:
+            node_counts = self.node_counts
+            self.counts_now = {label: node_counts[node] for label, node in position.items()}
+        if moved_last or self.moved_before:
+            self.expected_obs = None
+        observations = record.observations
+        if observations is not None:
+            expected = self.expected_obs
+            if expected is None:
+                counts_now = self.counts_now
+                expected = self.expected_obs = {
+                    label: observe(counts_now[label], prev_counts[label], label in moved_last)
+                    for label in position}
+            if observations != expected:
+                for label in position:
+                    if observations.get(label) != expected[label]:
+                        self._at(record, "perception-replay", f"recorded "
+                                 f"{observations.get(label)}, recomputed {expected[label]}",
+                                 (label,))
+                for label in observations.keys() - position.keys():
+                    self._at(record, "perception-replay", "observation of an unknown robot",
+                             (label,))
 
+        info = self.phases.get(record.phase)
+        states = info[0] if info else {}
+        rip = record.round_in_phase
         moving = set()
+        applied = False
         for label, frm, to, port in record.moves:
             if label in moving:
-                violations.append(
-                    Violation("move-legality", record.phase, record.global_round,
-                              robots=(label,), detail="duplicate move entry")
-                )
+                self._at(record, "move-legality", "duplicate move entry", (label,))
             moving.add(label)
             if frm != position.get(label):
-                violations.append(
-                    Violation("move-legality", record.phase, record.global_round,
-                              robots=(label,),
-                              detail=f"claims from {frm}, actually at {position.get(label)}")
-                )
-            elif port not in (PORT_ZERO, PORT_ONE) or to != move_target(n, frm, port):
-                violations.append(
-                    Violation("move-legality", record.phase, record.global_round,
-                              robots=(label,),
-                              detail=f"port {port} from {frm} cannot reach {to}")
-                )
+                self._at(record, "move-legality",
+                         f"claims from {frm}, actually at {position.get(label)}", (label,))
+            elif port not in (PORT_ZERO, PORT_ONE) or to != move_target(self.n, frm, port):
+                self._at(record, "move-legality", f"port {port} from {frm} cannot reach {to}",
+                         (label,))
             else:
                 position[label] = to
+                applied = True
+            state = states.get(label)  # None: no such phase or robot, reported above
+            if state is None:
+                pass
+            elif state.status is Status.IDLE:
+                self._at(record, "idle-moved", "idle robot moved", (label,))
+            elif rip not in (LEADER_ROUNDS if state.leader
+                             else EFFECTIVE_PARTICIPATION[state.status]):
+                mover = "leader" if state.leader else state.status.value
+                self._at(record, "participation", f"{mover} moved in round {rip}", (label,))
+            if rip == 12 and port == PORT_ZERO:
+                self.retreated.setdefault(record.phase, set()).add(label)
+        self.moved_before = bool(moved_last)
+        self.moved_last = moving
 
-        occupancy = occupancy_cells(position.values())
-        node_counts = dict(occupancy)
-        if tuple(record.occupancy) != occupancy:
+        if applied:
+            self.occupancy = occupancy_cells(position.values())
+            self.node_counts = dict(self.occupancy)
+            self.colocated = None
+        if tuple(record.occupancy) != self.occupancy:
             recorded: dict[int, int] = {}
             for node, count in record.occupancy:
                 recorded[node] = recorded.get(node, 0) + count
-            diff = [(node, recorded.get(node, 0), node_counts.get(node, 0))
-                    for node in sorted(recorded.keys() | node_counts.keys())
-                    if recorded.get(node, 0) != node_counts.get(node, 0)]
-            detail = (f"(node, recorded, replayed): {diff}" if diff else
-                      f"cells {list(record.occupancy)} are not sorted, distinct "
-                      f"and positive")
-            violations.append(
-                Violation("occupancy", record.phase, record.global_round,
-                          nodes=tuple(node for node, _, _ in diff),
-                          detail=detail)
-            )
-        prev_counts = counts_now
-        moved_last = moving
-    return violations
+            replayed = self.node_counts
+            diff = [(node, recorded.get(node, 0), replayed.get(node, 0))
+                    for node in sorted(recorded.keys() | replayed.keys())
+                    if recorded.get(node, 0) != replayed.get(node, 0)]
+            self._at(record, "occupancy",
+                     f"(node, recorded, replayed): {diff}" if diff else
+                     f"cells {list(record.occupancy)} are not sorted, distinct and positive",
+                     nodes=tuple(node for node, _, _ in diff))
 
+        # (b) no cross-chain co-location while electing or merging
+        if info and info[1]:
+            if self.colocated is None or self.colocated_phase is not info:
+                at_node: dict[int, list[int]] = {}
+                for label in info[1]:
+                    at_node.setdefault(position[label], []).append(label)
+                self.colocated = [(node, group) for node, group in at_node.items()
+                                  if len({self.chain_of[label] for label in group}) > 1]
+                self.colocated_phase = info
+            for node, group in self.colocated:
+                self._at(record, "cross-chain-colocation", "robots from different chains "
+                         "share a node during election/merge", tuple(group), (node,))
 
-def validate_trace(trace: Trace, scenario: Scenario) -> list[Violation]:
-    """Check a trace against the model itself: ``replay_violations``,
-    plus participation gating and idle immobility against the phase-start
-    states, which only an in-memory trace carries.  The trace must hold
-    the 19 rounds of every phase it snapshots, so a record dropped from
-    the end is a round-counter violation too.
-    """
-    violations = replay_violations(trace.records, scenario)
-    expected_rounds = ROUNDS_PER_PHASE * (len(trace.phase_snapshots) - 1)
-    if len(trace.records) != expected_rounds:
-        violations.append(
-            Violation("round-counter",
-                      detail=f"{len(trace.records)} records for "
-                             f"{len(trace.phase_snapshots)} phase snapshots; "
-                             f"expected {expected_rounds}")
-        )
-    states_by_phase = {snap.phase: snap.states for snap in trace.phase_snapshots}
-    for record in trace.records:
-        states = states_by_phase.get(record.phase)
-        if states is None:
-            continue  # no such phase: reported by the replay
-        for label, *_ in record.moves:
-            if label not in states:
-                continue  # reported by the replay
-            status = states[label].status
-            is_leader = states[label].leader
-            if status is Status.IDLE:
-                violations.append(
-                    Violation("idle-moved", record.phase, record.global_round,
-                              robots=(label,), detail="idle robot moved")
-                )
-            elif is_leader and record.round_in_phase not in LEADER_ROUNDS:
-                violations.append(
-                    Violation("participation", record.phase, record.global_round,
-                              robots=(label,),
-                              detail=f"leader moved in round {record.round_in_phase}")
-                )
-            elif not is_leader and record.round_in_phase not in EFFECTIVE_PARTICIPATION[status]:
-                violations.append(
-                    Violation("participation", record.phase, record.global_round,
-                              robots=(label,),
-                              detail=f"{status.value} moved in round {record.round_in_phase}")
-                )
-    return violations
-
-
-def check_invariants(trace: Trace) -> list[Violation]:
-    """Evaluate the lemma-derived invariants over a validated trace."""
-    violations: list[Violation] = []
-    scenario = trace.scenario
-    n = scenario.n
-    k = scenario.k
-    max_size = max_label_bits(scenario.max_label)
-    labels = trace.labels
-    chains = initial_chains(scenario)
-    chain_of = chain_of_robots(scenario)
-    snaps = trace.phase_snapshots
-
-    def status_of(snap, label):
-        return snap.states[label].status
-
-    def is_leader(snap, label):
-        return snap.states[label].leader
-
-    def groups_at(snap, include_leaders=True):
+    def phase_start(self, snap) -> None:
+        out = self.violations
+        n, labels, chain_of = self.n, self.labels, self.chain_of
+        phase, nodes, states = snap.phase, snap.nodes, snap.states
+        status = {label: states[label].status for label in labels}
         at_node: dict[int, list[int]] = {}
+        plain_at_node: dict[int, list[int]] = {}  # a leader-only node is a scout post
         for label in labels:
-            if not include_leaders and is_leader(snap, label):
-                continue
-            at_node.setdefault(snap.nodes[label], []).append(label)
-        return at_node
+            at_node.setdefault(nodes[label], []).append(label)
+            if states[label].leader:
+                self.ever_leader.add(label)
+            else:
+                plain_at_node.setdefault(nodes[label], []).append(label)
+        electing = [label for label in labels
+                    if status[label] in (Status.LEADER_ELECTION, Status.ACTIVE_MERGE)]
+        if len({chain_of[label] for label in electing}) < 2:
+            electing = []
+        self.phases[phase] = (states, electing)
 
-    # (a) unique leader per chain whose back group started with >1 robot
-    if len(snaps) > max_size:
-        snap = snaps[max_size]  # start of phase max_size + 1
-        for idx, chain in enumerate(chains):
-            back_group = [label for label, node in scenario.robots if node == chain[0]]
-            if len(back_group) <= 1:
-                continue
-            members = [label for label in labels if chain_of[label] == idx]
-            leaders = [label for label in members if is_leader(snap, label)]
-            if len(leaders) != 1:
-                violations.append(
-                    Violation("unique-leader", phase=snap.phase,
-                              robots=tuple(leaders),
-                              detail=f"chain {idx} has {len(leaders)} leaders after "
-                                     f"{max_size} election phases")
-                )
+        # (a) unique leader per chain whose back group started with >1 robot
+        if self.snapshots == self.max_size:  # start of phase max_size + 1
+            for idx in self.electing_chains:
+                leaders = tuple(label for label in self.members[idx] if states[label].leader)
+                if len(leaders) != 1:
+                    out.append(Violation("unique-leader", phase, None, leaders, (),
+                                         f"chain {idx} has {len(leaders)} leaders after "
+                                         f"{self.max_size} election phases"))
+        self.snapshots += 1
 
-    # (b) no cross-chain co-location while electing or merging (per round)
-    position = {label: node for label, node in scenario.robots}
-    for record in trace.records:
-        for label, _, to, _ in record.moves:
-            position[label] = to
-        snap = trace.snapshot_for(record.phase)
-        at_node: dict[int, list[int]] = {}
-        for label in labels:
-            if status_of(snap, label) in (Status.LEADER_ELECTION, Status.ACTIVE_MERGE):
-                at_node.setdefault(position[label], []).append(label)
-        for node, group in at_node.items():
-            chains_here = {chain_of[label] for label in group}
-            if len(chains_here) > 1:
-                violations.append(
-                    Violation("cross-chain-colocation", record.phase, record.global_round,
-                              robots=tuple(group), nodes=(node,),
-                              detail="robots from different chains share a node "
-                                     "during election/merge")
-                )
-
-    # (c) robots from different chains on adjacent nodes are never merging
-    for snap in snaps:
-        at_node = groups_at(snap)
-        for node, group in at_node.items():
-            other = at_node.get(succ(n, node))
-            if not other:
-                continue
-            for r1 in group:
-                for r2 in other:
+        # (c) robots from different chains on adjacent nodes are never merging
+        if Status.ACTIVE_MERGE in status.values():
+            for node, group in at_node.items():
+                for r1, r2 in itertools.product(group, at_node.get(succ(n, node), ())):
                     if chain_of[r1] == chain_of[r2]:
                         continue
                     for r in (r1, r2):
-                        if status_of(snap, r) is Status.ACTIVE_MERGE:
-                            violations.append(
-                                Violation("cross-chain-activemerge-adjacency",
-                                          phase=snap.phase, robots=(r1, r2),
-                                          nodes=(node, succ(n, node)),
-                                          detail="merging robot adjacent to a foreign chain")
-                            )
+                        if status[r] is Status.ACTIVE_MERGE:
+                            out.append(Violation("cross-chain-activemerge-adjacency", phase,
+                                                 None, (r1, r2), (node, succ(n, node)),
+                                                 "merging robot adjacent to a foreign chain"))
 
-    # merge completion per chain: first phase with everyone on one node,
-    # all active-disperse; used by (d) scoping and checked by (h)
-    merged_at: dict[int, int | None] = {}
-    for idx in range(len(chains)):
-        members = [label for label in labels if chain_of[label] == idx]
-        merged_at[idx] = None
-        for snap in snaps:
-            nodes_used = {snap.nodes[label] for label in members}
-            if len(nodes_used) == 1 and all(
-                status_of(snap, label) is Status.ACTIVE_DISPERSE for label in members
-            ):
-                merged_at[idx] = snap.phase
-                break
+        # merge completion per chain: the first phase start with everyone on
+        # one node, all active-disperse; scopes (d) and is checked by (h)
+        merged_at = self.merged_at
+        for idx, members in enumerate(self.members):
+            if merged_at[idx] is None and len({nodes[label] for label in members}) == 1 and all(
+                    status[label] is Status.ACTIVE_DISPERSE for label in members):
+                merged_at[idx] = phase
 
-    # (d) post-merge alternation: one side of an adjacent occupied pair is
-    # all passive, the other all active/wait/jump.  Guaranteed only under
-    # the repaired rules, but evaluated for both so literal traces show
-    # their breakage.  Leader-only nodes are the leader's scout post, not
-    # part of the chain.
-    for snap in snaps:
-        at_node = groups_at(snap, include_leaders=False)
-        for node, group in at_node.items():
+        # (d) post-merge alternation: one side of an adjacent occupied pair is
+        # all passive, the other all active/wait/jump.  Guaranteed only under
+        # the repaired rules, but evaluated for both so literal traces show
+        # their breakage.
+        merged_chains = {idx for idx, at in enumerate(merged_at) if at is not None}
+        for node, group in plain_at_node.items():
             nxt = succ(n, node)
-            other = at_node.get(nxt)
-            if not other:
+            other = plain_at_node.get(nxt)
+            if not other or not {chain_of[label] for label in group + other} <= merged_chains:
                 continue
-            involved = group + other
-            if not all(
-                merged_at.get(chain_of[label]) is not None
-                and merged_at[chain_of[label]] <= snap.phase
-                for label in involved
-            ):
-                continue
-            s1 = {status_of(snap, label) for label in group}
-            s2 = {status_of(snap, label) for label in other}
+            s1 = {status[label] for label in group}
+            s2 = {status[label] for label in other}
             if not (s1 | s2) <= _POST_MERGE:
                 continue
             first = s1 <= _ACTIVE_SIDE and s2 == {Status.PASSIVE}
             second = s2 <= _ACTIVE_SIDE and s1 == {Status.PASSIVE}
             if first == second:
-                violations.append(
-                    Violation("alternation", phase=snap.phase,
-                              nodes=(node, nxt),
-                              robots=tuple(sorted(involved)),
-                              detail=f"adjacent occupied nodes hold "
+                out.append(Violation("alternation", phase, None, tuple(sorted(group + other)),
+                                     (node, nxt), f"adjacent occupied nodes hold "
                                      f"{sorted(s.value for s in s1)} / "
-                                     f"{sorted(s.value for s in s2)}")
-                )
+                                     f"{sorted(s.value for s in s2)}"))
 
-    # (e) distinguishedness is monotone once both robots are post-merge
-    # (non-leader pairs: the leader revisits nodes by design)
-    plain = [label for label in labels if not any(is_leader(s, label) for s in snaps)]
-    for r1, r2 in itertools.combinations(plain, 2):
-        tracking = False
-        was_distinguished = False
-        for snap in snaps:
-            st1, st2 = status_of(snap, r1), status_of(snap, r2)
-            if not tracking:
-                post = _POST_MERGE | {Status.IDLE}
-                if st1 in post and st2 in post:
-                    tracking = True
-                else:
-                    continue
-            distinguished = snap.nodes[r1] != snap.nodes[r2] or st1 is not st2
-            if was_distinguished and not distinguished:
-                violations.append(
-                    Violation("distinguished-pair", phase=snap.phase,
-                              robots=(r1, r2), nodes=(snap.nodes[r1],),
-                              detail="previously distinguished robots share node "
-                                     "and status again")
-                )
-                break
-            was_distinguished = was_distinguished or distinguished
-
-    # (f) per-robot phase budgets after the first active-disperse phase
-    for label in labels:
-        first_ad = None
-        wait_count = jump_count = passive_count = 0
-        for snap in snaps:
-            st = status_of(snap, label)
-            if first_ad is None:
-                if st is Status.ACTIVE_DISPERSE:
-                    first_ad = snap.phase
+        # (e) distinguishedness is monotone once both robots are post-merge
+        for (r1, r2), was_distinguished in list(self.pairs.items()):
+            st1, st2 = status[r1], status[r2]
+            if was_distinguished is None and (st1 not in _TRACKED or st2 not in _TRACKED):
                 continue
-            if st is Status.WAIT:
-                wait_count += 1
-            elif st is Status.JUMP:
-                jump_count += 1
-            elif st is Status.PASSIVE:
-                passive_count += 1
-        for count, bound, kind in (
-            (wait_count, k, "wait-budget"),
-            (jump_count, 2 * k, "jump-budget"),
-            (passive_count, max_size + 2 * k, "passive-budget"),
-        ):
-            if count > bound:
-                violations.append(
-                    Violation(kind, robots=(label,),
-                              detail=f"{count} phases exceeds the {bound}-phase bound")
-                )
+            distinguished = nodes[r1] != nodes[r2] or st1 is not st2
+            if was_distinguished and not distinguished:
+                self.pair_violations[(r1, r2)] = Violation(
+                    "distinguished-pair", phase, None, (r1, r2), (nodes[r1],),
+                    "previously distinguished robots share node and status again")
+                del self.pairs[(r1, r2)]
+            else:
+                self.pairs[(r1, r2)] = bool(was_distinguished) or distinguished
 
-    # (g) the status graph has no back edges
-    for label in labels:
-        for prev_snap, snap in zip(snaps, snaps[1:]):
-            before = status_of(prev_snap, label)
-            after = status_of(snap, label)
+        # (f) per-robot phase tallies after the first active-disperse phase
+        for label in labels:
+            tally = self.after_disperse.get(label)
+            if tally is not None:
+                tally[status[label]] = tally.get(status[label], 0) + 1
+            elif status[label] is Status.ACTIVE_DISPERSE:
+                self.after_disperse[label] = {}
+
+        # (g) the status graph has no back edges, and non-leader net
+        # displacement per phase is 0 or +1, or -1 after a round-12 retreat
+        last = self.last
+        for label in labels if last is not None else ():
+            before, after = self.last_status[label], status[label]
             if before is not after and (before, after) not in LEGAL_TRANSITIONS:
-                violations.append(
-                    Violation("status-backedge", phase=snap.phase, robots=(label,),
-                              detail=f"{before.value} -> {after.value}")
-                )
+                out.append(Violation("status-backedge", phase, None, (label,), (),
+                                     f"{before.value} -> {after.value}"))
+            delta = (nodes[label] - last.nodes[label]) % n
+            if delta > 1 and not last.states[label].leader and not (
+                    delta == n - 1 and label in self.retreated.get(last.phase, ())):
+                out.append(Violation("net-displacement", last.phase, None, (label,), (),
+                                     f"moved {delta} nodes net in one phase"))
+        self.last, self.last_status = snap, status
 
-    # (h) every chain merges to one node within p + 2 phases after election
-    for idx, chain in enumerate(chains):
-        deadline = max_size + len(chain) + 2
-        if merged_at[idx] is not None and merged_at[idx] <= deadline + 1:
-            continue
-        if merged_at[idx] is None and snaps[-1].phase <= deadline + 1:
+        # (i) co-located same-status dispersing robots agree on the bit cursor
+        for node, group in plain_at_node.items():
+            actives = tuple(label for label in group if status[label] is Status.ACTIVE_DISPERSE)
+            cursors = {states[label].disp_bit for label in actives}
+            if len(cursors) > 1:
+                out.append(Violation("cursor-misalignment", phase, None, actives, (node,),
+                                     f"co-located dispersing robots at bit cursors "
+                                     f"{sorted(cursors)}"))
+
+    def finish(self, result: RunResult | None = None) -> list[Violation]:
+        """Every violation found; after snapshots, with the record count,
+        (e) for pairs that never held a leader, (f) and (h)."""
+        out = self.violations
+        if self.last is None:
+            return out
+        expected_rounds = ROUNDS_PER_PHASE * (self.snapshots - 1)
+        if self.rounds != expected_rounds:
+            out.append(Violation("round-counter", detail=f"{self.rounds} records for "
+                                 f"{self.snapshots} phase snapshots; expected {expected_rounds}"))
+        # (e) leaves out every leader: the leader revisits nodes by design
+        out.extend(violation for pair, violation in sorted(self.pair_violations.items())
+                   if not self.ever_leader.intersection(pair))
+        for label, tally in sorted(self.after_disperse.items()):
+            for status, bound, kind in (
+                (Status.WAIT, self.k, "wait-budget"),
+                (Status.JUMP, 2 * self.k, "jump-budget"),
+                (Status.PASSIVE, self.max_size + 2 * self.k, "passive-budget"),
+            ):
+                if tally.get(status, 0) > bound:
+                    out.append(Violation(kind, robots=(label,), detail=f"{tally[status]} "
+                                         f"phases exceeds the {bound}-phase bound"))
+        # (h) every chain merges to one node within p + 2 phases after election
+        for idx, chain in enumerate(self.chains):
+            deadline = self.max_size + len(chain) + 2
+            merged = self.merged_at[idx]
+            if merged is not None and merged <= deadline + 1:
+                continue
             # a detected cycle never merges; anything else that ended this
             # early (a dispersal) makes the deadline vacuous
-            if trace.result is not RunResult.LIVELOCK:
+            if merged is None and self.last.phase <= deadline + 1 and (
+                    result is not RunResult.LIVELOCK):
                 continue
-        violations.append(
-            Violation("merge-deadline", phase=deadline,
-                      nodes=tuple(chain),
-                      detail=f"chain {idx} ({len(chain)} groups) not merged to one "
-                             f"active-disperse group by end of phase {deadline}")
-        )
+            out.append(Violation("merge-deadline", deadline, None, (), tuple(chain),
+                                 f"chain {idx} ({len(chain)} groups) not merged to one "
+                                 f"active-disperse group by end of phase {deadline}"))
+        return out
 
-    # (i) co-located same-status dispersing robots agree on the bit cursor
-    for snap in snaps:
-        at_node = groups_at(snap, include_leaders=False)
-        for node, group in at_node.items():
-            actives = [label for label in group
-                       if status_of(snap, label) is Status.ACTIVE_DISPERSE]
-            cursors = {snap.states[label].disp_bit for label in actives}
-            if len(cursors) > 1:
-                violations.append(
-                    Violation("cursor-misalignment", phase=snap.phase,
-                              robots=tuple(actives), nodes=(node,),
-                              detail=f"co-located dispersing robots at bit cursors "
-                                     f"{sorted(cursors)}")
-                )
 
-    # non-leader net displacement per phase: 0 or +1, except a retreat phase
-    retreated: dict[int, set[int]] = {}
-    for record in trace.records:
-        if record.round_in_phase == 12:
-            for label, _, _, port in record.moves:
-                if port == 0:
-                    retreated.setdefault(record.phase, set()).add(label)
-    for prev_snap, snap in zip(snaps, snaps[1:]):
-        for label in labels:
-            if is_leader(prev_snap, label):
-                continue
-            delta = (snap.nodes[label] - prev_snap.nodes[label]) % n
-            allowed = {0, 1}
-            if label in retreated.get(prev_snap.phase, ()):
-                allowed = {0, 1, n - 1}
-            if delta not in allowed:
-                violations.append(
-                    Violation("net-displacement", phase=prev_snap.phase,
-                              robots=(label,),
-                              detail=f"moved {delta} nodes net in one phase")
-                )
+def check_trace(scenario: Scenario, records, snapshots=(), result: RunResult | None = None,
+                ) -> list[Violation]:
+    """Walk ``records`` (any iterable of RoundRecords in trace order) once,
+    handing each phase-start snapshot to the check before the first record
+    of its phase; the violations of every kind."""
+    check = TraceCheck(scenario)
+    snaps = iter(snapshots)
+    snap = next(snaps, None)
+    for record in records:
+        while snap is not None and snap.phase <= record.phase:
+            check.phase_start(snap)
+            snap = next(snaps, None)
+        check.round(record)
+    while snap is not None:
+        check.phase_start(snap)
+        snap = next(snaps, None)
+    return check.finish(result)
 
-    return violations
+
+def validate_trace(trace: Trace, scenario: Scenario) -> list[Violation]:
+    """The trace against the model itself: the ``REPLAY_KINDS`` of
+    ``check_trace``.  The trace must hold the 19 rounds of every phase it
+    snapshots, so a record dropped from the end is a round-counter
+    violation too."""
+    return [v for v in check_trace(scenario, trace.records, trace.phase_snapshots, trace.result)
+            if v.kind in REPLAY_KINDS]
+
+
+def check_invariants(trace: Trace) -> list[Violation]:
+    """The lemma-derived invariant kinds of ``check_trace``."""
+    return [v for v in check_trace(trace.scenario, trace.records, trace.phase_snapshots,
+                                   trace.result) if v.kind not in REPLAY_KINDS]
 
 
 def displacement_bound(outcome: RunOutcome, scenario: Scenario) -> bool:
@@ -542,36 +508,35 @@ class SearchReport:
 
 
 def estimate_enumeration(n_max: int, k_max: int, l_max: int) -> int:
+    """Raw placements of distinct-label robots before rotation, summed up
+    to the first partial sum past ``ENUMERATION_GUARD``."""
     total = 0
     for n in range(3, n_max + 1):
         for k in range(1, min(k_max, n - 1) + 1):
             total += math.comb(l_max + 1, k) * n**k
+            if total > ENUMERATION_GUARD:
+                return total
     return total
 
 
 def enumerate_scenarios(n_max: int, k_max: int, l_max: int):
-    """All placements of distinct-label robots, canonical under rotation."""
+    """All placements of distinct-label robots, canonical under rotation.
+
+    The nodes tuple is in label order and labels are distinct, so a
+    placement is the lexicographic minimum of its rotations iff its first
+    robot is on node 0: every other rotation starts on a node above 0.
+    """
     estimate = estimate_enumeration(n_max, k_max, l_max)
     if estimate > ENUMERATION_GUARD:
         raise ValueError(
-            f"enumeration of ~{estimate} configurations exceeds the "
+            f"enumeration of at least {estimate} configurations exceeds the "
             f"{ENUMERATION_GUARD} guard"
         )
     for n in range(3, n_max + 1):
         for k in range(1, min(k_max, n - 1) + 1):
             for label_set in itertools.combinations(range(l_max + 1), k):
-                for nodes in itertools.product(range(n), repeat=k):
-                    if not _is_rotation_canonical(nodes, n):
-                        continue
-                    yield make_scenario(n, l_max, tuple(zip(label_set, nodes)))
-
-
-def _is_rotation_canonical(nodes: tuple[int, ...], n: int) -> bool:
-    for r in range(1, n):
-        rotated = tuple((v + r) % n for v in nodes)
-        if rotated < nodes:
-            return False
-    return True
+                for rest in itertools.product(range(n), repeat=k - 1):
+                    yield make_scenario(n, l_max, tuple(zip(label_set, (0,) + rest)))
 
 
 def evaluate_scenario(
@@ -581,10 +546,12 @@ def evaluate_scenario(
     invariants: bool = True,
 ) -> ScenarioOutcome:
     outcome = run(scenario, ruleset)
-    validation = validate_trace(outcome.trace, scenario) if validate else []
-    kinds: tuple[str, ...] = ()
-    if invariants:
-        kinds = tuple(sorted({v.kind for v in check_invariants(outcome.trace)}))
+    trace = outcome.trace
+    violations: list[Violation] = []
+    if validate or invariants:
+        violations = check_trace(scenario, trace.records, trace.phase_snapshots, trace.result)
+    validation = [v for v in violations if validate and v.kind in REPLAY_KINDS]
+    kinds = tuple(sorted({v.kind for v in violations if invariants and v.kind not in REPLAY_KINDS}))
     return ScenarioOutcome(
         scenario=scenario,
         result=outcome.result,

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from ringdisperse.cli import main, read_trace, verify_trace_file, write_trace
 from ringdisperse.engine import run
-from ringdisperse.scenario import gen_single_source
+from ringdisperse.scenario import gen_single_source, load_scenario
 from ringdisperse.verify import validate_trace
 
 
@@ -103,6 +104,42 @@ def test_corrupted_trace_fails_verification(rooted_scenario, tmp_path, capsys):
                      "--scenario", str(rooted_scenario)])
         assert code == 1, name
         assert "violation: " in capsys.readouterr().out, name
+
+
+def _hop_in_memory(records):
+    target = next(i for i, record in enumerate(records) if record.moves)
+    label, frm, to, port = records[target].moves[0]
+    moves = ((label, frm, (to + 1) % 4, port),) + records[target].moves[1:]
+    return records[:target] + [dataclasses.replace(records[target], moves=moves)] + \
+        records[target + 1:]
+
+
+def _occ_moved_in_memory(records):
+    node, count = records[-1].occupancy[-1]
+    occupancy = records[-1].occupancy[:-1] + (((node + 1) % 4, count),)
+    return records[:-1] + [dataclasses.replace(records[-1], occupancy=occupancy)]
+
+
+@pytest.mark.parametrize("in_file, in_memory", [
+    (_two_edge_hop, _hop_in_memory),
+    (_occ_cell_moved, _occ_moved_in_memory),
+], ids=["two-edge hop", "occ cell moved to the next node"])
+def test_file_and_memory_report_the_same_violations(rooted_scenario, tmp_path, in_file,
+                                                    in_memory):
+    # the corruptions of test_corrupted_trace_fails_verification that the
+    # replay sees; a truncated file is caught by its header instead
+    scenario = load_scenario(rooted_scenario)
+    outcome = run(scenario)
+    trace_path = tmp_path / "trace.jsonl"
+    write_trace(outcome, trace_path, verbose=True)
+    lines = trace_path.read_text().splitlines()
+    trace_path.write_text("\n".join(in_file(lines)) + "\n")
+    header, rows = read_trace(trace_path)
+    from_file = verify_trace_file(header, rows, scenario)
+    trace = dataclasses.replace(outcome.trace, records=in_memory(outcome.trace.records))
+    from_memory = [str(v) for v in validate_trace(trace, scenario)]
+    assert from_file
+    assert from_file == from_memory
 
 
 @pytest.mark.parametrize("line, row", [

@@ -1,7 +1,11 @@
 """Validator, invariant suite, displacement bound, search and shrinking."""
 
 import dataclasses
+import itertools
+import math
 import os
+import time
+from collections import Counter
 
 import pytest
 
@@ -14,6 +18,7 @@ from ringdisperse.verify import (
     displacement_bound,
     enumerate_scenarios,
     estimate_enumeration,
+    evaluate_many,
     evaluate_scenario,
     exhaustive_search,
     initial_chains,
@@ -158,6 +163,55 @@ def test_enumeration_guard():
     with pytest.raises(ValueError, match="guard"):
         list(enumerate_scenarios(12, 8, 255))
     assert estimate_enumeration(4, 2, 1) < 100
+
+
+def test_enumeration_guard_fails_fast():
+    start = time.process_time()
+    with pytest.raises(ValueError, match="guard"):
+        next(enumerate_scenarios(10**8, 1, 0))
+    assert time.process_time() - start < 1.0
+
+
+def _rotation_canonical(nodes, n):
+    return all(nodes <= tuple((v + r) % n for v in nodes) for r in range(1, n))
+
+
+def test_enumeration_is_the_rotation_canonical_filter():
+    # the oracle: every placement, kept when no rotation is smaller
+    expected = [
+        (n, tuple(zip(labels, nodes)))
+        for n in range(3, 6)
+        for k in range(1, min(3, n - 1) + 1)
+        for labels in itertools.combinations(range(4), k)
+        for nodes in itertools.product(range(n), repeat=k)
+        if _rotation_canonical(nodes, n)
+    ]
+    assert [(s.n, s.robots) for s in enumerate_scenarios(5, 3, 3)] == expected
+
+
+def test_enumeration_count_647():
+    expected = sum(math.comb(8, k) * n ** (k - 1)
+                   for n in range(3, 7) for k in range(1, min(4, n - 1) + 1))
+    assert expected == 28_718
+    assert sum(1 for _ in enumerate_scenarios(6, 4, 7)) == expected
+
+
+def test_findings_on_a_647_sample_are_pinned():
+    # every 50th (6,4,7) scenario; the tallies below are the verdicts of the
+    # checker before it became one walk, so no later edit drops a kind
+    sample = list(enumerate_scenarios(6, 4, 7))[::50]
+    pinned = {
+        Ruleset.REPAIRED: ({"alternation": 16, "merge-deadline": 182, "unique-leader": 92},
+                           18),
+        Ruleset.LITERAL: ({"cross-chain-activemerge-adjacency": 27, "merge-deadline": 231,
+                           "unique-leader": 92}, 75),
+    }
+    for ruleset, (kinds, unexplained) in pinned.items():
+        outcomes = evaluate_many(sample, ruleset, workers=1)
+        assert len(outcomes) == 575
+        assert Counter(kind for o in outcomes for kind in o.finding_kinds) == kinds
+        assert sum(o.validation_count for o in outcomes) == 0
+        assert sum(1 for o in outcomes if not o.ok and not o.finding_kinds) == unexplained
 
 
 def test_tiny_search_all_disperse():
