@@ -395,8 +395,8 @@ class TraceCheck:
         return out
 
 
-def check_trace(scenario: Scenario, records, snapshots=(), result: RunResult | None = None,
-                ) -> list[Violation]:
+def check_trace(scenario: Scenario, records, snapshots=(),
+                result: RunResult | None = None) -> list[Violation]:
     """Walk ``records`` (any iterable of RoundRecords in trace order) once,
     handing each phase-start snapshot to the check before the first record
     of its phase; the violations of every kind."""
