@@ -36,7 +36,7 @@ from .protocol import Ruleset
 from .robots import max_label_bits
 from .scenario import Scenario, ScenarioError, load_scenario, render_scenario
 from .sweep import SweepSpec, fit_rounds, rows_to_csv, run_sweep
-from .verify import check_trace, exhaustive_search
+from .verify import ENUMERATION_GUARD, check_trace, exhaustive_search
 
 TRACE_FORMAT = "ringdisperse-trace-v2"
 
@@ -181,10 +181,14 @@ def _cmd_sweep(args) -> int:
         if value < 1:
             print(f"error: {flag} must be at least 1, not {value}", file=sys.stderr)
             return EXIT_INPUT
-    points = tuple(range(args.start, args.stop + 1, args.step))
+    points = range(args.start, args.stop + 1, args.step)
+    if len(points) * args.seeds > ENUMERATION_GUARD:
+        print(f"error: {len(points)} points x {args.seeds} seeds exceeds the "
+              f"{ENUMERATION_GUARD} run guard", file=sys.stderr)
+        return EXIT_INPUT
     spec = SweepSpec(
         vary=args.vary,
-        points=points,
+        points=tuple(points),
         n=args.n,
         k=args.k,
         max_label=args.maxlabel,

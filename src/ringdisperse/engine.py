@@ -1,16 +1,15 @@
 """Synchronous executor: round loop, perception delivery, simultaneous
 commit, trace recording, termination and livelock detection.
 
-Each round steps only the robots the round can wake.  At round 1 of every
-phase the engine reads each robot's status and leader flag and builds a
-wake schedule from ``protocol.wake_rounds``: per round of the phase, the
-robots ``step`` may act on.  ``wake_rounds`` is a superset of the
-``participates`` gate that ``step`` still applies, so a skipped call is
-one that would have returned STAY and left the state as it was, latches
-included, since every status wakes in the latch rounds.  An unrecorded
-round observes and steps the woken robots only.  A recorded round
-observes every robot, because its record keeps every observation for the
-replay, and steps the woken ones.
+The engine schedules, observes, commits and records; ``protocol.step``
+decides and writes every robot's state.  At round 1 of every phase the
+engine reads each robot's status and leader flag and builds a wake
+schedule from ``protocol.wake_rounds``: per round of the phase, the
+robots ``step`` may act on.  A skipped call is one that would have
+returned STAY and changed nothing.  An unrecorded round observes and
+steps the woken robots only.  A recorded round observes every robot,
+because its record keeps every observation for the replay, and steps the
+woken ones.
 """
 
 from __future__ import annotations
@@ -20,14 +19,8 @@ from dataclasses import dataclass, field
 
 from .perception import Observation, observe
 from .protocol import Ruleset, step, wake_rounds
-from .ring import PORT_ONE, Placement, move_target
-from .robots import (
-    DISPERSAL_STATUSES,
-    RobotState,
-    StateSnapshot,
-    apply_pending_status,
-    max_label_bits,
-)
+from .ring import Placement, move_target
+from .robots import RobotState, StateSnapshot, apply_pending_status, max_label_bits
 from .scenario import Scenario
 
 ROUNDS_PER_PHASE = 19
@@ -200,10 +193,6 @@ class Engine:
                 moves[label] = action.port
 
         new_placement = placement.apply_moves(moves)
-        for label, port in moves.items():
-            state = self.robots[label]
-            if state.status in DISPERSAL_STATUSES:
-                state.net_disp += 1 if port == PORT_ONE else -1
         record = None
         if self.record_rounds:
             record = RoundRecord(

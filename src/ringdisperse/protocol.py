@@ -6,20 +6,26 @@ in ``pending_status`` and committed only at the phase boundary.  The
 ``Ruleset`` switch selects between the literal rules and a repaired
 variant that fixes four flag-timing defects (see the clause comments).
 
-A robot perceives the three bits of an ``Observation`` per round.  Before
-the participation gate ``step`` latches the two that repaired rules read
-later: a decrease in round 7 (merge follow) and an increase in rounds
-10-12 (retreat); these are the ``LATCH_ROUNDS``.
+``step`` is the one place that decides and writes a robot's state within
+a round, and ``PARTICIPATION``, keyed by the status and leader flag, is
+the one place that decides in which rounds it does.  A robot that sits
+out a round perceives it but keeps nothing: ``step`` returns STAY and
+changes no field.  A robot that takes part first latches the two bits
+that repaired rules read later, a decrease in round 7 (merge follow) and
+an increase in rounds 10-12 (retreat), then runs its subroutine, then
+counts a move of a dispersal status in ``net_disp``.  Every robot that
+reads a latch takes part in the rounds that set it: the non-leader
+active-merge robots read ``decrease_at_7`` in round 8 and take part in
+round 7, and the non-leader active-disperse and passive robots read
+``increase_in_10_12`` in round 12 and take part in rounds 10-12.
 
-``wake_rounds`` is the participation table in the form the engine runs:
-the rounds of a phase in which ``step`` can change a robot's state or
-move it, given the robot's status and leader flag at the phase start.  It
-is a superset of the ``participates`` gate, which stays the source of
-truth: it adds the latch rounds for every status, and for leader
-election the leader rounds, because the leader flag can turn on in round
-1 or 5 of an election phase.  Status and every other flag ``participates``
-reads are fixed within a phase, so in every other round ``step`` returns
-STAY and changes nothing, and the engine skips the call.
+``wake_rounds`` is the same table in the form the engine runs: the
+rounds of a phase in which ``step`` may act on a robot, given its status
+and leader flag at the phase start.  It adds the leader rounds for
+leader election only, because that leader flag can turn on in round 1
+or 5 of an election phase; status and every other flag the gate reads
+are fixed within a phase, so in every other round ``step`` is a no-op
+and the engine skips the call.
 
 ``step`` mutates the passed RobotState in place and returns the move.
 All robots' moves within a round are computed against the same pre-round
@@ -33,7 +39,7 @@ from typing import NamedTuple
 
 from .perception import Observation
 from .ring import PORT_ONE, PORT_ZERO
-from .robots import RobotState, Status, bit_at
+from .robots import DISPERSAL_STATUSES, RobotState, StateSnapshot, Status, bit_at
 
 
 class Ruleset(enum.Enum):
@@ -82,27 +88,23 @@ EFFECTIVE_PARTICIPATION: dict[Status, frozenset[int]] = {
 LEADER_ROUNDS = frozenset({5, 6, 7, 9, 10, 11})
 
 # Rounds whose perception the latches keep: a decrease in round 7 and an
-# increase in rounds 10-12.  Every robot latches, participating or not.
+# increase in rounds 10-12.
 LATCH_ROUNDS = frozenset({7, 10, 11, 12})
 
+# The rounds in which a robot takes part, by (status, leader flag): a
+# leader takes part in its own rounds, anyone else by status, and an idle
+# robot never.
+PARTICIPATION: dict[tuple[Status, bool], frozenset[int]] = {
+    (status, leader): frozenset() if status is Status.IDLE
+    else LEADER_ROUNDS if leader else rounds
+    for status, rounds in EFFECTIVE_PARTICIPATION.items()
+    for leader in (False, True)
+}
 
-def _wake_table() -> dict[tuple[Status, bool], frozenset[int]]:
-    table = {}
-    for status in Status:
-        for leader in (False, True):
-            if status is Status.IDLE:
-                rounds = frozenset()
-            elif leader:
-                rounds = LEADER_ROUNDS
-            else:
-                rounds = EFFECTIVE_PARTICIPATION[status]
-            if status is Status.LEADER_ELECTION:
-                rounds |= LEADER_ROUNDS  # the leader flag turns on in round 1 or 5
-            table[status, leader] = rounds | LATCH_ROUNDS
-    return table
-
-
-_WAKE_ROUNDS = _wake_table()
+_WAKE_ROUNDS = {
+    (status, leader): rounds | LEADER_ROUNDS if status is Status.LEADER_ELECTION else rounds
+    for (status, leader), rounds in PARTICIPATION.items()
+}
 
 
 def wake_rounds(status: Status, leader: bool) -> frozenset[int]:
@@ -112,28 +114,26 @@ def wake_rounds(status: Status, leader: bool) -> frozenset[int]:
     return _WAKE_ROUNDS[status, leader]
 
 
-def participates(state: RobotState, round_in_phase: int) -> bool:
-    if state.status is Status.IDLE:
-        return False
-    if state.leader:
-        return round_in_phase in LEADER_ROUNDS
-    return round_in_phase in EFFECTIVE_PARTICIPATION[state.status]
+def participates(state: RobotState | StateSnapshot, round_in_phase: int) -> bool:
+    return round_in_phase in PARTICIPATION[state.status, state.leader]
 
 
 def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Ruleset) -> Action:
     """Decide one robot's action for this round; mutates ``state``."""
-    # the latches read by repairs 1 and 2, set whether or not the robot
-    # participates; apply_pending_status clears them at the phase boundary
+    if not participates(state, round_in_phase):
+        return STAY
+    # the latches read by repairs 1 and 2; apply_pending_status clears them
+    # at the phase boundary
     if round_in_phase in LATCH_ROUNDS:
         if round_in_phase == 7:
             if obs.decrease:
                 state.decrease_at_7 = True
         elif obs.increase:
             state.increase_in_10_12 = True
-    if not participates(state, round_in_phase):
-        return STAY
-    sub = _SUBROUTINES[state.status]
-    return sub(state, obs, round_in_phase, ruleset)
+    action = _SUBROUTINES[state.status](state, obs, round_in_phase, ruleset)
+    if action.port is not None and state.status in DISPERSAL_STATUSES:
+        state.net_disp += 1 if action.port == PORT_ONE else -1
+    return action
 
 
 def leader_election_step(
@@ -394,10 +394,6 @@ def wait_step(state: RobotState, obs: Observation, rip: int, ruleset: Ruleset) -
     return STAY
 
 
-def idle_step(state: RobotState, obs: Observation, rip: int, ruleset: Ruleset) -> Action:
-    return STAY
-
-
 _SUBROUTINES = {
     Status.LEADER_ELECTION: leader_election_step,
     Status.ACTIVE_MERGE: active_merge_step,
@@ -405,5 +401,4 @@ _SUBROUTINES = {
     Status.PASSIVE: passive_step,
     Status.WAIT: wait_step,
     Status.JUMP: jump_step,
-    Status.IDLE: idle_step,
 }

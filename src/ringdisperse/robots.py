@@ -91,7 +91,8 @@ class RobotState:
     bit were 0).  The two latches are the only memory of past
     observations: ``decrease_at_7`` records a decrease perceived in round 7
     and ``increase_in_10_12`` an increase perceived in rounds 10-12 of the
-    current phase.  Both are cleared at every phase boundary.
+    current phase, each only in rounds the robot takes part in.  Both are
+    cleared at every phase boundary.
     """
 
     label: int

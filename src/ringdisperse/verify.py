@@ -16,7 +16,7 @@ from multiprocessing import Pool
 
 from .engine import ROUNDS_PER_PHASE, RunOutcome, RunResult, Trace, phase_budget, run  # noqa: F401
 from .perception import observe
-from .protocol import EFFECTIVE_PARTICIPATION, LEADER_ROUNDS
+from .protocol import participates
 from .ring import PORT_ONE, PORT_ZERO, move_target, occupancy_cells, ring_distance, succ
 from .robots import LEGAL_TRANSITIONS, Status, max_label_bits
 from .scenario import Scenario, make_scenario
@@ -200,8 +200,7 @@ class TraceCheck:
                 pass
             elif state.status is Status.IDLE:
                 self._at(record, "idle-moved", "idle robot moved", (label,))
-            elif rip not in (LEADER_ROUNDS if state.leader
-                             else EFFECTIVE_PARTICIPATION[state.status]):
+            elif not participates(state, rip):
                 mover = "leader" if state.leader else state.status.value
                 self._at(record, "participation", f"{mover} moved in round {rip}", (label,))
             if rip == 12 and port == PORT_ZERO:
@@ -526,6 +525,11 @@ def enumerate_scenarios(n_max: int, k_max: int, l_max: int):
     placement is the lexicographic minimum of its rotations iff its first
     robot is on node 0: every other rotation starts on a node above 0.
     """
+    # with no robot or no label the space is empty at every ring size, and
+    # the guard's partial sums would never grow past it
+    if k_max < 1 or l_max < 0:
+        raise ValueError(f"k_max must be at least 1 and l_max at least 0, "
+                         f"not {k_max} and {l_max}")
     estimate = estimate_enumeration(n_max, k_max, l_max)
     if estimate > ENUMERATION_GUARD:
         raise ValueError(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -243,6 +244,20 @@ def test_sweep_rejects_seeds_below_one(capsys, seeds):
     captured = capsys.readouterr()
     assert captured.err == f"error: --seeds must be at least 1, not {seeds}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--vary", "k", "--from", "2", "--to", "1000000000000"],
+    ["sweep", "--vary", "k", "--from", "2", "--to", "3", "--seeds", "1000000000000"],
+    ["search", "--n-max", "1000000000000", "--k-max", "0", "--l-max", "7"],
+    ["search", "--n-max", "1000000000000", "--k-max", "4", "--l-max", "-1"],
+], ids=["sweep-to", "sweep-seeds", "search-k-max", "search-l-max"])
+def test_unbounded_input_exits_input_fast(capsys, argv):
+    start = time.process_time()
+    assert main(argv) == 4
+    assert time.process_time() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

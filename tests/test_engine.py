@@ -16,7 +16,7 @@ from ringdisperse.engine import (
     run,
     zero_test_stable,
 )
-from ringdisperse.protocol import Ruleset
+from ringdisperse.protocol import Ruleset, participates
 from ringdisperse.robots import Status
 from ringdisperse.scenario import gen_chain, make_scenario
 from ringdisperse.verify import enumerate_scenarios
@@ -388,18 +388,29 @@ def latch_window(seen, from_round, to_round, flag):
 
 
 def assert_latches_match_window(engine, rounds):
-    """Step ``engine`` and check every robot's latches after every round;
-    returns how many (robot, round) pairs had each latch set."""
+    """Step ``engine`` and check every robot's latches after every round.
+    A latch keeps what the robot perceived in the rounds of its window that
+    it takes part in; for the robots that read it, the non-leader merging
+    robots and the non-leader active-disperse and passive robots, that is
+    the whole window.  Returns how many (reader, round) pairs had each
+    latch set."""
     decreases = increases = 0
     for _ in range(rounds):
         engine.step_round()
         phase_records = [r for r in engine.trace.records if r.phase == engine.phase]
         for label, state in engine.robots.items():
             seen = [(r.round_in_phase, r.observations[label]) for r in phase_records]
-            assert state.decrease_at_7 == latch_window(seen, 7, 7, "decrease")
-            assert state.increase_in_10_12 == latch_window(seen, 10, 12, "increase")
-            decreases += state.decrease_at_7
-            increases += state.increase_in_10_12
+            taken = [(rip, obs) for rip, obs in seen if participates(state, rip)]
+            assert state.decrease_at_7 == latch_window(taken, 7, 7, "decrease")
+            assert state.increase_in_10_12 == latch_window(taken, 10, 12, "increase")
+            if state.leader:
+                continue
+            if state.status is Status.ACTIVE_MERGE:
+                assert state.decrease_at_7 == latch_window(seen, 7, 7, "decrease")
+                decreases += state.decrease_at_7
+            if state.status in (Status.ACTIVE_DISPERSE, Status.PASSIVE):
+                assert state.increase_in_10_12 == latch_window(seen, 10, 12, "increase")
+                increases += state.increase_in_10_12
     return decreases, increases
 
 
@@ -411,9 +422,10 @@ def test_latches_equal_the_observation_window(engine, rounds):
 
 @pytest.mark.parametrize("ruleset", list(Ruleset))
 def test_latches_are_set_on_a_merging_chain(ruleset):
-    # followers perceive their leader leave in round 7, and a scouting
-    # leader lands on a dispersing group in rounds 10-12, so neither latch
-    # is checked only in its all-False state
-    engine = Engine(gen_chain([3, 1], gap=2, n=7, max_label=7), ruleset)
+    # two two-robot chains: the followers perceive their leader leave in
+    # round 7, and one chain's scouting leader lands on the other chain's
+    # dispersing group in round 10, so neither latch is checked only in its
+    # all-False state
+    engine = Engine(make_scenario(5, 7, [(1, 0), (2, 0), (3, 3), (4, 3)]), ruleset)
     decreases, increases = assert_latches_match_window(engine, 12 * ROUNDS_PER_PHASE)
     assert decreases > 0 and increases > 0

@@ -11,9 +11,9 @@ from ringdisperse.engine import ROUNDS_PER_PHASE, Engine
 from ringdisperse.perception import Observation
 from ringdisperse.protocol import (
     EFFECTIVE_PARTICIPATION,
-    LATCH_ROUNDS,
     LEADER_ROUNDS,
     PAPER_PARTICIPATION,
+    PARTICIPATION,
     PARTICIPATION_CONFLICTS,
     PORT_ONE,
     PORT_ZERO,
@@ -135,17 +135,17 @@ def test_participation_table_conflicts_are_annotated():
     assert 14 not in EFFECTIVE_PARTICIPATION[Status.WAIT]
 
 
-def test_wake_table_covers_participation_and_latches():
-    assert wake_rounds(Status.IDLE, False) == wake_rounds(Status.IDLE, True) == LATCH_ROUNDS
+def test_wake_table_is_the_participation_table():
+    assert PARTICIPATION[Status.IDLE, False] == PARTICIPATION[Status.IDLE, True] == frozenset()
     for status in Status:
         for leader in (False, True):
-            rounds = wake_rounds(status, leader)
-            assert LATCH_ROUNDS <= rounds <= frozenset(range(1, ROUNDS_PER_PHASE + 1))
+            rounds = PARTICIPATION[status, leader]
             if status is not Status.IDLE:
-                gate = LEADER_ROUNDS if leader else EFFECTIVE_PARTICIPATION[status]
-                assert gate <= rounds, (status, leader)
-    # the leader flag turns on mid-phase in rounds 1 and 5 of an election
-    assert LEADER_ROUNDS <= wake_rounds(Status.LEADER_ELECTION, False)
+                assert rounds == (LEADER_ROUNDS if leader else EFFECTIVE_PARTICIPATION[status])
+            # the leader flag turns on mid-phase in rounds 1 and 5 of an election
+            if status is Status.LEADER_ELECTION:
+                rounds |= LEADER_ROUNDS
+            assert wake_rounds(status, leader) == rounds, (status, leader)
 
 
 ALL_OBSERVATIONS = tuple(
@@ -374,18 +374,19 @@ def test_merge_follow_on_departure():
     assert st.pending_status is None
 
 
-def test_latches_set_in_rounds_the_robot_sits_out():
-    # the latches record what the robot perceived, participating or not
+def test_no_latch_in_rounds_the_robot_sits_out():
+    # a robot keeps what it perceives only in the rounds it takes part in;
+    # none of these statuses reads a latch
     for status in (Status.LEADER_ELECTION, Status.WAIT, Status.JUMP, Status.IDLE):
         st = robot(status=status)
         assert step(st, obs(decrease=True), 7, Ruleset.REPAIRED).port is None
         assert step(st, obs(increase=True), 11, Ruleset.REPAIRED).port is None
-        assert st.decrease_at_7 and st.increase_in_10_12, status
+        assert not st.decrease_at_7 and not st.increase_in_10_12, status
 
 
-def test_idle_robot_latches_a_leader_arrival():
+def test_idle_robot_perceives_a_leader_arrival_without_latching():
     # the leader of group {1, 2} probes forward in round 9 onto idle robot
-    # 3, which perceives the increase in round 10
+    # 3, which perceives the increase in round 10 and takes no part in it
     eng = phase_engine(6, 3, {
         1: (0, Status.ACTIVE_DISPERSE, {"leader": True}),
         2: (0, Status.ACTIVE_DISPERSE, {}),
@@ -394,7 +395,21 @@ def test_idle_robot_latches_a_leader_arrival():
     for _ in range(10):
         eng.step_round()
     assert eng.trace.records[-1].observations[3].increase
-    assert eng.robots[3].increase_in_10_12
+    assert not eng.robots[3].increase_in_10_12
+
+
+@pytest.mark.parametrize("status, extra, rip, seen, port, delta", [
+    (Status.ACTIVE_DISPERSE, {"label": 1}, 13, obs(), PORT_ONE, 1),
+    (Status.PASSIVE, {"move_var": 1}, 16, obs(), PORT_ZERO, -1),
+    (Status.JUMP, {}, 14, obs(), PORT_ONE, 1),
+    (Status.LEADER_ELECTION, {"label": 1}, 1, obs(), PORT_ONE, 0),
+    (Status.ACTIVE_MERGE, {"leader": True}, 6, obs(), PORT_ONE, 0),
+    (Status.ACTIVE_MERGE, {"leader": True}, 7, obs(alone=True), PORT_ZERO, 0),
+])
+def test_step_counts_only_dispersal_moves_in_net_disp(status, extra, rip, seen, port, delta):
+    st = robot(status=status, net_disp=3, **extra)
+    assert step(st, seen, rip, Ruleset.REPAIRED).port == port
+    assert st.net_disp == 3 + delta
 
 
 def test_single_group_merges_in_one_phase():

@@ -12,6 +12,7 @@ import pytest
 from ringdisperse.engine import RunResult, run
 from ringdisperse.perception import Observation
 from ringdisperse.protocol import Ruleset
+from ringdisperse.robots import Status
 from ringdisperse.scenario import gen_chain, make_scenario
 from ringdisperse.verify import (
     check_invariants,
@@ -102,6 +103,30 @@ def test_mutated_observation_is_caught(chain_outcome):
     violations = validate_trace(trace, scenario)
     record.observations[label] = original
     assert any(v.kind == "perception-replay" for v in violations)
+
+
+def test_participation_report():
+    # phase 14 of this chain starts with robot 3 jumping, 4 idle and 5
+    # waiting, and robot 3 jumps forward in round 14 as the rules say
+    scenario = gen_chain([2, 2, 2], gap=2, n=9, max_label=7)
+    trace = run(scenario, Ruleset.REPAIRED).trace
+    snap = trace.snapshot_for(14)
+    assert [snap.states[label].status for label in (3, 4, 5)] == [
+        Status.JUMP, Status.IDLE, Status.WAIT]
+    target = next(i for i, r in enumerate(trace.records)
+                  if (r.phase, r.round_in_phase) == (14, 14))
+    record = trace.records[target]
+    assert [move[0] for move in record.moves] == [3]
+    added = tuple((label, snap.nodes[label], (snap.nodes[label] + 1) % scenario.n, 1)
+                  for label in (4, 5))
+    records = list(trace.records)
+    records[target] = dataclasses.replace(record, moves=record.moves + added)
+    violations = validate_trace(dataclasses.replace(trace, records=records), scenario)
+    # the wait robot sits round 14 out and the jump robot moves in it: the
+    # effective table, not the published one, judges them
+    assert [(v.kind, v.robots, v.global_round) for v in violations
+            if v.kind in ("participation", "idle-moved")] == [
+        ("idle-moved", (4,), target), ("participation", (5,), target)]
 
 
 def test_initial_chains_wrap_and_split():
