@@ -10,7 +10,8 @@ line, so they stream and diff cleanly:
 
 ``occ`` is the sparse post-round occupancy: the occupied nodes only, sorted,
 each count at least 1, so a row's size grows with k and not with the ring
-size.  The ``obs`` key appears only under --verbose.  ``verify`` checks the
+size.  The ``obs`` key appears only under --verbose, and each of its
+entries is exactly three JSON booleans.  ``verify`` checks the
 header against the scenario and the row count, then feeds the rows to the
 one trace walk, ``verify.check_trace``.  Trace files carry no robot
 statuses, so from a file the walk runs its replay only; participation,
@@ -31,7 +32,7 @@ import sys
 from pathlib import Path
 
 from .engine import RoundRecord, RunOutcome, RunResult, phase_budget, run
-from .perception import Observation
+from .perception import Observation, observation
 from .protocol import Ruleset
 from .robots import max_label_bits
 from .scenario import Scenario, ScenarioError, load_scenario, render_scenario
@@ -107,6 +108,13 @@ def _ints(*values) -> tuple[int, ...]:
     return values
 
 
+def _bits(value) -> Observation:
+    """An ``obs`` entry as its shared Observation: exactly three booleans."""
+    if type(value) is not list or len(value) != 3 or not all(type(v) is bool for v in value):
+        raise TypeError(f"{value!r} is not three booleans")
+    return observation(*value)
+
+
 def _round_records(rows):
     """Trace rows as RoundRecords, converted one at a time so that the
     replay holds no second copy of the rows; ValueError on a malformed row."""
@@ -119,9 +127,7 @@ def _round_records(rows):
                 *_ints(row["round"], row["phase"], row["rip"]),
                 tuple(_ints(label, frm, to, port) for label, frm, to, port in row["moves"]),
                 None if obs is None else {
-                    int(label): Observation(alone, increase, decrease)
-                    for label, (alone, increase, decrease) in obs.items()
-                },
+                    int(label): _bits(bits) for label, bits in obs.items()},
                 tuple(_ints(node, count) for node, count in row["occ"]),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

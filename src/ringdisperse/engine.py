@@ -10,6 +10,16 @@ returned STAY and changed nothing.  An unrecorded round observes and
 steps the woken robots only.  A recorded round observes every robot,
 because its record keeps every observation for the replay, and steps the
 woken ones.
+
+A round allocates only what it keeps: ``observe`` returns one of the
+eight shared observations and ``step`` one of the three shared actions,
+the counts are read straight from the two placements, and last round's
+moves dict doubles as the set of robots that moved.  An unrecorded run
+(``record_rounds=False``, as ``sweep`` and minimization run) keeps
+neither round records nor phase-start snapshots: its trace holds the
+scenario, the ruleset and the verdict only.  ``observe`` and ``step``
+are looked up as module globals at every call, so that a wrapper set on
+this module sees every call.
 """
 
 from __future__ import annotations
@@ -46,7 +56,8 @@ class RoundRecord:
 
 @dataclass
 class PhaseSnapshot:
-    """Robot positions and states at a phase start (pending already applied)."""
+    """Robot positions and states at a phase start (pending already applied);
+    taken in recorded runs only."""
 
     phase: int
     nodes: dict[int, int]
@@ -55,6 +66,9 @@ class PhaseSnapshot:
 
 @dataclass
 class Trace:
+    """A run's round records and phase-start snapshots; both stay empty in
+    an unrecorded run."""
+
     scenario: Scenario
     ruleset: Ruleset
     labels: tuple[int, ...]
@@ -63,8 +77,14 @@ class Trace:
     result: "RunResult | None" = None  # set once the run reaches a verdict
 
     def snapshot_for(self, phase: int) -> PhaseSnapshot:
+        """The snapshot taken at the start of ``phase``.  Raises ValueError
+        when the trace holds none for it; an unrecorded run holds none."""
+        if not 1 <= phase <= len(self.phase_snapshots):
+            raise ValueError(f"the trace holds no snapshot for phase {phase} "
+                             f"({len(self.phase_snapshots)} snapshots)")
         snap = self.phase_snapshots[phase - 1]
-        assert snap.phase == phase
+        if snap.phase != phase:
+            raise ValueError(f"the snapshot stored for phase {phase} is of phase {snap.phase}")
         return snap
 
 
@@ -125,7 +145,8 @@ class Engine:
         }
         self.placement = Placement(self.n, {label: node for label, node in scenario.robots})
         self.prev_placement = self.placement
-        self.moved_last: set[int] = set()
+        # last round's moves, label -> port: the robots that moved
+        self.moved_last: dict[int, int] = {}
         self.global_round = 0
         self.phase = 1
         self.round_in_phase = 1
@@ -136,7 +157,8 @@ class Engine:
         # per round of the current phase, the labels to step; built at round 1
         self.wake_schedule: list[list[int]] = []
         self.trace = Trace(scenario, ruleset, self.labels)
-        self._snapshot_phase()
+        if record_rounds:
+            self._snapshot_phase()
 
     def _snapshot_phase(self) -> None:
         self.trace.phase_snapshots.append(
@@ -173,35 +195,49 @@ class Engine:
     def step_round(self) -> RoundRecord | None:
         """Run one synchronous round; returns the record when recording."""
         rip = self.round_in_phase
+        robots = self.robots
         if rip == 1:
             self.wake_schedule = self._build_wake_schedule()
-        placement = self.placement
-        prev = self.prev_placement
         if rip == 13:
-            self.net_disp_at_13.append(tuple(self.robots[label].net_disp for label in self.labels))
+            self.net_disp_at_13.append(tuple(robots[label].net_disp for label in self.labels))
+        placement = self.placement
+        by_robot = placement.by_robot
+        counts = placement.counts
+        # a robot's node may have been empty a round earlier
+        prev_counts = self.prev_placement.counts
+        moved_last = self.moved_last
+        ruleset = self.ruleset
         woken = self.wake_schedule[rip - 1]
-        # a record keeps every robot's observation, woken or not
-        observations: dict[int, Observation] = {}
-        for label in self.labels if self.record_rounds else woken:
-            node = placement.by_robot[label]
-            observations[label] = observe(
-                placement.count_at(node), prev.count_at(node), label in self.moved_last)
         moves: dict[int, int] = {}
-        for label in woken:
-            action = step(self.robots[label], observations[label], rip, self.ruleset)
-            if action.port is not None:
-                moves[label] = action.port
+        record = None
+        if self.record_rounds:
+            # a record keeps every robot's observation, woken or not
+            observations: dict[int, Observation] = {}
+            for label in self.labels:
+                node = by_robot[label]
+                observations[label] = observe(
+                    counts[node], prev_counts.get(node, 0), label in moved_last)
+            for label in woken:
+                port = step(robots[label], observations[label], rip, ruleset).port
+                if port is not None:
+                    moves[label] = port
+        else:
+            for label in woken:
+                node = by_robot[label]
+                port = step(robots[label], observe(
+                    counts[node], prev_counts.get(node, 0), label in moved_last),
+                    rip, ruleset).port
+                if port is not None:
+                    moves[label] = port
 
         new_placement = placement.apply_moves(moves)
-        record = None
         if self.record_rounds:
             record = RoundRecord(
                 global_round=self.global_round,
                 phase=self.phase,
                 round_in_phase=rip,
                 moves=tuple(
-                    (label, placement.by_robot[label],
-                     move_target(self.n, placement.by_robot[label], port), port)
+                    (label, by_robot[label], move_target(self.n, by_robot[label], port), port)
                     for label, port in sorted(moves.items())
                 ),
                 observations=observations,
@@ -211,15 +247,16 @@ class Engine:
 
         self.prev_placement = placement
         self.placement = new_placement
-        self.moved_last = set(moves)
+        self.moved_last = moves
         self.moves_in_phase += len(moves)
         self.global_round += 1
         if rip == ROUNDS_PER_PHASE:
             for label in self.labels:
-                apply_pending_status(self.robots[label])
+                apply_pending_status(robots[label])
             self.phase += 1
             self.round_in_phase = 1
-            self._snapshot_phase()
+            if self.record_rounds:
+                self._snapshot_phase()
         else:
             self.round_in_phase += 1
         return record

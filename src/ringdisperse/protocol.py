@@ -27,7 +27,9 @@ or 5 of an election phase; status and every other flag the gate reads
 are fixed within a phase, so in every other round ``step`` is a no-op
 and the engine skips the call.
 
-``step`` mutates the passed RobotState in place and returns the move.
+``step`` mutates the passed RobotState in place and returns the move,
+always one of the three shared actions ``STAY``, ``MOVE_ZERO`` and
+``MOVE_ONE``, so that a round allocates no action.
 All robots' moves within a round are computed against the same pre-round
 placement and committed simultaneously by the engine.
 """
@@ -53,7 +55,10 @@ class Action(NamedTuple):
     port: int | None
 
 
+# the only three actions: every subroutine returns one of these constants
 STAY = Action(None)
+MOVE_ZERO = Action(PORT_ZERO)
+MOVE_ONE = Action(PORT_ONE)
 
 # Published participation table (status column x round), kept verbatim as
 # documentation.  Where it contradicts the subroutines the subroutines
@@ -120,7 +125,8 @@ def participates(state: RobotState | StateSnapshot, round_in_phase: int) -> bool
 
 def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Ruleset) -> Action:
     """Decide one robot's action for this round; mutates ``state``."""
-    if not participates(state, round_in_phase):
+    # the gate of participates(), inlined: step runs once per woken robot-round
+    if round_in_phase not in PARTICIPATION[state.status, state.leader]:
         return STAY
     # the latches read by repairs 1 and 2; apply_pending_status clears them
     # at the phase boundary
@@ -131,8 +137,8 @@ def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Rule
         elif obs.increase:
             state.increase_in_10_12 = True
     action = _SUBROUTINES[state.status](state, obs, round_in_phase, ruleset)
-    if action.port is not None and state.status in DISPERSAL_STATUSES:
-        state.net_disp += 1 if action.port == PORT_ONE else -1
+    if action is not STAY and state.status in DISPERSAL_STATUSES:
+        state.net_disp += 1 if action is MOVE_ONE else -1
     return action
 
 
@@ -145,7 +151,7 @@ def leader_election_step(
         elif state.proceed == 0 and bit_at(state.label, state.le_bit, state.max_size) == 1:
             # split: robots whose current bit is 1 step forward
             state.proceed = 1
-            return Action(PORT_ONE)
+            return MOVE_ONE
         return STAY
 
     if rip == 2:
@@ -155,7 +161,7 @@ def leader_election_step(
             # returns only them, never a retiree from an earlier phase
             state.proceed = 2
             state.move_var = 2
-            return Action(PORT_ONE)
+            return MOVE_ONE
         return STAY
 
     if rip == 3:
@@ -165,33 +171,33 @@ def leader_election_step(
             # cancelled by a neighbouring group's arrivals (net-change
             # blindspot), so increase=false must not disqualify a candidate
             if state.proceed == 1 or informer:
-                return Action(PORT_ZERO)
+                return MOVE_ZERO
             return STAY
         if (state.proceed == 1 and obs.increase) or informer:
-            return Action(PORT_ZERO)
+            return MOVE_ZERO
         if state.proceed == 1 and not obs.increase:
             state.proceed = 0
-            return Action(PORT_ZERO)
+            return MOVE_ZERO
         return STAY
 
     if rip == 4:
         if state.proceed == 1:
-            return Action(PORT_ZERO)  # probe the predecessor node
+            return MOVE_ZERO  # probe the predecessor node
         return STAY
 
     if rip == 5:
-        port = None
+        action = STAY
         if state.proceed == 1:
             if obs.alone:
                 state.leader = True
             state.proceed = 0
-            port = PORT_ONE
+            action = MOVE_ONE
         # bit bookkeeping for every electing robot, winners included
         if state.le_bit == state.max_size:
             state.pending_status = Status.ACTIVE_MERGE
         else:
             state.le_bit += 1
-        return Action(port)
+        return action
 
     return STAY
 
@@ -201,14 +207,14 @@ def active_merge_step(
 ) -> Action:
     if rip == 6:
         if state.leader:
-            return Action(PORT_ONE)
+            return MOVE_ONE
         return STAY
 
     if rip == 7:
         if state.leader and obs.alone:
             # empty successor: merging is complete, return and retire the sweep
             state.pending_status = Status.ACTIVE_DISPERSE
-            return Action(PORT_ZERO)
+            return MOVE_ZERO
         return STAY
 
     if rip == 8:
@@ -217,7 +223,7 @@ def active_merge_step(
             if obs.increase:
                 state.pending_status = Status.ACTIVE_DISPERSE
                 return STAY
-            return Action(PORT_ONE)
+            return MOVE_ONE
         # Repaired: follow the leader's observed departure, stop on its
         # observed return.  The literal increase=false test reads the flag
         # one round too late and makes a multi-group chain translate
@@ -226,7 +232,7 @@ def active_merge_step(
             state.pending_status = Status.ACTIVE_DISPERSE
             return STAY
         if state.decrease_at_7:
-            return Action(PORT_ONE)
+            return MOVE_ONE
         return STAY
 
     return STAY
@@ -237,16 +243,16 @@ def _leader_probe(state: RobotState, obs: Observation, rip: int) -> Action | Non
     if rip == 9:
         if state.leader and state.advance == 0 and not obs.alone:
             state.advance = 1
-            return Action(PORT_ONE)
+            return MOVE_ONE
         return STAY
     if rip == 10:
         if state.leader and state.advance == 1 and obs.alone:
-            return Action(PORT_ONE)
+            return MOVE_ONE
         return STAY
     if rip == 11:
         if state.leader and state.advance == 1 and obs.alone:
             state.advance = 0
-            return Action(PORT_ZERO)
+            return MOVE_ZERO
         return STAY
     return None
 
@@ -264,7 +270,7 @@ def _retreat_on_leader_arrival(state: RobotState, obs: Observation, ruleset: Rul
         arrived = obs.increase
     if arrived:
         state.pending_status = Status.PASSIVE
-        return Action(PORT_ZERO)
+        return MOVE_ZERO
     return STAY
 
 
@@ -292,18 +298,18 @@ def active_disperse_step(
             state.settle = 1
             return STAY
         # not alone: process the current label bit, then advance the cursor
-        port = None
+        action = STAY
         if state.current_disp_bit() == 1:
             state.move_var = 1
-            port = PORT_ONE
+            action = MOVE_ONE
         state.advance_disp_bit()
-        return Action(port)
+        return action
 
     if rip == 14:
         if state.move_var == 0 and obs.decrease:
             # a split happened; the stayers move forward to announce it
             state.move_var = 2
-            return Action(PORT_ONE)
+            return MOVE_ONE
         return STAY
 
     if rip == 15:
@@ -314,7 +320,7 @@ def active_disperse_step(
             # movers that saw no informer arrive learned that everyone
             # moved (no split); informers return after announcing
             state.pending_status = Status.PASSIVE
-            return Action(PORT_ZERO)
+            return MOVE_ZERO
         return STAY
 
     if rip == 17:
@@ -329,13 +335,13 @@ def active_disperse_step(
 
     if rip == 18:
         if state.settle == 1:
-            return Action(PORT_ONE)  # announce the coming retirement ahead
+            return MOVE_ONE  # announce the coming retirement ahead
         return STAY
 
     if rip == 19:
         if state.settle == 1:
             state.pending_status = Status.IDLE
-            return Action(PORT_ZERO)
+            return MOVE_ZERO
         return STAY
 
     return STAY
@@ -358,7 +364,7 @@ def passive_step(
 
     if rip == 16:
         if state.move_var == 1:
-            return Action(PORT_ZERO)
+            return MOVE_ZERO
         return STAY
 
     if rip == 17:
@@ -366,7 +372,7 @@ def passive_step(
             state.pending_status = Status.ACTIVE_DISPERSE
             return STAY
         state.pending_status = Status.JUMP
-        return Action(PORT_ONE)
+        return MOVE_ONE
 
     if rip == 19:
         if obs.increase:
@@ -378,7 +384,7 @@ def passive_step(
 
 def jump_step(state: RobotState, obs: Observation, rip: int, ruleset: Ruleset) -> Action:
     if rip == 14:
-        return Action(PORT_ONE)  # make room for the group that arrived
+        return MOVE_ONE  # make room for the group that arrived
     if rip == 17:
         if obs.decrease:
             state.pending_status = Status.WAIT  # landed on an occupied node

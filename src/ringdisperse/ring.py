@@ -63,9 +63,6 @@ class Placement:
         self.by_robot = dict(by_robot)
         self.counts = count_nodes(self.by_robot.values())
 
-    def count_at(self, node: int) -> int:
-        return self.counts.get(node, 0)
-
     def occupancy_vector(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.counts.items()))
 

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from ringdisperse.cli import main, read_trace, verify_trace_file, write_trace
+from ringdisperse.cli import _round_records, main, read_trace, verify_trace_file, write_trace
 from ringdisperse.engine import run
+from ringdisperse.perception import OBSERVATIONS
 from ringdisperse.scenario import gen_single_source, load_scenario
 from ringdisperse.verify import validate_trace
 
@@ -164,6 +165,41 @@ def test_verify_malformed_row_exits_input(rooted_scenario, tmp_path, capsys, lin
                  "--scenario", str(rooted_scenario)])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("convert", [
+    lambda bits: [int(b) for b in bits],
+    lambda bits: [float(b) for b in bits],
+    lambda bits: ["yes"] + bits[1:],
+    lambda bits: bits[:2],
+    lambda bits: bits + [False],
+    lambda bits: bits[0],
+], ids=["ints", "floats", "string", "two-bits", "four-bits", "not-a-list"])
+def test_verify_rejects_obs_entries_that_are_not_three_booleans(
+        rooted_scenario, tmp_path, capsys, convert):
+    # 1 == True and 0.0 == False, so the int and float forms would replay
+    # cleanly if they were read as observations
+    trace_path = tmp_path / "trace.jsonl"
+    main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path), "--verbose"])
+    lines = trace_path.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["obs"]["1"] = convert(row["obs"]["1"])
+    lines[1] = json.dumps(row)
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(trace_path), "--scenario", str(rooted_scenario)])
+    assert code == 4
+    assert "trace row 1 is malformed" in capsys.readouterr().err
+
+
+def test_read_observations_are_the_shared_values(rooted_scenario, tmp_path):
+    trace_path = tmp_path / "trace.jsonl"
+    main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path), "--verbose"])
+    _, rows = read_trace(trace_path)
+    observations = [obs for record in _round_records(rows)
+                    for obs in record.observations.values()]
+    assert observations
+    assert all(any(obs is shared for shared in OBSERVATIONS) for obs in observations)
 
 
 def _traced_file_size(n, tmp_path):

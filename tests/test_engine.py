@@ -258,6 +258,39 @@ def test_wake_schedule_matches_stepping_every_robot(sample_647, ruleset, monkeyp
         assert oracle.trace.phase_snapshots == outcome.trace.phase_snapshots, scenario
 
 
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_unrecorded_run_keeps_no_trace_and_the_same_verdict(sample_647, ruleset):
+    for scenario in sample_647:
+        recorded = run(scenario, ruleset)
+        unrecorded = run(scenario, ruleset, record_rounds=False)
+        assert unrecorded.trace.records == [], scenario
+        assert unrecorded.trace.phase_snapshots == [], scenario
+        assert unrecorded.result is recorded.result, scenario
+        assert unrecorded.trace.result is recorded.result, scenario
+        assert unrecorded.rounds_used == recorded.rounds_used, scenario
+        assert unrecorded.phases_used == recorded.phases_used, scenario
+        assert unrecorded.final_placement == recorded.final_placement, scenario
+
+
+def test_snapshot_for_raises_without_a_snapshot():
+    scenario = make_scenario(4, 3, [(1, 0), (2, 0)])
+    unrecorded = run(scenario, record_rounds=False).trace
+    with pytest.raises(ValueError, match="no snapshot for phase 2"):
+        unrecorded.snapshot_for(2)
+    recorded = run(scenario).trace
+    assert recorded.snapshot_for(1).phase == 1
+    for phase in (0, len(recorded.phase_snapshots) + 1):
+        with pytest.raises(ValueError, match=f"no snapshot for phase {phase}"):
+            recorded.snapshot_for(phase)
+
+
+def test_snapshot_for_raises_on_a_misplaced_snapshot():
+    trace = run(make_scenario(4, 3, [(1, 0), (2, 0)])).trace
+    del trace.phase_snapshots[1]
+    with pytest.raises(ValueError, match="stored for phase 2 is of phase 3"):
+        trace.snapshot_for(2)
+
+
 @st.composite
 def rotated_scenarios(draw):
     """A scenario on a ring of 3..9 nodes and the same scenario rotated by

@@ -46,7 +46,7 @@ def test_apply_moves_allows_colocation():
     p = Placement(5, {1: 0, 2: 1})
     q = p.apply_moves({1: PORT_ONE})
     assert q.by_robot == {1: 1, 2: 1}
-    assert q.count_at(1) == 2
+    assert q.counts[1] == 2
 
 
 def test_apply_moves_unknown_robot():
@@ -73,7 +73,7 @@ def test_apply_moves_order_independent_and_conserving(n, robots, data):
     assert sum(count for _, count in q.occupancy_vector()) == len(robots)
     # the counts stay consistent with the robot-to-node map
     for node in q.by_robot.values():
-        assert q.count_at(node) == list(q.by_robot.values()).count(node)
+        assert q.counts[node] == list(q.by_robot.values()).count(node)
 
 
 def test_ring_distance_wraps():
