@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringdisperse.engine import ROUNDS_PER_PHASE, Engine
-from ringdisperse.perception import Observation
+from ringdisperse.perception import OBSERVATIONS, Observation
 from ringdisperse.protocol import (
     EFFECTIVE_PARTICIPATION,
     LEADER_ROUNDS,
@@ -150,10 +150,6 @@ def test_wake_table_is_the_participation_table():
             assert wake_rounds(status, leader) == rounds, (status, leader)
 
 
-ALL_OBSERVATIONS = tuple(
-    Observation(*bits) for bits in itertools.product((False, True), repeat=3))
-
-
 @st.composite
 def phase_fields(draw):
     """Every RobotState field but status and leader, over its whole range."""
@@ -186,7 +182,7 @@ def test_step_is_a_no_op_outside_the_wake_rounds(fields):
         held = {leader, True} if status is Status.LEADER_ELECTION else {leader}
         woken = wake_rounds(status, leader)
         for now_leader, rip, ruleset, observation in itertools.product(
-                held, range(1, ROUNDS_PER_PHASE + 1), Ruleset, ALL_OBSERVATIONS):
+                held, range(1, ROUNDS_PER_PHASE + 1), Ruleset, OBSERVATIONS):
             state = RobotState(status=status, leader=now_leader, **fields)
             before = dataclasses.replace(state)
             action = step(state, observation, rip, ruleset)
