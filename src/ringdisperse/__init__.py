@@ -16,7 +16,6 @@ from .scenario import (
 from .verify import (
     Violation,
     check_invariants,
-    displacement_bound,
     exhaustive_search,
     minimize_scenario,
     validate_trace,
@@ -40,7 +39,6 @@ __all__ = [
     "render_scenario",
     "Violation",
     "check_invariants",
-    "displacement_bound",
     "exhaustive_search",
     "minimize_scenario",
     "validate_trace",

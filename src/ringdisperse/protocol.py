@@ -1,20 +1,24 @@
-"""Per-round decision rules: the six status subroutines and round gating.
+"""Per-round decision rules, one per (status, round) cell, and round gating.
 
-Each phase is 19 synchronous rounds.  A robot runs the subroutine matching
-its status at the phase start; a status change decided mid-phase is held
-in ``pending_status`` and committed only at the phase boundary.  The
-``Ruleset`` switch selects between the literal rules and a repaired
-variant that fixes four flag-timing defects (see the clause comments).
+Each phase is 19 synchronous rounds.  ``RULES[status][round]`` is the
+rule a robot runs in that round given its status at the phase start: the
+one copy of the per-round rules, from which the participation tables are
+derived.  A status change decided mid-phase is held in ``pending_status``
+and committed only at the phase boundary.  The ``Ruleset`` switch selects
+between the literal rules and a repaired variant that fixes four
+flag-timing defects (see the clause comments).
 
 ``step`` is the one place that decides and writes a robot's state within
 a round, and ``PARTICIPATION``, keyed by the status and leader flag, is
-the one place that decides in which rounds it does.  A robot that sits
-out a round perceives it but keeps nothing: ``step`` returns STAY and
-changes no field.  A robot that takes part first latches the two bits
-that repaired rules read later, a decrease in round 7 (merge follow) and
-an increase in rounds 10-12 (retreat), then runs its subroutine, then
-counts a move of a dispersal status in ``net_disp``.  Every robot that
-reads a latch takes part in the rounds that set it: the non-leader
+the one place that decides in which rounds it does: a leader in
+``LEADER_ROUNDS`` (staying where its status has no rule), an idle robot
+never, anyone else in the rounds its status has a rule for.  A robot
+that sits out a round perceives it but keeps nothing: ``step`` returns
+STAY and changes no field.  A robot that takes part first latches the
+two bits that repaired rules read later, a decrease in round 7 (merge
+follow) and an increase in rounds 10-12 (retreat), then runs its rule,
+then counts a move of a dispersal status in ``net_disp``.  Every robot
+that reads a latch takes part in the rounds that set it: the non-leader
 active-merge robots read ``decrease_at_7`` in round 8 and take part in
 round 7, and the non-leader active-disperse and passive robots read
 ``increase_in_10_12`` in round 12 and take part in rounds 10-12.
@@ -37,7 +41,7 @@ placement and committed simultaneously by the engine.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .perception import Observation
 from .ring import PORT_ONE, PORT_ZERO
@@ -55,14 +59,14 @@ class Action(NamedTuple):
     port: int | None
 
 
-# the only three actions: every subroutine returns one of these constants
+# the only three actions: every rule returns one of these constants
 STAY = Action(None)
 MOVE_ZERO = Action(PORT_ZERO)
 MOVE_ONE = Action(PORT_ONE)
 
 # Published participation table (status column x round), kept verbatim as
-# documentation.  Where it contradicts the subroutines the subroutines
-# govern; the effective table below carries the corrections.
+# documentation.  Where it contradicts the rules the rules govern; the
+# effective table derived from them carries the corrections.
 PAPER_PARTICIPATION: dict[Status, frozenset[int]] = {
     Status.LEADER_ELECTION: frozenset({1, 2, 3, 4, 5}),
     Status.ACTIVE_MERGE: frozenset({6, 7, 8}),
@@ -73,18 +77,12 @@ PAPER_PARTICIPATION: dict[Status, frozenset[int]] = {
     Status.IDLE: frozenset(),
 }
 
-# The wait/jump columns at round 14 are swapped relative to the
-# subroutines: a jump robot moves in round 14, a wait robot never moves.
+# The wait/jump columns at round 14 are swapped relative to the rules: a
+# jump robot moves in round 14, a wait robot never moves.
 PARTICIPATION_CONFLICTS: tuple[tuple[Status, int], ...] = (
     (Status.WAIT, 14),
     (Status.JUMP, 14),
 )
-
-EFFECTIVE_PARTICIPATION: dict[Status, frozenset[int]] = {
-    **PAPER_PARTICIPATION,
-    Status.WAIT: frozenset({17}),
-    Status.JUMP: frozenset({14, 17}),
-}
 
 # A leader acts only in these rounds, regardless of status: the election
 # wrap-up, the merge sweep, and the forward probe.  In particular a leader
@@ -96,165 +94,130 @@ LEADER_ROUNDS = frozenset({5, 6, 7, 9, 10, 11})
 # increase in rounds 10-12.
 LATCH_ROUNDS = frozenset({7, 10, 11, 12})
 
-# The rounds in which a robot takes part, by (status, leader flag): a
-# leader takes part in its own rounds, anyone else by status, and an idle
-# robot never.
-PARTICIPATION: dict[tuple[Status, bool], frozenset[int]] = {
-    (status, leader): frozenset() if status is Status.IDLE
-    else LEADER_ROUNDS if leader else rounds
-    for status, rounds in EFFECTIVE_PARTICIPATION.items()
-    for leader in (False, True)
-}
-
-_WAKE_ROUNDS = {
-    (status, leader): rounds | LEADER_ROUNDS if status is Status.LEADER_ELECTION else rounds
-    for (status, leader), rounds in PARTICIPATION.items()
-}
+# one status's decision in one round; it may write the state it is given
+Rule = Callable[[RobotState, Observation, Ruleset], Action]
 
 
-def wake_rounds(status: Status, leader: bool) -> frozenset[int]:
-    """The rounds of a phase in which ``step`` may act on a robot that
-    starts the phase with this status and leader flag (see the module
-    docstring); in every other round ``step`` is a no-op for it."""
-    return _WAKE_ROUNDS[status, leader]
+# -- leader election, rounds 1-5 ----------------------------------------------
 
 
-def participates(state: RobotState | StateSnapshot, round_in_phase: int) -> bool:
-    return round_in_phase in PARTICIPATION[state.status, state.leader]
+def _elect_alone_or_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if obs.alone and state.proceed == 0:
+        state.leader = True
+    elif state.proceed == 0 and bit_at(state.label, state.le_bit, state.max_size) == 1:
+        # split: robots whose current bit is 1 step forward
+        state.proceed = 1
+        return MOVE_ONE
+    return STAY
 
 
-def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Ruleset) -> Action:
-    """Decide one robot's action for this round; mutates ``state``."""
-    # the gate of participates(), inlined: step runs once per woken robot-round
-    if round_in_phase not in PARTICIPATION[state.status, state.leader]:
+def _inform_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.proceed == 0 and obs.decrease:
+        # the stayers detected the split and move forward to inform;
+        # move_var marks them as this phase's informers so that round 3
+        # returns only them, never a retiree from an earlier phase
+        state.proceed = 2
+        state.move_var = 2
+        return MOVE_ONE
+    return STAY
+
+
+def _return_from_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    informer = state.proceed == 2 and state.move_var == 2
+    if ruleset is Ruleset.REPAIRED:
+        # always return and keep candidacy: the informers' signal can be
+        # cancelled by a neighbouring group's arrivals (net-change
+        # blindspot), so increase=false must not disqualify a candidate
+        if state.proceed == 1 or informer:
+            return MOVE_ZERO
         return STAY
-    # the latches read by repairs 1 and 2; apply_pending_status clears them
-    # at the phase boundary
-    if round_in_phase in LATCH_ROUNDS:
-        if round_in_phase == 7:
-            if obs.decrease:
-                state.decrease_at_7 = True
-        elif obs.increase:
-            state.increase_in_10_12 = True
-    action = _SUBROUTINES[state.status](state, obs, round_in_phase, ruleset)
-    if action is not STAY and state.status in DISPERSAL_STATUSES:
-        state.net_disp += 1 if action is MOVE_ONE else -1
+    if (state.proceed == 1 and obs.increase) or informer:
+        return MOVE_ZERO
+    if state.proceed == 1 and not obs.increase:
+        state.proceed = 0
+        return MOVE_ZERO
+    return STAY
+
+
+def _probe_predecessor(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.proceed == 1:
+        return MOVE_ZERO  # probe the predecessor node
+    return STAY
+
+
+def _election_result(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    action = STAY
+    if state.proceed == 1:
+        if obs.alone:
+            state.leader = True
+        state.proceed = 0
+        action = MOVE_ONE
+    # bit bookkeeping for every electing robot, winners included
+    if state.le_bit == state.max_size:
+        state.pending_status = Status.ACTIVE_MERGE
+    else:
+        state.le_bit += 1
     return action
 
 
-def leader_election_step(
-    state: RobotState, obs: Observation, rip: int, ruleset: Ruleset
-) -> Action:
-    if rip == 1:
-        if obs.alone and state.proceed == 0:
-            state.leader = True
-        elif state.proceed == 0 and bit_at(state.label, state.le_bit, state.max_size) == 1:
-            # split: robots whose current bit is 1 step forward
-            state.proceed = 1
-            return MOVE_ONE
-        return STAY
+# -- active merge, rounds 6-8 -------------------------------------------------
 
-    if rip == 2:
-        if state.proceed == 0 and obs.decrease:
-            # the stayers detected the split and move forward to inform;
-            # move_var marks them as this phase's informers so that round 3
-            # returns only them, never a retiree from an earlier phase
-            state.proceed = 2
-            state.move_var = 2
-            return MOVE_ONE
-        return STAY
 
-    if rip == 3:
-        informer = state.proceed == 2 and state.move_var == 2
-        if ruleset is Ruleset.REPAIRED:
-            # always return and keep candidacy: the informers' signal can be
-            # cancelled by a neighbouring group's arrivals (net-change
-            # blindspot), so increase=false must not disqualify a candidate
-            if state.proceed == 1 or informer:
-                return MOVE_ZERO
-            return STAY
-        if (state.proceed == 1 and obs.increase) or informer:
-            return MOVE_ZERO
-        if state.proceed == 1 and not obs.increase:
-            state.proceed = 0
-            return MOVE_ZERO
-        return STAY
-
-    if rip == 4:
-        if state.proceed == 1:
-            return MOVE_ZERO  # probe the predecessor node
-        return STAY
-
-    if rip == 5:
-        action = STAY
-        if state.proceed == 1:
-            if obs.alone:
-                state.leader = True
-            state.proceed = 0
-            action = MOVE_ONE
-        # bit bookkeeping for every electing robot, winners included
-        if state.le_bit == state.max_size:
-            state.pending_status = Status.ACTIVE_MERGE
-        else:
-            state.le_bit += 1
-        return action
-
+def _merge_sweep_out(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.leader:
+        return MOVE_ONE
     return STAY
 
 
-def active_merge_step(
-    state: RobotState, obs: Observation, rip: int, ruleset: Ruleset
-) -> Action:
-    if rip == 6:
-        if state.leader:
-            return MOVE_ONE
-        return STAY
+def _merge_sweep_end(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.leader and obs.alone:
+        # empty successor: merging is complete, return and retire the sweep
+        state.pending_status = Status.ACTIVE_DISPERSE
+        return MOVE_ZERO
+    return STAY
 
-    if rip == 7:
-        if state.leader and obs.alone:
-            # empty successor: merging is complete, return and retire the sweep
-            state.pending_status = Status.ACTIVE_DISPERSE
-            return MOVE_ZERO
-        return STAY
 
-    if rip == 8:
-        # non-leaders only; the leader is gated out of round 8
-        if ruleset is Ruleset.LITERAL:
-            if obs.increase:
-                state.pending_status = Status.ACTIVE_DISPERSE
-                return STAY
-            return MOVE_ONE
-        # Repaired: follow the leader's observed departure, stop on its
-        # observed return.  The literal increase=false test reads the flag
-        # one round too late and makes a multi-group chain translate
-        # rigidly forever.  Stop takes precedence over follow.
+def _merge_follow(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    # non-leaders only; the leader is gated out of round 8
+    if ruleset is Ruleset.LITERAL:
         if obs.increase:
             state.pending_status = Status.ACTIVE_DISPERSE
             return STAY
-        if state.decrease_at_7:
-            return MOVE_ONE
+        return MOVE_ONE
+    # Repaired: follow the leader's observed departure, stop on its
+    # observed return.  The literal increase=false test reads the flag
+    # one round too late and makes a multi-group chain translate
+    # rigidly forever.  Stop takes precedence over follow.
+    if obs.increase:
+        state.pending_status = Status.ACTIVE_DISPERSE
         return STAY
-
+    if state.decrease_at_7:
+        return MOVE_ONE
     return STAY
 
 
-def _leader_probe(state: RobotState, obs: Observation, rip: int) -> Action | None:
-    """Rounds 9-11: the leader keeps one empty node ahead of its group."""
-    if rip == 9:
-        if state.leader and state.advance == 0 and not obs.alone:
-            state.advance = 1
-            return MOVE_ONE
-        return STAY
-    if rip == 10:
-        if state.leader and state.advance == 1 and obs.alone:
-            return MOVE_ONE
-        return STAY
-    if rip == 11:
-        if state.leader and state.advance == 1 and obs.alone:
-            state.advance = 0
-            return MOVE_ZERO
-        return STAY
-    return None
+# -- rounds 9-12, shared by active-disperse and passive -----------------------
+# Rounds 9-11: the leader keeps one empty node ahead of its group.
+
+
+def _probe_ahead(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.leader and state.advance == 0 and not obs.alone:
+        state.advance = 1
+        return MOVE_ONE
+    return STAY
+
+
+def _probe_onward(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.leader and state.advance == 1 and obs.alone:
+        return MOVE_ONE
+    return STAY
+
+
+def _probe_back(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.leader and state.advance == 1 and obs.alone:
+        state.advance = 0
+        return MOVE_ZERO
+    return STAY
 
 
 def _retreat_on_leader_arrival(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
@@ -274,137 +237,210 @@ def _retreat_on_leader_arrival(state: RobotState, obs: Observation, ruleset: Rul
     return STAY
 
 
-def active_disperse_step(
-    state: RobotState, obs: Observation, rip: int, ruleset: Ruleset
-) -> Action:
-    if rip in (9, 10, 11):
-        probe = _leader_probe(state, obs, rip)
-        return probe if probe is not None else STAY
+# -- active disperse, rounds 13-19 --------------------------------------------
 
-    if rip == 12:
-        return _retreat_on_leader_arrival(state, obs, ruleset)
 
-    if rip == 13:
-        if obs.alone and state.start == 0:
-            # Repaired: only a robot still at its dispersal start node (the
-            # rear of its chain) may arm the retirement timer on its own;
-            # everyone else waits for the predecessor's round-18 visit.
-            # The literal alone-twice rule retires inner robots early, and
-            # a later split landing on an idle node then sticks forever.
-            if ruleset is Ruleset.LITERAL or state.net_disp == 0:
-                state.start = 1
-            return STAY
-        if obs.alone and state.start == 1:
-            state.settle = 1
-            return STAY
-        # not alone: process the current label bit, then advance the cursor
-        action = STAY
-        if state.current_disp_bit() == 1:
-            state.move_var = 1
-            action = MOVE_ONE
-        state.advance_disp_bit()
-        return action
-
-    if rip == 14:
-        if state.move_var == 0 and obs.decrease:
-            # a split happened; the stayers move forward to announce it
-            state.move_var = 2
-            return MOVE_ONE
+def _split_or_settle(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if obs.alone and state.start == 0:
+        # Repaired: only a robot still at its dispersal start node (the
+        # rear of its chain) may arm the retirement timer on its own;
+        # everyone else waits for the predecessor's round-18 visit.
+        # The literal alone-twice rule retires inner robots early, and
+        # a later split landing on an idle node then sticks forever.
+        if ruleset is Ruleset.LITERAL or state.net_disp == 0:
+            state.start = 1
         return STAY
-
-    if rip == 15:
-        if state.move_var == 0:
-            state.pending_status = Status.PASSIVE
-            return STAY
-        if (state.move_var == 1 and not obs.increase) or state.move_var == 2:
-            # movers that saw no informer arrive learned that everyone
-            # moved (no split); informers return after announcing
-            state.pending_status = Status.PASSIVE
-            return MOVE_ZERO
+    if obs.alone and state.start == 1:
+        state.settle = 1
         return STAY
-
-    if rip == 17:
-        if state.move_var == 1:
-            if obs.decrease:
-                # the occupants vacated in round 16: this node was taken
-                state.pending_status = Status.WAIT
-            # else: landed on an empty node, stay active; leave any pending
-            # set earlier in the phase untouched
-            state.start = 0
-        return STAY
-
-    if rip == 18:
-        if state.settle == 1:
-            return MOVE_ONE  # announce the coming retirement ahead
-        return STAY
-
-    if rip == 19:
-        if state.settle == 1:
-            state.pending_status = Status.IDLE
-            return MOVE_ZERO
-        return STAY
-
-    return STAY
+    # not alone: process the current label bit, then advance the cursor
+    action = STAY
+    if state.current_disp_bit() == 1:
+        state.move_var = 1
+        action = MOVE_ONE
+    state.advance_disp_bit()
+    return action
 
 
-def passive_step(
-    state: RobotState, obs: Observation, rip: int, ruleset: Ruleset
-) -> Action:
-    if rip in (9, 10, 11):
-        probe = _leader_probe(state, obs, rip)
-        return probe if probe is not None else STAY
-
-    if rip == 12:
-        return _retreat_on_leader_arrival(state, obs, ruleset)
-
-    if rip == 15:
-        if obs.increase:
-            state.move_var = 1  # an incoming group arrived: vacate next round
-        return STAY
-
-    if rip == 16:
-        if state.move_var == 1:
-            return MOVE_ZERO
-        return STAY
-
-    if rip == 17:
-        if state.move_var == 0:
-            state.pending_status = Status.ACTIVE_DISPERSE
-            return STAY
-        state.pending_status = Status.JUMP
+def _announce_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.move_var == 0 and obs.decrease:
+        # a split happened; the stayers move forward to announce it
+        state.move_var = 2
         return MOVE_ONE
-
-    if rip == 19:
-        if obs.increase:
-            state.start = 1  # the predecessor announced it will retire
-        return STAY
-
     return STAY
 
 
-def jump_step(state: RobotState, obs: Observation, rip: int, ruleset: Ruleset) -> Action:
-    if rip == 14:
-        return MOVE_ONE  # make room for the group that arrived
-    if rip == 17:
-        if obs.decrease:
-            state.pending_status = Status.WAIT  # landed on an occupied node
-        else:
-            state.pending_status = Status.ACTIVE_DISPERSE
-        return STAY
-    return STAY
-
-
-def wait_step(state: RobotState, obs: Observation, rip: int, ruleset: Ruleset) -> Action:
-    if rip == 17:
+def _split_outcome(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.move_var == 0:
         state.pending_status = Status.PASSIVE
+        return STAY
+    if (state.move_var == 1 and not obs.increase) or state.move_var == 2:
+        # movers that saw no informer arrive learned that everyone
+        # moved (no split); informers return after announcing
+        state.pending_status = Status.PASSIVE
+        return MOVE_ZERO
     return STAY
 
 
-_SUBROUTINES = {
-    Status.LEADER_ELECTION: leader_election_step,
-    Status.ACTIVE_MERGE: active_merge_step,
-    Status.ACTIVE_DISPERSE: active_disperse_step,
-    Status.PASSIVE: passive_step,
-    Status.WAIT: wait_step,
-    Status.JUMP: jump_step,
+def _mover_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.move_var == 1:
+        if obs.decrease:
+            # the occupants vacated in round 16: this node was taken
+            state.pending_status = Status.WAIT
+        # else: landed on an empty node, stay active; leave any pending
+        # set earlier in the phase untouched
+        state.start = 0
+    return STAY
+
+
+def _announce_retirement(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.settle == 1:
+        return MOVE_ONE  # announce the coming retirement ahead
+    return STAY
+
+
+def _retire(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.settle == 1:
+        state.pending_status = Status.IDLE
+        return MOVE_ZERO
+    return STAY
+
+
+# -- passive, rounds 15-19 ----------------------------------------------------
+
+
+def _hear_arrival(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if obs.increase:
+        state.move_var = 1  # an incoming group arrived: vacate next round
+    return STAY
+
+
+def _vacate(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.move_var == 1:
+        return MOVE_ZERO
+    return STAY
+
+
+def _reactivate_or_jump(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if state.move_var == 0:
+        state.pending_status = Status.ACTIVE_DISPERSE
+        return STAY
+    state.pending_status = Status.JUMP
+    return MOVE_ONE
+
+
+def _hear_retirement(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if obs.increase:
+        state.start = 1  # the predecessor announced it will retire
+    return STAY
+
+
+# -- jump and wait ------------------------------------------------------------
+
+
+def _make_room(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    return MOVE_ONE  # make room for the group that arrived
+
+
+def _jump_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    if obs.decrease:
+        state.pending_status = Status.WAIT  # landed on an occupied node
+    else:
+        state.pending_status = Status.ACTIVE_DISPERSE
+    return STAY
+
+
+def _end_wait(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    state.pending_status = Status.PASSIVE
+    return STAY
+
+
+# The rounds 9-12 rules of active-disperse and passive: the leader's
+# forward probe and the retreat from a foreign leader.
+_PROBE_AND_RETREAT: dict[int, Rule] = {
+    9: _probe_ahead, 10: _probe_onward, 11: _probe_back, 12: _retreat_on_leader_arrival,
 }
+
+# RULES[status][round]: the rule a robot with this status at the phase
+# start runs in this round, the one copy of the per-round rules.
+RULES: dict[Status, dict[int, Rule]] = {
+    Status.LEADER_ELECTION: {1: _elect_alone_or_split, 2: _inform_split,
+                             3: _return_from_split, 4: _probe_predecessor,
+                             5: _election_result},
+    Status.ACTIVE_MERGE: {6: _merge_sweep_out, 7: _merge_sweep_end, 8: _merge_follow},
+    Status.ACTIVE_DISPERSE: {**_PROBE_AND_RETREAT, 13: _split_or_settle,
+                             14: _announce_split, 15: _split_outcome, 17: _mover_landing,
+                             18: _announce_retirement, 19: _retire},
+    Status.PASSIVE: {**_PROBE_AND_RETREAT, 15: _hear_arrival, 16: _vacate,
+                     17: _reactivate_or_jump, 19: _hear_retirement},
+    Status.WAIT: {17: _end_wait},
+    Status.JUMP: {14: _make_room, 17: _jump_landing},
+    Status.IDLE: {},
+}
+
+
+def _no_op(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+    """A leader round with no rule for the leader's status."""
+    return STAY
+
+
+# The rounds each status has a rule for: the paper's table with the
+# PARTICIPATION_CONFLICTS corrected.
+EFFECTIVE_PARTICIPATION: dict[Status, frozenset[int]] = {
+    status: frozenset(rules) for status, rules in RULES.items()
+}
+
+# The rounds in which a robot takes part, by (status, leader flag): a
+# leader takes part in its own rounds, anyone else by status, and an idle
+# robot never.
+PARTICIPATION: dict[tuple[Status, bool], frozenset[int]] = {
+    (status, leader): frozenset() if status is Status.IDLE
+    else LEADER_ROUNDS if leader else rounds
+    for status, rounds in EFFECTIVE_PARTICIPATION.items()
+    for leader in (False, True)
+}
+
+_WAKE_ROUNDS = {
+    (status, leader): rounds | LEADER_ROUNDS if status is Status.LEADER_ELECTION else rounds
+    for (status, leader), rounds in PARTICIPATION.items()
+}
+
+# The rule step runs, by (status, leader flag) and then round: exactly the
+# rounds of PARTICIPATION, each with its status's rule or, in a leader
+# round the status has no rule for, the no-op.
+_DISPATCH: dict[tuple[Status, bool], dict[int, Rule]] = {
+    (status, leader): {rip: RULES[status].get(rip, _no_op) for rip in rounds}
+    for (status, leader), rounds in PARTICIPATION.items()
+}
+
+
+def wake_rounds(status: Status, leader: bool) -> frozenset[int]:
+    """The rounds of a phase in which ``step`` may act on a robot that
+    starts the phase with this status and leader flag (see the module
+    docstring); in every other round ``step`` is a no-op for it."""
+    return _WAKE_ROUNDS[status, leader]
+
+
+def participates(state: RobotState | StateSnapshot, round_in_phase: int) -> bool:
+    return round_in_phase in PARTICIPATION[state.status, state.leader]
+
+
+def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Ruleset) -> Action:
+    """Decide one robot's action for this round; mutates ``state``."""
+    # the gate of participates() and the rule lookup in one: step runs once
+    # per woken robot-round
+    rule = _DISPATCH[state.status, state.leader].get(round_in_phase)
+    if rule is None:
+        return STAY
+    # the latches read by repairs 1 and 2; apply_pending_status clears them
+    # at the phase boundary
+    if round_in_phase in LATCH_ROUNDS:
+        if round_in_phase == 7:
+            if obs.decrease:
+                state.decrease_at_7 = True
+        elif obs.increase:
+            state.increase_in_10_12 = True
+    action = rule(state, obs, ruleset)
+    if action is not STAY and state.status in DISPERSAL_STATUSES:
+        state.net_disp += 1 if action is MOVE_ONE else -1
+    return action

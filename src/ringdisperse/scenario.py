@@ -108,11 +108,6 @@ def load_scenario(path) -> Scenario:
         return parse_scenario(fh.read())
 
 
-def save_scenario(s: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_scenario(s))
-
-
 def gen_single_source(n: int, k: int, max_label: int, seed: int) -> Scenario:
     """All k robots on node 0 with distinct random labels from [0, L]."""
     if k > max_label + 1:

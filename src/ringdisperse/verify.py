@@ -8,16 +8,17 @@ crashes: the harness exists to surface them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
-from .engine import ROUNDS_PER_PHASE, RunOutcome, RunResult, Trace, phase_budget, run  # noqa: F401
+from .engine import ROUNDS_PER_PHASE, RunResult, Trace, phase_budget, run
 from .perception import observe
 from .protocol import participates
-from .ring import PORT_ONE, PORT_ZERO, move_target, occupancy_cells, ring_distance, succ
+from .ring import PORT_ONE, PORT_ZERO, move_target, occupancy_cells, succ
 from .robots import LEGAL_TRANSITIONS, Status, max_label_bits
 from .scenario import Scenario, make_scenario
 
@@ -428,27 +429,6 @@ def check_invariants(trace: Trace) -> list[Violation]:
                                    trace.result) if v.kind not in REPLAY_KINDS]
 
 
-def displacement_bound(outcome: RunOutcome, scenario: Scenario) -> bool:
-    """Pigeonhole sanity for dispersed single-source runs.
-
-    k robots on distinct nodes force someone at ring distance at least
-    ceil((k-1)/2) from the source, and at least that many rounds.
-    """
-    starts = {node for _, node in scenario.robots}
-    if len(starts) != 1:
-        raise ValueError("displacement bound applies to single-source scenarios only")
-    if not outcome.dispersed:
-        raise ValueError("displacement bound applies to dispersed runs only")
-    source = next(iter(starts))
-    k = scenario.k
-    bound = -(-(k - 1) // 2)  # ceil((k-1)/2)
-    max_dist = max(
-        ring_distance(scenario.n, source, node)
-        for node in outcome.final_placement.by_robot.values()
-    )
-    return max_dist >= bound and outcome.rounds_used >= bound
-
-
 # ---------------------------------------------------------------------------
 # exhaustive small-instance search
 
@@ -569,14 +549,6 @@ def evaluate_scenario(
     )
 
 
-def _worker(args) -> ScenarioOutcome:
-    n, l_max, robots, ruleset, validate, invariants = args
-    from .protocol import Ruleset
-
-    scenario = make_scenario(n, l_max, robots)
-    return evaluate_scenario(scenario, Ruleset(ruleset), validate, invariants)
-
-
 def worker_count() -> int:
     """``RINGDISPERSE_WORKERS`` clamped to [1, cpu count]; the cpu count when unset."""
     cpus = os.cpu_count() or 1
@@ -606,11 +578,9 @@ def evaluate_many(
     workers: int | None = None,
 ) -> list[ScenarioOutcome]:
     """Evaluate scenarios across a worker pool, results in input order."""
-    jobs = [
-        (s.n, s.max_label, s.robots, ruleset.value, validate, invariants)
-        for s in scenarios
-    ]
-    return map_jobs(_worker, jobs, workers, chunksize=64, serial_max=64)
+    evaluate = functools.partial(
+        evaluate_scenario, ruleset=ruleset, validate=validate, invariants=invariants)
+    return map_jobs(evaluate, list(scenarios), workers, chunksize=64, serial_max=64)
 
 
 def exhaustive_search(
@@ -618,20 +588,12 @@ def exhaustive_search(
     k_max: int,
     l_max: int,
     ruleset,
-    validate: bool = True,
-    invariants: bool = True,
     minimize: bool = True,
     workers: int | None = None,
 ) -> SearchReport:
     """Run every small instance; tally outcomes and minimize failures."""
     report = SearchReport(n_max, k_max, l_max, ruleset.value)
-    results = evaluate_many(
-        enumerate_scenarios(n_max, k_max, l_max),
-        ruleset,
-        validate=validate,
-        invariants=invariants,
-        workers=workers,
-    )
+    results = evaluate_many(enumerate_scenarios(n_max, k_max, l_max), ruleset, workers=workers)
     for outcome in results:
         report.total += 1
         key = outcome.result.value

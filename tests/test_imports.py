@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and every name the package exports exists.
 
 Built on ``ast`` alone, so it needs no linter.  ``__init__.py``
 re-exports by design and is skipped, as is any import line marked
@@ -9,6 +10,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import ringdisperse
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ringdisperse"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -41,3 +44,8 @@ def test_unused_import_is_reported():
     source = "import os\nfrom .verify import worker_count, map_jobs\nmap_jobs()\n"
     assert unused_imports(source) == ["line 1: os", "line 2: worker_count"]
     assert unused_imports("import os  # noqa: F401\n") == []
+
+
+def test_every_export_resolves():
+    assert len(set(ringdisperse.__all__)) == len(ringdisperse.__all__)
+    assert [name for name in ringdisperse.__all__ if not hasattr(ringdisperse, name)] == []

@@ -137,6 +137,17 @@ def test_participation_table_conflicts_are_annotated():
     assert 14 not in EFFECTIVE_PARTICIPATION[Status.WAIT]
 
 
+def test_participation_conflicts_are_every_difference_from_the_paper():
+    # a rule in a round the paper's table leaves out, or a paper round with
+    # no rule, must be annotated as a conflict
+    differences = {
+        (status, rip)
+        for status in Status
+        for rip in PAPER_PARTICIPATION[status] ^ EFFECTIVE_PARTICIPATION[status]
+    }
+    assert differences == set(PARTICIPATION_CONFLICTS)
+
+
 def test_wake_table_is_the_participation_table():
     assert PARTICIPATION[Status.IDLE, False] == PARTICIPATION[Status.IDLE, True] == frozenset()
     for status in Status:

@@ -1,4 +1,4 @@
-"""Validator, invariant suite, displacement bound, search and shrinking."""
+"""Validator, invariant suite, search and shrinking."""
 
 import dataclasses
 import itertools
@@ -16,7 +16,6 @@ from ringdisperse.robots import Status
 from ringdisperse.scenario import gen_chain, make_scenario
 from ringdisperse.verify import (
     check_invariants,
-    displacement_bound,
     enumerate_scenarios,
     estimate_enumeration,
     evaluate_many,
@@ -156,21 +155,6 @@ def test_singleton_front_group_elects_twice():
     outcome = run(scenario, Ruleset.REPAIRED)
     kinds = {v.kind for v in check_invariants(outcome.trace)}
     assert "unique-leader" in kinds
-
-
-def test_displacement_bound_on_rooted_runs():
-    for k, labels in ((2, (1, 2)), (4, (1, 2, 3, 4)), (1, (1,))):
-        scenario = make_scenario(8, 7, [(lab, 0) for lab in labels])
-        outcome = run(scenario, Ruleset.REPAIRED)
-        assert outcome.result is RunResult.DISPERSED
-        assert displacement_bound(outcome, scenario)
-
-
-def test_displacement_bound_rejects_multi_source():
-    scenario = make_scenario(6, 7, [(1, 0), (2, 3)])
-    outcome = run(scenario, Ruleset.REPAIRED)
-    with pytest.raises(ValueError, match="single-source"):
-        displacement_bound(outcome, scenario)
 
 
 def test_enumeration_counts_and_canonicalization():
