@@ -1,25 +1,43 @@
 """Synchronous executor: round loop, perception delivery, simultaneous
-commit, trace recording, termination and livelock detection.
+commit, termination and livelock detection, and the feed of each round to
+a sink.
 
-The engine schedules, observes, commits and records; ``protocol.step``
+The engine schedules, observes, commits and hands on; ``protocol.step``
 decides and writes every robot's state.  At round 1 of every phase the
 engine reads each robot's status and leader flag and builds a wake
 schedule from ``protocol.wake_rounds``: per round of the phase, the
 robots ``step`` may act on.  A skipped call is one that would have
-returned STAY and changed nothing.  An unrecorded round observes and
-steps the woken robots only.  A recorded round observes every robot,
-because its record keeps every observation for the replay, and steps the
-woken ones.
+returned STAY and changed nothing.
+
+There is one round body, ``Engine._run_rounds``: ``run_phase`` runs it
+over the 19 rounds of a phase and ``step_round`` over one round.  It
+loads the placement, its counts and last round's movers once per call
+and observes and steps the woken robots.  When a sink is attached it
+hands the sink each phase start (``phase_start(phase, nodes, states)``)
+and each round as it happens (``round(global_round, phase, rip, moves,
+observations, cells)``): the moves as ``(label, from, to, port)`` in
+label order, the observations and the post-round occupancy cells.  A
+sink whose ``every_observation`` is true gets every robot's observation
+and the robots that sit the round out are observed for it; otherwise it
+gets the observations of the robots that decided.  There are two sinks.
+The ``Trace`` recorder keeps ``RoundRecord``s and ``PhaseSnapshot``s with
+every observation, for ``run --trace`` and the in-memory trace walks.
+``verify.TraceCheck`` judges the run as it goes, so ``evaluate_scenario``
+holds no trace: it builds no record and keeps no list.  Without a sink
+(``record_rounds=False``, as ``sweep`` and minimization run) a round
+hands nothing on and the trace holds the scenario, the ruleset and the
+verdict only.
 
 A round allocates only what it keeps: ``observe`` returns one of the
 eight shared observations and ``step`` one of the three shared actions,
-the counts are read straight from the two placements, and last round's
-moves dict doubles as the set of robots that moved.  An unrecorded run
-(``record_rounds=False``, as ``sweep`` and minimization run) keeps
-neither round records nor phase-start snapshots: its trace holds the
-scenario, the ruleset and the verdict only.  ``observe`` and ``step``
-are looked up as module globals at every call, so that a wrapper set on
-this module sees every call.
+the counts are read straight from the two placements, last round's
+moves dict doubles as the set of robots that moved, and a round without
+a move hands on the cells of the round before.  Each robot's
+``snapshot()`` is taken once per phase start, and the same states serve
+the sink and the livelock key.  ``observe`` and ``step`` are looked up as
+module globals at every call, and ``apply_moves`` and
+``occupancy_vector`` called as methods, so that a wrapper set on this
+module or on ``Placement`` sees every call.
 """
 
 from __future__ import annotations
@@ -67,7 +85,8 @@ class PhaseSnapshot:
 @dataclass
 class Trace:
     """A run's round records and phase-start snapshots; both stay empty in
-    an unrecorded run."""
+    a run that records nothing.  As the recording sink it keeps every
+    robot's observation."""
 
     scenario: Scenario
     ruleset: Ruleset
@@ -75,6 +94,16 @@ class Trace:
     records: list[RoundRecord] = field(default_factory=list)
     phase_snapshots: list[PhaseSnapshot] = field(default_factory=list)
     result: "RunResult | None" = None  # set once the run reaches a verdict
+
+    every_observation = True  # a class attribute, not a field
+
+    def phase_start(self, phase: int, nodes: dict[int, int],
+                    states: dict[int, StateSnapshot]) -> None:
+        self.phase_snapshots.append(PhaseSnapshot(phase, dict(nodes), states))
+
+    def round(self, global_round: int, phase: int, rip: int, moves: tuple,
+              observations: dict[int, Observation], cells: tuple) -> None:
+        self.records.append(RoundRecord(global_round, phase, rip, moves, observations, cells))
 
     def snapshot_for(self, phase: int) -> PhaseSnapshot:
         """The snapshot taken at the start of ``phase``.  Raises ValueError
@@ -130,12 +159,16 @@ def zero_test_stable(value: int, delta: int) -> bool:
 
 
 class Engine:
-    """Executes one scenario deterministically, one round at a time."""
+    """Executes one scenario deterministically, one round at a time.
 
-    def __init__(self, scenario: Scenario, ruleset: Ruleset, record_rounds: bool = True):
+    ``sink`` receives each phase start and round (see the module
+    docstring); without one, ``record_rounds`` makes the trace the sink.
+    """
+
+    def __init__(self, scenario: Scenario, ruleset: Ruleset, record_rounds: bool = True,
+                 sink=None):
         self.scenario = scenario
         self.ruleset = ruleset
-        self.record_rounds = record_rounds
         self.n = scenario.n
         self.max_size = max_label_bits(scenario.max_label)
         self.labels = scenario.labels()
@@ -157,17 +190,20 @@ class Engine:
         # per round of the current phase, the labels to step; built at round 1
         self.wake_schedule: list[list[int]] = []
         self.trace = Trace(scenario, ruleset, self.labels)
-        if record_rounds:
-            self._snapshot_phase()
+        self.sink = sink if sink is not None else self.trace if record_rounds else None
+        # the states of this phase start (labels order) once taken, until
+        # its round 1 runs; taken on demand, since tests inject phase-start
+        # state after construction
+        self.phase_states: tuple[StateSnapshot, ...] | None = None
 
-    def _snapshot_phase(self) -> None:
-        self.trace.phase_snapshots.append(
-            PhaseSnapshot(
-                phase=self.phase,
-                nodes=dict(self.placement.by_robot),
-                states={label: self.robots[label].snapshot() for label in self.labels},
-            )
-        )
+    def _snapshot_phase(self) -> tuple[StateSnapshot, ...]:
+        """Take every robot's snapshot for the phase now starting, hand them
+        to the sink and keep them for ``snapshot_key``."""
+        labels = self.labels
+        states = self.phase_states = tuple(self.robots[label].snapshot() for label in labels)
+        if self.sink is not None:
+            self.sink.phase_start(self.phase, self.placement.by_robot, dict(zip(labels, states)))
+        return states
 
     def snapshot_key(self) -> tuple:
         """Placement plus state vector, canonicalized over ring rotations.
@@ -175,9 +211,13 @@ class Engine:
         The canonical placement is the lexicographic minimum over all n
         rotations.  Only the rotation that puts ``labels[0]`` on node 0
         has 0 as its first coordinate, so that rotation is the minimum and
-        the key costs O(k), not O(n·k).
+        the key costs O(k), not O(n·k).  At a phase start the key shares
+        the states handed to the sink.
         """
-        states = tuple(self.robots[label].snapshot() for label in self.labels)
+        states = self.phase_states
+        if states is None:
+            states = (self._snapshot_phase() if self.round_in_phase == 1 else
+                      tuple(self.robots[label].snapshot() for label in self.labels))
         by_robot = self.placement.by_robot
         origin = by_robot[self.labels[0]]
         return (tuple((by_robot[label] - origin) % self.n for label in self.labels), states)
@@ -192,80 +232,94 @@ class Engine:
                 schedule[rip - 1].append(label)
         return schedule
 
-    def step_round(self) -> RoundRecord | None:
-        """Run one synchronous round; returns the record when recording."""
-        rip = self.round_in_phase
-        robots = self.robots
-        if rip == 1:
-            self.wake_schedule = self._build_wake_schedule()
-        if rip == 13:
-            self.net_disp_at_13.append(tuple(robots[label].net_disp for label in self.labels))
-        placement = self.placement
-        by_robot = placement.by_robot
-        counts = placement.counts
-        # a robot's node may have been empty a round earlier
-        prev_counts = self.prev_placement.counts
+    def _run_rounds(self, count: int) -> None:
+        """The round body: run ``count`` synchronous rounds from the current
+        one, handing each phase start and round to the sink if there is one."""
+        robots, labels, ruleset, n = self.robots, self.labels, self.ruleset, self.n
+        sink = self.sink
+        every = sink is not None and sink.every_observation
+        placement, prev_placement = self.placement, self.prev_placement
         moved_last = self.moved_last
-        ruleset = self.ruleset
-        woken = self.wake_schedule[rip - 1]
-        moves: dict[int, int] = {}
-        record = None
-        if self.record_rounds:
-            # a record keeps every robot's observation, woken or not
-            observations: dict[int, Observation] = {}
-            for label in self.labels:
-                node = by_robot[label]
-                observations[label] = observe(
-                    counts[node], prev_counts.get(node, 0), label in moved_last)
-            for label in woken:
-                port = step(robots[label], observations[label], rip, ruleset).port
-                if port is not None:
-                    moves[label] = port
-        else:
-            for label in woken:
-                node = by_robot[label]
-                port = step(robots[label], observe(
-                    counts[node], prev_counts.get(node, 0), label in moved_last),
-                    rip, ruleset).port
-                if port is not None:
-                    moves[label] = port
+        phase, rip, global_round = self.phase, self.round_in_phase, self.global_round
+        schedule = self.wake_schedule
+        moves_in_phase = self.moves_in_phase
+        cells = None  # the occupancy cells of ``placement`` once computed
+        for _ in range(count):
+            if rip == 1:
+                if sink is not None and self.phase_states is None:
+                    self._snapshot_phase()
+                self.phase_states = None
+                schedule = self.wake_schedule = self._build_wake_schedule()
+            elif rip == 13:
+                self.net_disp_at_13.append(tuple(robots[label].net_disp for label in labels))
+            by_robot = placement.by_robot
+            counts = placement.counts
+            # a robot's node may have been empty a round earlier
+            prev_counts = prev_placement.counts
+            moves: dict[int, int] = {}
+            if sink is None:
+                for label in schedule[rip - 1]:
+                    node = by_robot[label]
+                    port = step(robots[label], observe(
+                        counts[node], prev_counts.get(node, 0), label in moved_last),
+                        rip, ruleset).port
+                    if port is not None:
+                        moves[label] = port
+            else:
+                observations: dict[int, Observation] = {}
+                if every:
+                    for label in labels:
+                        node = by_robot[label]
+                        observations[label] = observe(
+                            counts[node], prev_counts.get(node, 0), label in moved_last)
+                    for label in schedule[rip - 1]:
+                        port = step(robots[label], observations[label], rip, ruleset).port
+                        if port is not None:
+                            moves[label] = port
+                else:
+                    for label in schedule[rip - 1]:
+                        node = by_robot[label]
+                        seen = observations[label] = observe(
+                            counts[node], prev_counts.get(node, 0), label in moved_last)
+                        port = step(robots[label], seen, rip, ruleset).port
+                        if port is not None:
+                            moves[label] = port
 
-        new_placement = placement.apply_moves(moves)
-        if self.record_rounds:
-            record = RoundRecord(
-                global_round=self.global_round,
-                phase=self.phase,
-                round_in_phase=rip,
-                moves=tuple(
-                    (label, by_robot[label], move_target(self.n, by_robot[label], port), port)
-                    for label, port in sorted(moves.items())
-                ),
-                observations=observations,
-                occupancy=new_placement.occupancy_vector(),
-            )
-            self.trace.records.append(record)
+            new_placement = placement.apply_moves(moves)
+            if sink is not None:
+                if cells is None or new_placement is not placement:
+                    cells = new_placement.occupancy_vector()
+                sink.round(global_round, phase, rip, tuple(
+                    (label, by_robot[label], move_target(n, by_robot[label], port), port)
+                    for label, port in sorted(moves.items())) if moves else (),
+                    observations, cells)
+            prev_placement, placement, moved_last = placement, new_placement, moves
+            moves_in_phase += len(moves)
+            global_round += 1
+            if rip == ROUNDS_PER_PHASE:
+                for label in labels:
+                    apply_pending_status(robots[label])
+                phase += 1
+                rip = 1
+                if sink is not None:
+                    # now, so that the sink gets the last phase start of a run
+                    self.placement, self.phase = placement, phase
+                    self._snapshot_phase()
+            else:
+                rip += 1
+        self.placement, self.prev_placement = placement, prev_placement
+        self.moved_last = moved_last
+        self.phase, self.round_in_phase, self.global_round = phase, rip, global_round
+        self.moves_in_phase = moves_in_phase
 
-        self.prev_placement = placement
-        self.placement = new_placement
-        self.moved_last = moves
-        self.moves_in_phase += len(moves)
-        self.global_round += 1
-        if rip == ROUNDS_PER_PHASE:
-            for label in self.labels:
-                apply_pending_status(robots[label])
-            self.phase += 1
-            self.round_in_phase = 1
-            if self.record_rounds:
-                self._snapshot_phase()
-        else:
-            self.round_in_phase += 1
-        return record
+    def step_round(self) -> None:
+        """Run one synchronous round."""
+        self._run_rounds(1)
 
     def run_phase(self) -> int:
         """Run the 19 rounds of the current phase; returns its move count."""
         self.moves_in_phase = 0
-        for _ in range(ROUNDS_PER_PHASE):
-            self.step_round()
+        self._run_rounds(ROUNDS_PER_PHASE)
         return self.moves_in_phase
 
 
@@ -298,8 +352,13 @@ def run(
     ruleset: Ruleset = Ruleset.REPAIRED,
     max_phases: int | None = None,
     record_rounds: bool = True,
+    sink=None,
 ) -> RunOutcome:
     """Run to a verdict: dispersed, livelock, or budget exhaustion.
+
+    ``sink`` gets every phase start and round as it happens, in place of
+    the trace's records (see the module docstring); ``record_rounds=False``
+    without a sink keeps nothing.
 
     Dispersed requires both all-distinct positions and a full phase with
     zero moves: leaders keep probing while their node is shared, so a
@@ -337,7 +396,7 @@ def run(
     is never missed.  A run that reaches ``max_phases`` (by default
     ``phase_budget``) without a proven cycle is budget-exceeded.
     """
-    engine = Engine(scenario, ruleset, record_rounds=record_rounds)
+    engine = Engine(scenario, ruleset, record_rounds=record_rounds, sink=sink)
     if max_phases is None:
         max_phases = phase_budget(engine.max_size, scenario.k)
     abstract, disp = _split_net_disp(engine.snapshot_key())

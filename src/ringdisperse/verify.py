@@ -27,6 +27,7 @@ _ACTIVE_SIDE = {Status.ACTIVE_DISPERSE, Status.WAIT, Status.JUMP}
 _TRACKED = _POST_MERGE | {Status.IDLE}  # (e) tracks a pair from here on
 
 ENUMERATION_GUARD = 10**7
+_NO_MOVERS: frozenset[int] = frozenset()
 
 
 @dataclass
@@ -71,9 +72,20 @@ REPLAY_KINDS = frozenset({
 
 
 class TraceCheck:
-    """The one walk over a trace.  Give it each phase-start snapshot
-    (``phase_start``) and each RoundRecord (``round``) in trace order, then
-    call ``finish``.
+    """The one walk over a trace.  Give it each phase start
+    (``phase_start``) and each round (``round``) in trace order, then call
+    ``finish``.  ``check_trace`` feeds it stored records and snapshots;
+    as an ``engine.run`` sink it is fed each phase start and round as the
+    engine runs them, so no record is built.  It reads nothing of the
+    engine's state: positions, counts and perception are replayed from
+    the moves alone.
+
+    With ``every_observation`` (stored records and trace files) a round's
+    observations must cover every robot, and a missing one is a
+    perception violation.  Without it (the engine feed) they are the
+    observations of the robots that decided, and only those are compared;
+    the robots that sit a round out are not observed, and no decision
+    reads what they would have seen.
 
     One set of replayed positions and node counts serves the replay (the
     round counter, contiguous from round 0 with the matching phase and
@@ -87,7 +99,8 @@ class TraceCheck:
     cell is a mismatch.  Most rounds are quiet: a round that follows two
     rounds without a move entry perceives what the round before it
     perceived, and a round without a move keeps the occupancy, so both
-    expectations are reused; every recorded observation and cell is
+    expectations are reused; an expected observation is computed when a
+    round first compares it, and every given observation and cell is
     still compared.
 
     Each phase start is checked for (a), (c), (d), (g), (i) and net
@@ -97,7 +110,8 @@ class TraceCheck:
     replay runs.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, every_observation: bool = True):
+        self.every_observation = every_observation
         self.n, self.k = scenario.n, scenario.k
         self.max_size = max_label_bits(scenario.max_label)
         self.labels = labels = scenario.labels()
@@ -118,7 +132,7 @@ class TraceCheck:
         self.counts_now = {label: self.node_counts[node] for label, node in scenario.robots}
         self.moved_last: set[int] = set()
         self.moved_before = False
-        self.expected_obs: dict | None = None
+        self.expected_obs: dict = {}
         self.expected_round = self.rounds = 0
         self.colocated: list | None = None  # (b) at the current placement and phase
         self.colocated_phase = None
@@ -138,18 +152,24 @@ class TraceCheck:
         # (f) per robot, phase starts per status after its first active-disperse one
         self.after_disperse: dict[int, dict[Status, int]] = {}
 
-    def _at(self, record, kind: str, detail: str, robots=(), nodes=()) -> None:
-        self.violations.append(
-            Violation(kind, record.phase, record.global_round, robots, nodes, detail))
+    def _at(self, phase: int, global_round: int, kind: str, detail: str, robots=(),
+            nodes=()) -> None:
+        self.violations.append(Violation(kind, phase, global_round, robots, nodes, detail))
 
-    def round(self, record) -> None:
-        phase, rip = divmod(self.expected_round, ROUNDS_PER_PHASE)
-        if (record.global_round, record.phase, record.round_in_phase) != (
-                self.expected_round, phase + 1, rip + 1):
-            self._at(record, "round-counter",
-                     f"round-in-phase {record.round_in_phase}; expected round "
-                     f"{self.expected_round}, phase {phase + 1}, round-in-phase {rip + 1}")
-        self.expected_round = record.global_round + 1
+    def round(self, global_round: int, phase: int, rip: int, moves, observations,
+              cells) -> None:
+        """One round: its counters, its moves as ``(label, from, to, port)``,
+        the observations (None when not recorded) and the post-round
+        occupancy cells."""
+        at = self._at
+        expected_round = self.expected_round
+        if global_round != expected_round or (phase - 1, rip - 1) != divmod(
+                expected_round, ROUNDS_PER_PHASE):
+            expected_phase, expected_rip = divmod(expected_round, ROUNDS_PER_PHASE)
+            at(phase, global_round, "round-counter",
+               f"round-in-phase {rip}; expected round {expected_round}, "
+               f"phase {expected_phase + 1}, round-in-phase {expected_rip + 1}")
+        self.expected_round = global_round + 1
         self.rounds += 1
         position, moved_last = self.position, self.moved_last
 
@@ -159,72 +179,80 @@ class TraceCheck:
             node_counts = self.node_counts
             self.counts_now = {label: node_counts[node] for label, node in position.items()}
         if moved_last or self.moved_before:
-            self.expected_obs = None
-        observations = record.observations
-        if observations is not None:
+            self.expected_obs = {}
+        every = self.every_observation
+        if observations is not None and (observations or every):
+            # filled on demand: every entry holds for each round since the reset
             expected = self.expected_obs
-            if expected is None:
-                counts_now = self.counts_now
-                expected = self.expected_obs = {
-                    label: observe(counts_now[label], prev_counts[label], label in moved_last)
-                    for label in position}
-            if observations != expected:
+            counts_now = self.counts_now
+            wrong = every and len(observations) != len(position)
+            for label in position if every else observations:
+                want = expected.get(label)
+                if want is None and label in position:
+                    want = expected[label] = observe(
+                        counts_now[label], prev_counts[label], label in moved_last)
+                if observations.get(label) != want:
+                    wrong = True
+            if wrong:
                 for label in position:
-                    if observations.get(label) != expected[label]:
-                        self._at(record, "perception-replay", f"recorded "
-                                 f"{observations.get(label)}, recomputed {expected[label]}",
-                                 (label,))
+                    seen = observations.get(label)
+                    if (every or seen is not None) and seen != expected[label]:
+                        at(phase, global_round, "perception-replay",
+                           f"recorded {seen}, recomputed {expected[label]}", (label,))
                 for label in observations.keys() - position.keys():
-                    self._at(record, "perception-replay", "observation of an unknown robot",
-                             (label,))
+                    at(phase, global_round, "perception-replay",
+                       "observation of an unknown robot", (label,))
 
-        info = self.phases.get(record.phase)
-        states = info[0] if info else {}
-        rip = record.round_in_phase
-        moving = set()
-        applied = False
-        for label, frm, to, port in record.moves:
-            if label in moving:
-                self._at(record, "move-legality", "duplicate move entry", (label,))
-            moving.add(label)
-            if frm != position.get(label):
-                self._at(record, "move-legality",
-                         f"claims from {frm}, actually at {position.get(label)}", (label,))
-            elif port not in (PORT_ZERO, PORT_ONE) or to != move_target(self.n, frm, port):
-                self._at(record, "move-legality", f"port {port} from {frm} cannot reach {to}",
-                         (label,))
-            else:
-                position[label] = to
-                applied = True
-            state = states.get(label)  # None: no such phase or robot, reported above
-            if state is None:
-                pass
-            elif state.status is Status.IDLE:
-                self._at(record, "idle-moved", "idle robot moved", (label,))
-            elif not participates(state, rip):
-                mover = "leader" if state.leader else state.status.value
-                self._at(record, "participation", f"{mover} moved in round {rip}", (label,))
-            if rip == 12 and port == PORT_ZERO:
-                self.retreated.setdefault(record.phase, set()).add(label)
+        info = self.phases.get(phase)
+        if moves:
+            moving = set()
+            applied = False
+            states = info[0] if info else {}
+            for label, frm, to, port in moves:
+                if label in moving:
+                    at(phase, global_round, "move-legality", "duplicate move entry", (label,))
+                moving.add(label)
+                if frm != position.get(label):
+                    at(phase, global_round, "move-legality",
+                       f"claims from {frm}, actually at {position.get(label)}", (label,))
+                elif port not in (PORT_ZERO, PORT_ONE) or to != move_target(self.n, frm, port):
+                    at(phase, global_round, "move-legality",
+                       f"port {port} from {frm} cannot reach {to}", (label,))
+                else:
+                    position[label] = to
+                    applied = True
+                state = states.get(label)  # None: no such phase or robot, reported above
+                if state is None:
+                    pass
+                elif state.status is Status.IDLE:
+                    at(phase, global_round, "idle-moved", "idle robot moved", (label,))
+                elif not participates(state, rip):
+                    mover = "leader" if state.leader else state.status.value
+                    at(phase, global_round, "participation", f"{mover} moved in round {rip}",
+                       (label,))
+                if rip == 12 and port == PORT_ZERO:
+                    self.retreated.setdefault(phase, set()).add(label)
+            if applied:
+                self.occupancy = occupancy_cells(position.values())
+                self.node_counts = dict(self.occupancy)
+                self.colocated = None
+        else:
+            moving = _NO_MOVERS
         self.moved_before = bool(moved_last)
         self.moved_last = moving
 
-        if applied:
-            self.occupancy = occupancy_cells(position.values())
-            self.node_counts = dict(self.occupancy)
-            self.colocated = None
-        if tuple(record.occupancy) != self.occupancy:
+        if tuple(cells) != self.occupancy:
             recorded: dict[int, int] = {}
-            for node, count in record.occupancy:
+            for node, count in cells:
                 recorded[node] = recorded.get(node, 0) + count
             replayed = self.node_counts
             diff = [(node, recorded.get(node, 0), replayed.get(node, 0))
                     for node in sorted(recorded.keys() | replayed.keys())
                     if recorded.get(node, 0) != replayed.get(node, 0)]
-            self._at(record, "occupancy",
-                     f"(node, recorded, replayed): {diff}" if diff else
-                     f"cells {list(record.occupancy)} are not sorted, distinct and positive",
-                     nodes=tuple(node for node, _, _ in diff))
+            at(phase, global_round, "occupancy",
+               f"(node, recorded, replayed): {diff}" if diff else
+               f"cells {list(cells)} are not sorted, distinct and positive",
+               nodes=tuple(node for node, _, _ in diff))
 
         # (b) no cross-chain co-location while electing or merging
         if info and info[1]:
@@ -236,13 +264,13 @@ class TraceCheck:
                                   if len({self.chain_of[label] for label in group}) > 1]
                 self.colocated_phase = info
             for node, group in self.colocated:
-                self._at(record, "cross-chain-colocation", "robots from different chains "
-                         "share a node during election/merge", tuple(group), (node,))
+                at(phase, global_round, "cross-chain-colocation", "robots from different "
+                   "chains share a node during election/merge", tuple(group), (node,))
 
-    def phase_start(self, snap) -> None:
+    def phase_start(self, phase: int, nodes: dict[int, int], states: dict) -> None:
+        """One phase start: each robot's node and ``StateSnapshot``."""
         out = self.violations
         n, labels, chain_of = self.n, self.labels, self.chain_of
-        phase, nodes, states = snap.phase, snap.nodes, snap.states
         status = {label: states[label].status for label in labels}
         at_node: dict[int, list[int]] = {}
         plain_at_node: dict[int, list[int]] = {}  # a leader-only node is a scout post
@@ -335,17 +363,20 @@ class TraceCheck:
         # (g) the status graph has no back edges, and non-leader net
         # displacement per phase is 0 or +1, or -1 after a round-12 retreat
         last = self.last
-        for label in labels if last is not None else ():
-            before, after = self.last_status[label], status[label]
-            if before is not after and (before, after) not in LEGAL_TRANSITIONS:
-                out.append(Violation("status-backedge", phase, None, (label,), (),
-                                     f"{before.value} -> {after.value}"))
-            delta = (nodes[label] - last.nodes[label]) % n
-            if delta > 1 and not last.states[label].leader and not (
-                    delta == n - 1 and label in self.retreated.get(last.phase, ())):
-                out.append(Violation("net-displacement", last.phase, None, (label,), (),
-                                     f"moved {delta} nodes net in one phase"))
-        self.last, self.last_status = snap, status
+        if last is not None:
+            last_phase, last_nodes, last_states = last
+            retreated = self.retreated.get(last_phase, ())
+            for label in labels:
+                before, after = self.last_status[label], status[label]
+                if before is not after and (before, after) not in LEGAL_TRANSITIONS:
+                    out.append(Violation("status-backedge", phase, None, (label,), (),
+                                         f"{before.value} -> {after.value}"))
+                delta = (nodes[label] - last_nodes[label]) % n
+                if delta > 1 and not last_states[label].leader and not (
+                        delta == n - 1 and label in retreated):
+                    out.append(Violation("net-displacement", last_phase, None, (label,), (),
+                                         f"moved {delta} nodes net in one phase"))
+        self.last, self.last_status = (phase, nodes, states), status
 
         # (i) co-located same-status dispersing robots agree on the bit cursor
         for node, group in plain_at_node.items():
@@ -386,7 +417,7 @@ class TraceCheck:
                 continue
             # a detected cycle never merges; anything else that ended this
             # early (a dispersal) makes the deadline vacuous
-            if merged is None and self.last.phase <= deadline + 1 and (
+            if merged is None and self.last[0] <= deadline + 1 and (
                     result is not RunResult.LIVELOCK):
                 continue
             out.append(Violation("merge-deadline", deadline, None, (), tuple(chain),
@@ -405,11 +436,12 @@ def check_trace(scenario: Scenario, records, snapshots=(),
     snap = next(snaps, None)
     for record in records:
         while snap is not None and snap.phase <= record.phase:
-            check.phase_start(snap)
+            check.phase_start(snap.phase, snap.nodes, snap.states)
             snap = next(snaps, None)
-        check.round(record)
+        check.round(record.global_round, record.phase, record.round_in_phase, record.moves,
+                    record.observations, record.occupancy)
     while snap is not None:
-        check.phase_start(snap)
+        check.phase_start(snap.phase, snap.nodes, snap.states)
         snap = next(snaps, None)
     return check.finish(result)
 
@@ -529,11 +561,11 @@ def evaluate_scenario(
     validate: bool = True,
     invariants: bool = True,
 ) -> ScenarioOutcome:
-    outcome = run(scenario, ruleset)
-    trace = outcome.trace
-    violations: list[Violation] = []
-    if validate or invariants:
-        violations = check_trace(scenario, trace.records, trace.phase_snapshots, trace.result)
+    """Run ``scenario`` with a ``TraceCheck`` fed round by round, unless
+    neither kind is asked for; no trace is kept."""
+    check = TraceCheck(scenario, every_observation=False) if validate or invariants else None
+    outcome = run(scenario, ruleset, record_rounds=False, sink=check)
+    violations = check.finish(outcome.result) if check is not None else []
     validation = [v for v in violations if validate and v.kind in REPLAY_KINDS]
     kinds = tuple(sorted({v.kind for v in violations if invariants and v.kind not in REPLAY_KINDS}))
     return ScenarioOutcome(

@@ -17,9 +17,9 @@ from ringdisperse.engine import (
     zero_test_stable,
 )
 from ringdisperse.protocol import Ruleset, participates
-from ringdisperse.robots import Status
+from ringdisperse.robots import RobotState, Status
 from ringdisperse.scenario import gen_chain, make_scenario
-from ringdisperse.verify import enumerate_scenarios
+from ringdisperse.verify import TraceCheck, enumerate_scenarios
 
 
 def moves_by_round(trace, phase):
@@ -270,6 +270,28 @@ def test_unrecorded_run_keeps_no_trace_and_the_same_verdict(sample_647, ruleset)
         assert unrecorded.rounds_used == recorded.rounds_used, scenario
         assert unrecorded.phases_used == recorded.phases_used, scenario
         assert unrecorded.final_placement == recorded.final_placement, scenario
+
+
+@pytest.mark.parametrize("mode", ["recorded", "checked", "unrecorded"])
+def test_one_snapshot_per_robot_per_phase_start(monkeypatch, mode):
+    # criterion 6's [2,2] chain disperses after 11 phases: a recorded or
+    # checked run hands on 12 phase starts, the last one after the final
+    # phase; an unrecorded run needs the states of the 11 it keys only
+    scenario = gen_chain([2, 2], gap=2, n=7, max_label=7)
+    calls = []
+    snapshot = RobotState.snapshot
+    monkeypatch.setattr(RobotState, "snapshot", lambda state: calls.append(state.label) or
+                        snapshot(state))
+    sink = TraceCheck(scenario, every_observation=False) if mode == "checked" else None
+    outcome = run(scenario, Ruleset.REPAIRED, record_rounds=mode == "recorded", sink=sink)
+    assert outcome.result is RunResult.DISPERSED and outcome.phases_used == 11
+    phase_starts = 11 if mode == "unrecorded" else 12
+    assert len(calls) == scenario.k * phase_starts
+    assert calls == list(scenario.labels()) * phase_starts
+    if mode == "recorded":
+        assert len(outcome.trace.phase_snapshots) == phase_starts
+    else:
+        assert outcome.trace.phase_snapshots == [] and outcome.trace.records == []
 
 
 def test_snapshot_for_raises_without_a_snapshot():

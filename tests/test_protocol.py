@@ -128,15 +128,6 @@ def test_repaired_round3_keeps_candidacy():
     assert st.proceed == 1
 
 
-def test_participation_table_conflicts_are_annotated():
-    for status, rip in PARTICIPATION_CONFLICTS:
-        assert (rip in PAPER_PARTICIPATION[status]) != (
-            rip in EFFECTIVE_PARTICIPATION[status]
-        )
-    assert 14 in EFFECTIVE_PARTICIPATION[Status.JUMP]
-    assert 14 not in EFFECTIVE_PARTICIPATION[Status.WAIT]
-
-
 def test_participation_conflicts_are_every_difference_from_the_paper():
     # a rule in a round the paper's table leaves out, or a paper round with
     # no rule, must be annotated as a conflict

@@ -4,18 +4,22 @@ import dataclasses
 import itertools
 import math
 import os
+import random
 import time
 from collections import Counter
 
 import pytest
 
+from ringdisperse import engine as engine_module
 from ringdisperse.engine import RunResult, run
 from ringdisperse.perception import Observation
 from ringdisperse.protocol import Ruleset
 from ringdisperse.robots import Status
 from ringdisperse.scenario import gen_chain, make_scenario
 from ringdisperse.verify import (
+    TraceCheck,
     check_invariants,
+    check_trace,
     enumerate_scenarios,
     estimate_enumeration,
     evaluate_many,
@@ -221,6 +225,110 @@ def test_findings_on_a_647_sample_are_pinned():
         assert Counter(kind for o in outcomes for kind in o.finding_kinds) == kinds
         assert sum(o.validation_count for o in outcomes) == 0
         assert sum(1 for o in outcomes if not o.ok and not o.finding_kinds) == unexplained
+
+
+def streamed_violations(scenario, ruleset, sink=None):
+    """The violations of a run judged as it goes, as ``evaluate_scenario``
+    judges it, and the run's outcome."""
+    check = TraceCheck(scenario, every_observation=False)
+    outcome = run(scenario, ruleset, record_rounds=False,
+                  sink=check if sink is None else sink(check))
+    return check.finish(outcome.result), outcome
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_streamed_check_equals_the_record_walk(ruleset):
+    sample = random.Random(7).sample(list(enumerate_scenarios(6, 4, 7)), 300)
+    found = 0
+    for scenario in sample:
+        streamed, outcome = streamed_violations(scenario, ruleset)
+        recorded = run(scenario, ruleset)
+        trace = recorded.trace
+        assert outcome.result is recorded.result, scenario
+        assert outcome.rounds_used == recorded.rounds_used, scenario
+        assert streamed == check_trace(scenario, trace.records, trace.phase_snapshots,
+                                       trace.result), scenario
+        found += bool(streamed)
+    assert found > 0  # the sample holds runs with findings
+
+
+class Tampering:
+    """A sink that hands the check round ``target`` rewritten by ``tamper``."""
+
+    every_observation = False
+
+    def __init__(self, check, target, tamper):
+        self.check, self.target, self.tamper = check, target, tamper
+
+    def phase_start(self, phase, nodes, states):
+        self.check.phase_start(phase, nodes, states)
+
+    def round(self, global_round, phase, rip, moves, observations, cells):
+        if global_round == self.target:
+            moves, observations, cells = self.tamper(moves, observations, cells)
+        self.check.round(global_round, phase, rip, moves, observations, cells)
+
+
+def wrong_observation(moves, observations, cells):
+    label = min(observations)
+    seen = observations[label]
+    return moves, {**observations, label: Observation(seen.alone, not seen.increase,
+                                                      seen.decrease)}, cells
+
+
+def illegal_move(moves, observations, cells):
+    label, frm, to, port = moves[0]
+    return ((label, frm, to + 2, port),) + moves[1:], observations, cells
+
+
+def wrong_cells(moves, observations, cells):
+    node, count = cells[-1]
+    return moves, observations, cells[:-1] + ((node, count + 1),)
+
+
+@pytest.mark.parametrize("tamper, kind", [
+    (wrong_observation, "perception-replay"),
+    (illegal_move, "move-legality"),
+    (wrong_cells, "occupancy"),
+])
+def test_feed_reports_what_the_record_walk_reports(tamper, kind):
+    # round 0 of this chain has deciding robots and moves: every robot
+    # probes or steps in round 1 of the election
+    scenario = gen_chain([2, 2], gap=2, n=9, max_label=7)
+    recorded = run(scenario, Ruleset.REPAIRED)
+    trace = recorded.trace
+    target = 0
+    assert trace.records[target].moves
+    streamed, _ = streamed_violations(
+        scenario, Ruleset.REPAIRED, lambda check: Tampering(check, target, tamper))
+    record = trace.records[target]
+    # the record walk gets the same rewrite, applied to every robot's
+    # observations where the feed holds the deciding robots' only
+    moves, observations, cells = tamper(record.moves, record.observations, record.occupancy)
+    records = list(trace.records)
+    records[target] = dataclasses.replace(record, moves=moves, observations=observations,
+                                          occupancy=cells)
+    walked = check_trace(scenario, records, trace.phase_snapshots, trace.result)
+
+    def at_target(violations):
+        return [v for v in violations if v.global_round == target]
+
+    # an illegal move is not replayed, so the cells then differ as well
+    assert at_target(streamed) == at_target(walked)
+    assert at_target(streamed)[0].kind == kind
+
+
+def test_evaluate_scenario_builds_no_round_record(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a RoundRecord was built")
+
+    sample = list(enumerate_scenarios(6, 4, 7))[::500]
+    expected = {ruleset: [evaluate_scenario(s, ruleset) for s in sample] for ruleset in Ruleset}
+    monkeypatch.setattr(engine_module, "RoundRecord", refuse)
+    with pytest.raises(AssertionError, match="RoundRecord"):
+        run(sample[0], Ruleset.REPAIRED)
+    for ruleset in Ruleset:
+        assert [evaluate_scenario(s, ruleset) for s in sample] == expected[ruleset]
 
 
 def test_tiny_search_all_disperse():
