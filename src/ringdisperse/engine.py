@@ -52,6 +52,8 @@ from .robots import RobotState, StateSnapshot, apply_pending_status, max_label_b
 from .scenario import Scenario
 
 ROUNDS_PER_PHASE = 19
+# the moves and observations of a round in which no robot acts; never written
+_NOTHING: dict = {}
 
 
 class RunResult(enum.Enum):
@@ -243,7 +245,7 @@ class Engine:
         phase, rip, global_round = self.phase, self.round_in_phase, self.global_round
         schedule = self.wake_schedule
         moves_in_phase = self.moves_in_phase
-        cells = None  # the occupancy cells of ``placement`` once computed
+        cells = None  # the occupancy cells of the current placement, once computed
         for _ in range(count):
             if rip == 1:
                 if sink is not None and self.phase_states is None:
@@ -252,49 +254,58 @@ class Engine:
                 schedule = self.wake_schedule = self._build_wake_schedule()
             elif rip == 13:
                 self.net_disp_at_13.append(tuple(robots[label].net_disp for label in labels))
-            by_robot = placement.by_robot
-            counts = placement.counts
-            # a robot's node may have been empty a round earlier
-            prev_counts = prev_placement.counts
-            moves: dict[int, int] = {}
-            if sink is None:
-                for label in schedule[rip - 1]:
-                    node = by_robot[label]
-                    port = step(robots[label], observe(
-                        counts[node], prev_counts.get(node, 0), label in moved_last),
-                        rip, ruleset).port
-                    if port is not None:
-                        moves[label] = port
-            else:
-                observations: dict[int, Observation] = {}
-                if every:
+            woken = schedule[rip - 1]
+            if woken or every:
+                by_robot = placement.by_robot
+                counts = placement.counts
+                # a robot's node may have been empty a round earlier
+                prev_counts = prev_placement.counts
+                moves: dict[int, int] = {}
+                if sink is None:
+                    for label in woken:
+                        node = by_robot[label]
+                        port = step(robots[label], observe(
+                            counts[node], prev_counts.get(node, 0), label in moved_last),
+                            rip, ruleset).port
+                        if port is not None:
+                            moves[label] = port
+                elif every:
+                    observations: dict[int, Observation] = {}
                     for label in labels:
                         node = by_robot[label]
                         observations[label] = observe(
                             counts[node], prev_counts.get(node, 0), label in moved_last)
-                    for label in schedule[rip - 1]:
+                    for label in woken:
                         port = step(robots[label], observations[label], rip, ruleset).port
                         if port is not None:
                             moves[label] = port
                 else:
-                    for label in schedule[rip - 1]:
+                    observations = {}
+                    for label in woken:
                         node = by_robot[label]
                         seen = observations[label] = observe(
                             counts[node], prev_counts.get(node, 0), label in moved_last)
                         port = step(robots[label], seen, rip, ruleset).port
                         if port is not None:
                             moves[label] = port
+            else:
+                # nobody acts: no move and, for the check, no observation
+                moves = observations = _NOTHING
 
-            new_placement = placement.apply_moves(moves)
+            if moves:
+                new_placement = placement.apply_moves(moves)
+                moves_in_phase += len(moves)
+                cells = None
+            else:  # the placement, and so its cells, stay
+                new_placement = placement
             if sink is not None:
-                if cells is None or new_placement is not placement:
+                if cells is None:
                     cells = new_placement.occupancy_vector()
                 sink.round(global_round, phase, rip, tuple(
                     (label, by_robot[label], move_target(n, by_robot[label], port), port)
                     for label, port in sorted(moves.items())) if moves else (),
                     observations, cells)
             prev_placement, placement, moved_last = placement, new_placement, moves
-            moves_in_phase += len(moves)
             global_round += 1
             if rip == ROUNDS_PER_PHASE:
                 for label in labels:

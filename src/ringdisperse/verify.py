@@ -271,18 +271,22 @@ class TraceCheck:
         """One phase start: each robot's node and ``StateSnapshot``."""
         out = self.violations
         n, labels, chain_of = self.n, self.labels, self.chain_of
-        status = {label: states[label].status for label in labels}
+        status: dict[int, Status] = {}
         at_node: dict[int, list[int]] = {}
         plain_at_node: dict[int, list[int]] = {}  # a leader-only node is a scout post
+        electing = []
         for label in labels:
-            at_node.setdefault(nodes[label], []).append(label)
-            if states[label].leader:
+            state = states[label]
+            node = nodes[label]
+            status[label] = state.status
+            at_node.setdefault(node, []).append(label)
+            if state.leader:
                 self.ever_leader.add(label)
             else:
-                plain_at_node.setdefault(nodes[label], []).append(label)
-        electing = [label for label in labels
-                    if status[label] in (Status.LEADER_ELECTION, Status.ACTIVE_MERGE)]
-        if len({chain_of[label] for label in electing}) < 2:
+                plain_at_node.setdefault(node, []).append(label)
+            if state.status is Status.LEADER_ELECTION or state.status is Status.ACTIVE_MERGE:
+                electing.append(label)
+        if len(electing) < 2 or len({chain_of[label] for label in electing}) < 2:
             electing = []
         self.phases[phase] = (states, electing)
 
@@ -321,7 +325,7 @@ class TraceCheck:
         # the repaired rules, but evaluated for both so literal traces show
         # their breakage.
         merged_chains = {idx for idx, at in enumerate(merged_at) if at is not None}
-        for node, group in plain_at_node.items():
+        for node, group in plain_at_node.items() if merged_chains else ():
             nxt = succ(n, node)
             other = plain_at_node.get(nxt)
             if not other or not {chain_of[label] for label in group + other} <= merged_chains:
@@ -380,6 +384,8 @@ class TraceCheck:
 
         # (i) co-located same-status dispersing robots agree on the bit cursor
         for node, group in plain_at_node.items():
+            if len(group) < 2:
+                continue
             actives = tuple(label for label in group if status[label] is Status.ACTIVE_DISPERSE)
             cursors = {states[label].disp_bit for label in actives}
             if len(cursors) > 1:
