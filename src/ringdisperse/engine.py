@@ -31,8 +31,9 @@ verdict only.
 A round allocates only what it keeps: ``observe`` returns one of the
 eight shared observations and ``step`` one of the three shared actions,
 the counts are read straight from the two placements, last round's
-moves dict doubles as the set of robots that moved, and a round without
-a move hands on the cells of the round before.  Each robot's
+moves dict doubles as the set of robots that moved, a round in which no
+robot acts builds no dict, and a round without a move keeps its
+placement and hands on the cells of the round before.  Each robot's
 ``snapshot()`` is taken once per phase start, and the same states serve
 the sink and the livelock key.  ``observe`` and ``step`` are looked up as
 module globals at every call, and ``apply_moves`` and

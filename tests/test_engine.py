@@ -280,8 +280,12 @@ def test_one_snapshot_per_robot_per_phase_start(monkeypatch, mode):
     scenario = gen_chain([2, 2], gap=2, n=7, max_label=7)
     calls = []
     snapshot = RobotState.snapshot
-    monkeypatch.setattr(RobotState, "snapshot", lambda state: calls.append(state.label) or
-                        snapshot(state))
+
+    def counted(state):
+        calls.append(state.label)
+        return snapshot(state)
+
+    monkeypatch.setattr(RobotState, "snapshot", counted)
     sink = TraceCheck(scenario, every_observation=False) if mode == "checked" else None
     outcome = run(scenario, Ruleset.REPAIRED, record_rounds=mode == "recorded", sink=sink)
     assert outcome.result is RunResult.DISPERSED and outcome.phases_used == 11

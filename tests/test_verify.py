@@ -292,8 +292,9 @@ def wrong_cells(moves, observations, cells):
     (wrong_cells, "occupancy"),
 ])
 def test_feed_reports_what_the_record_walk_reports(tamper, kind):
-    # round 0 of this chain has deciding robots and moves: every robot
-    # probes or steps in round 1 of the election
+    # in round 0 every robot is electing and decides, so the feed holds
+    # the same lowest label that the record's observations do, and the
+    # round has moves
     scenario = gen_chain([2, 2], gap=2, n=9, max_label=7)
     recorded = run(scenario, Ruleset.REPAIRED)
     trace = recorded.trace
