@@ -11,7 +11,10 @@ line, so they stream and diff cleanly:
 ``occ`` is the sparse post-round occupancy: the occupied nodes only, sorted,
 each count at least 1, so a row's size grows with k and not with the ring
 size.  The ``obs`` key appears only under --verbose, and each of its
-entries is exactly three JSON booleans.  ``verify`` checks the
+entries is exactly three JSON booleans.  ``write_trace`` formats each row
+directly rather than through ``json.dumps``; the rows are byte-identical
+to v2 rows written with ``json.dumps(row, separators=(",", ":"))``, so
+the format is unchanged.  ``verify`` checks the
 header against the scenario and the row count, then feeds the rows to the
 one trace walk, ``verify.check_trace``.  Trace files carry no robot
 statuses, so from a file the walk runs its replay only; participation,
@@ -32,7 +35,7 @@ import sys
 from pathlib import Path
 
 from .engine import RoundRecord, RunOutcome, RunResult, phase_budget, run
-from .perception import Observation, observation
+from .perception import OBSERVATIONS, Observation
 from .protocol import Ruleset
 from .robots import max_label_bits
 from .scenario import Scenario, ScenarioError, load_scenario, render_scenario
@@ -62,31 +65,36 @@ def _scenario_json(scenario: Scenario) -> dict:
     }
 
 
+# each shared Observation as the JSON its ``obs`` entry is written as
+_OBS_JSON = {obs: json.dumps(list(obs), separators=(",", ":")) for obs in OBSERVATIONS}
+
+
 def write_trace(outcome: RunOutcome, path, verbose: bool = False) -> None:
+    """Write the trace file of ``outcome``.  Rows are formatted directly
+    and are byte for byte what ``json.dumps(row, separators=(",", ":"))``
+    makes of them."""
     trace = outcome.trace
+    header = {
+        "format": TRACE_FORMAT,
+        "scenario": _scenario_json(trace.scenario),
+        "ruleset": trace.ruleset.value,
+        "result": outcome.result.value,
+        "rounds": outcome.rounds_used,
+    }
+    lines = [json.dumps(header, separators=(",", ":"))]
+    for record in trace.records:
+        moves = ",".join([f"[{label},{frm},{to},{port}]"
+                          for label, frm, to, port in record.moves])
+        occ = ",".join([f"[{node},{count}]" for node, count in record.occupancy])
+        row = (f'{{"round":{record.global_round},"phase":{record.phase},'
+               f'"rip":{record.round_in_phase},"moves":[{moves}],"occ":[{occ}]')
+        if verbose:
+            obs = ",".join([f'"{label}":{_OBS_JSON[seen]}'
+                            for label, seen in sorted(record.observations.items())])
+            row = f'{row},"obs":{{{obs}}}'
+        lines.append(row + "}")
     with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "format": TRACE_FORMAT,
-            "scenario": _scenario_json(trace.scenario),
-            "ruleset": trace.ruleset.value,
-            "result": outcome.result.value,
-            "rounds": outcome.rounds_used,
-        }
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for record in trace.records:
-            row = {
-                "round": record.global_round,
-                "phase": record.phase,
-                "rip": record.round_in_phase,
-                "moves": [list(move) for move in record.moves],
-                "occ": [list(cell) for cell in record.occupancy],
-            }
-            if verbose:
-                row["obs"] = {
-                    str(label): [obs.alone, obs.increase, obs.decrease]
-                    for label, obs in sorted(record.observations.items())
-                }
-            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_trace(path) -> tuple[dict, list[dict]]:
@@ -102,17 +110,13 @@ def read_trace(path) -> tuple[dict, list[dict]]:
         return header, [json.loads(line) for line in lines]
 
 
-def _ints(*values) -> tuple[int, ...]:
-    if not all(type(v) is int for v in values):
-        raise TypeError(f"{values} are not all integers")
-    return values
-
-
 def _bits(value) -> Observation:
     """An ``obs`` entry as its shared Observation: exactly three booleans."""
-    if type(value) is not list or len(value) != 3 or not all(type(v) is bool for v in value):
-        raise TypeError(f"{value!r} is not three booleans")
-    return observation(*value)
+    if type(value) is list and len(value) == 3:
+        alone, increase, decrease = value
+        if type(alone) is bool and type(increase) is bool and type(decrease) is bool:
+            return OBSERVATIONS[alone << 2 | increase << 1 | decrease]
+    raise TypeError(f"{value!r} is not three booleans")
 
 
 def _round_records(rows):
@@ -121,14 +125,22 @@ def _round_records(rows):
     for index, row in enumerate(rows, start=1):
         try:
             obs = row.get("obs")
-            if not isinstance(row["occ"], list):
+            occ = row["occ"]
+            if not isinstance(occ, list):
                 raise TypeError("occ is not a list")
+            counters = (row["round"], row["phase"], row["rip"])
+            moves = [(label, frm, to, port) for label, frm, to, port in row["moves"]]
+            cells = [(node, count) for node, count in occ]
+            for values in (counters, *moves, *cells):
+                for value in values:
+                    if type(value) is not int:
+                        raise TypeError(f"{values} are not all integers")
             record = RoundRecord(
-                *_ints(row["round"], row["phase"], row["rip"]),
-                tuple(_ints(label, frm, to, port) for label, frm, to, port in row["moves"]),
+                *counters,
+                tuple(moves),
                 None if obs is None else {
                     int(label): _bits(bits) for label, bits in obs.items()},
-                tuple(_ints(node, count) for node, count in row["occ"]),
+                tuple(cells),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"trace row {index} is malformed: {exc!r}") from exc

@@ -1,14 +1,24 @@
 import dataclasses
 import json
+import random
 import time
 
 import pytest
 
-from ringdisperse.cli import _round_records, main, read_trace, verify_trace_file, write_trace
+from ringdisperse.cli import (
+    TRACE_FORMAT,
+    _round_records,
+    _scenario_json,
+    main,
+    read_trace,
+    verify_trace_file,
+    write_trace,
+)
 from ringdisperse.engine import run
 from ringdisperse.perception import OBSERVATIONS
-from ringdisperse.scenario import gen_single_source, load_scenario
-from ringdisperse.verify import validate_trace
+from ringdisperse.protocol import Ruleset
+from ringdisperse.scenario import gen_single_source, load_scenario, make_scenario
+from ringdisperse.verify import enumerate_scenarios, validate_trace
 
 
 @pytest.fixture()
@@ -153,8 +163,22 @@ def test_file_and_memory_report_the_same_violations(rooted_scenario, tmp_path, i
          "scenario": {"n": 4, "max_label": 3, "robots": [[1, 0], [2, 0]]},
          "ruleset": "repaired", "result": "dispersed", "rounds": 95}),
     (1, {"round": 0, "phase": 1, "rip": 1, "moves": [], "occ": [2, 0, 0, 0]}),
+    (1, {"round": False, "phase": 1, "rip": 1, "moves": [[1, 0, 1, 1]],
+         "occ": [[0, 1], [1, 1]]}),
+    (1, {"round": 0, "phase": 1, "rip": 1, "moves": [[1, 0, 1, 1.0]],
+         "occ": [[0, 1], [1, 1]]}),
+    (1, {"round": 0, "phase": 1, "rip": 1, "moves": [[1, 0, 1, 1]],
+         "occ": [[0, 1], [1, 1.0]]}),
+    (1, {"round": 0, "phase": 1, "rip": 1, "moves": [[1, 0, 1, 1]],
+         "occ": [[0, 1, 0], [1, 1]]}),
+    (1, {"round": 0, "phase": 1, "rip": 1, "moves": [[1, 0, 1, 1]],
+         "occ": [[0, 1], [1, 1]],
+         "obs": {"x": [False, False, False], "2": [False, False, False]}}),
+    (1, {"round": 0, "phase": 1, "rip": 1, "moves": [[1, 0, 1, 1]],
+         "occ": [[0, 1], [1, 1]], "obs": [[False, False, False], [False, False, False]]}),
 ], ids=["no-moves", "three-element-move", "not-an-object", "header-not-an-object",
-        "v1-header", "occ-cell-not-a-pair"])
+        "v1-header", "occ-cell-not-a-pair", "bool-round", "float-port", "float-count",
+        "three-int-occ-cell", "obs-key-not-a-label", "obs-a-list"])
 def test_verify_malformed_row_exits_input(rooted_scenario, tmp_path, capsys, line, row):
     trace_path = tmp_path / "trace.jsonl"
     main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])
@@ -192,6 +216,56 @@ def test_verify_rejects_obs_entries_that_are_not_three_booleans(
     assert "trace row 1 is malformed" in capsys.readouterr().err
 
 
+def _tamper_quiet_round(lines, records, tamper):
+    """Apply ``tamper`` to the observations of the first round that follows
+    two rounds without a move, in the file lines and in the records alike;
+    by then the check's expected observations cover every robot."""
+    target = next(i for i in range(2, len(records))
+                  if not records[i - 2].moves and not records[i - 1].moves)
+    row = json.loads(lines[target + 1])
+    row["obs"] = {str(label): [seen.alone, seen.increase, seen.decrease] for label, seen in
+                  tamper(records[target].observations).items()}
+    tampered = dataclasses.replace(records[target],
+                                   observations=tamper(records[target].observations))
+    return (lines[:target + 1] + [json.dumps(row, separators=(",", ":"))] + lines[target + 2:],
+            records[:target] + [tampered] + records[target + 1:])
+
+
+def _flip_robot_1(observations):
+    return {**observations, 1: OBSERVATIONS[7 - OBSERVATIONS.index(observations[1])]}
+
+
+def _robot_1_as_unknown_9(observations):
+    return {9 if label == 1 else label: seen for label, seen in observations.items()}
+
+
+@pytest.mark.parametrize("tamper, expected", [
+    (_flip_robot_1, [
+        "[perception-replay] phase 1 round 7: recorded Observation(alone=True, increase=True, "
+        "decrease=True), recomputed Observation(alone=False, increase=False, decrease=False)"]),
+    (_robot_1_as_unknown_9, [
+        "[perception-replay] phase 1 round 7: recorded None, recomputed "
+        "Observation(alone=False, increase=False, decrease=False)",
+        "[perception-replay] phase 1 round 7: observation of an unknown robot"]),
+], ids=["flipped", "unknown-label"])
+def test_quiet_round_observation_mismatch_is_reported_per_robot(rooted_scenario, tmp_path,
+                                                                tamper, expected):
+    # a quiet round compares its observations as one dict; a mismatch must
+    # still be reported robot by robot, from the file and from memory alike
+    scenario = load_scenario(rooted_scenario)
+    outcome = run(scenario)
+    trace_path = tmp_path / "trace.jsonl"
+    write_trace(outcome, trace_path, verbose=True)
+    lines, records = _tamper_quiet_round(trace_path.read_text().splitlines(),
+                                         outcome.trace.records, tamper)
+    trace_path.write_text("\n".join(lines) + "\n")
+    header, rows = read_trace(trace_path)
+    from_file = verify_trace_file(header, rows, scenario)
+    trace = dataclasses.replace(outcome.trace, records=records)
+    from_memory = [str(v) for v in validate_trace(trace, scenario)]
+    assert from_file == from_memory == expected
+
+
 def test_read_observations_are_the_shared_values(rooted_scenario, tmp_path):
     trace_path = tmp_path / "trace.jsonl"
     main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path), "--verbose"])
@@ -222,6 +296,49 @@ def test_trace_cost_is_flat_in_ring_size(tmp_path):
     small = _traced_file_size(10**3, tmp_path)
     large = _traced_file_size(10**6, tmp_path)
     assert abs(large - small) <= 0.01 * small
+
+
+def _reference_write_trace(outcome, path, verbose=False):
+    """The json.dumps row writer that write_trace's direct formatting
+    replaced, kept as the reference for its bytes."""
+    trace = outcome.trace
+    with open(path, "w", encoding="utf-8") as fh:
+        header = {
+            "format": TRACE_FORMAT,
+            "scenario": _scenario_json(trace.scenario),
+            "ruleset": trace.ruleset.value,
+            "result": outcome.result.value,
+            "rounds": outcome.rounds_used,
+        }
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        for record in trace.records:
+            row = {
+                "round": record.global_round,
+                "phase": record.phase,
+                "rip": record.round_in_phase,
+                "moves": [list(move) for move in record.moves],
+                "occ": [list(cell) for cell in record.occupancy],
+            }
+            if verbose:
+                row["obs"] = {
+                    str(label): [obs.alone, obs.increase, obs.decrease]
+                    for label, obs in sorted(record.observations.items())
+                }
+            fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset), ids=lambda r: r.value)
+def test_write_trace_matches_the_json_dumps_writer(tmp_path, ruleset):
+    criterion_8_chain = make_scenario(7, 7, ((1, 0), (2, 0), (3, 1), (4, 1)))
+    sample = random.Random(13).sample(list(enumerate_scenarios(6, 4, 7)), 40)
+    large = gen_single_source(10**4, 8, 1023, seed=7)
+    for scenario in [criterion_8_chain, *sample, large]:
+        outcome = run(scenario, ruleset)
+        for verbose in (False, True):
+            _reference_write_trace(outcome, tmp_path / "reference.jsonl", verbose)
+            write_trace(outcome, tmp_path / "trace.jsonl", verbose)
+            assert (tmp_path / "trace.jsonl").read_bytes() == \
+                (tmp_path / "reference.jsonl").read_bytes(), (scenario, verbose)
 
 
 def test_trace_bytes_are_deterministic(rooted_scenario, tmp_path):

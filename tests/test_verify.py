@@ -360,6 +360,33 @@ def test_minimizer_shrinks_and_replays():
     assert check.result is outcome.result
 
 
+def test_minimizer_runs_the_returned_scenario_once(monkeypatch):
+    # an accepted candidate already reproduced, so it is not run again
+    import ringdisperse.verify as verify_module
+
+    scenario = gen_chain([2, 2], gap=3, n=8, max_label=7)
+    result = evaluate_scenario(scenario, Ruleset.LITERAL).result
+    ran = []
+
+    def counted_run(candidate, *args, **kwargs):
+        ran.append(candidate)
+        return run(candidate, *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "run", counted_run)
+    minimized = minimize_scenario(scenario, Ruleset.LITERAL, result)
+    assert minimized != scenario
+    assert ran.count(minimized) == 1
+    assert run(minimized, Ruleset.LITERAL, record_rounds=False).result is result
+
+
+def test_minimizer_raises_when_the_outcome_does_not_reproduce():
+    # nothing shrinks a scenario whose outcome is not the expected one, and
+    # the final check of the unshrunk scenario catches it
+    scenario = make_scenario(4, 3, ((1, 0), (2, 0)))
+    with pytest.raises(AssertionError, match="fails to reproduce"):
+        minimize_scenario(scenario, Ruleset.REPAIRED, RunResult.LIVELOCK)
+
+
 def test_worker_count_reads_and_clamps_the_variable(monkeypatch):
     cpus = os.cpu_count() or 1
     monkeypatch.delenv("RINGDISPERSE_WORKERS", raising=False)
