@@ -119,29 +119,46 @@ def _bits(value) -> Observation:
     raise TypeError(f"{value!r} is not three booleans")
 
 
+def _label(key: str) -> int:
+    """An ``obs`` key as its label: canonical decimal only, as written."""
+    label = int(key)
+    if str(label) != key:
+        raise ValueError(f"obs key {key!r} is not a canonical label")
+    return label
+
+
 def _round_records(rows):
     """Trace rows as RoundRecords, converted one at a time so that the
-    replay holds no second copy of the rows; ValueError on a malformed row."""
+    replay holds no second copy of the rows; ValueError on a malformed row.
+
+    ``moves`` and ``occ`` must be lists and ``obs``, when present, a dict
+    keyed by canonical decimal labels.  A label no robot has is left to
+    the replay, which reports it."""
+    labels: dict[str, int] = {}  # obs key -> label, checked once per key
     for index, row in enumerate(rows, start=1):
         try:
-            obs = row.get("obs")
-            occ = row["occ"]
-            if not isinstance(occ, list):
-                raise TypeError("occ is not a list")
+            moves, occ = row["moves"], row["occ"]
+            if type(moves) is not list or type(occ) is not list:
+                raise TypeError("moves or occ is not a list")
             counters = (row["round"], row["phase"], row["rip"])
-            moves = [(label, frm, to, port) for label, frm, to, port in row["moves"]]
+            moves = [(label, frm, to, port) for label, frm, to, port in moves]
             cells = [(node, count) for node, count in occ]
             for values in (counters, *moves, *cells):
                 for value in values:
                     if type(value) is not int:
                         raise TypeError(f"{values} are not all integers")
-            record = RoundRecord(
-                *counters,
-                tuple(moves),
-                None if obs is None else {
-                    int(label): _bits(bits) for label, bits in obs.items()},
-                tuple(cells),
-            )
+            observations = None
+            if "obs" in row:
+                obs = row["obs"]
+                if type(obs) is not dict:
+                    raise TypeError("obs is not an object")
+                observations = {}
+                for key, bits in obs.items():
+                    label = labels.get(key)
+                    if label is None:
+                        label = labels[key] = _label(key)
+                    observations[label] = _bits(bits)
+            record = RoundRecord(*counters, tuple(moves), observations, tuple(cells))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"trace row {index} is malformed: {exc!r}") from exc
         yield record

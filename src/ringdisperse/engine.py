@@ -33,26 +33,39 @@ eight shared observations and ``step`` one of the three shared actions,
 the counts are read straight from the two placements, last round's
 moves dict doubles as the set of robots that moved, a round in which no
 robot acts builds no dict, and a round without a move keeps its
-placement and hands on the cells of the round before.  Each robot's
-``snapshot()`` is taken once per phase start, and the same states serve
-the sink and the livelock key.  ``observe`` and ``step`` are looked up as
-module globals at every call, and ``apply_moves`` and
-``occupancy_vector`` called as methods, so that a wrapper set on this
-module or on ``Placement`` sees every call.
+placement and hands on the cells of the round before.  Only a sink gets
+``snapshot()``s, each robot's once per phase start; the livelock key
+reads the robots' fields directly, so a run without a sink builds no
+snapshot.  The wake schedule is filled from ``_WAKE_INDEXES``, and a
+move commit adjusts the counts of the nodes its movers leave and enter.
+``observe`` and ``step`` are looked up as module globals at every call,
+and ``apply_moves`` and ``occupancy_vector`` called as methods, so that
+a wrapper set on this module or on ``Placement`` sees every call.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .perception import Observation, observe
 from .protocol import Ruleset, step, wake_rounds
 from .ring import Placement, move_target
-from .robots import RobotState, StateSnapshot, apply_pending_status, max_label_bits
+from .robots import RobotState, StateSnapshot, Status, apply_pending_status, max_label_bits
 from .scenario import Scenario
 
 ROUNDS_PER_PHASE = 19
+# A robot's state in the livelock key, read from its fields: everything
+# StateSnapshot holds but net_disp, its last field, and net_disp apart
+_ABSTRACT_STATE = attrgetter(*StateSnapshot._fields[:-1])
+_NET_DISP = attrgetter(StateSnapshot._fields[-1])
+# wake_rounds as the engine runs it: per (status, leader flag) at a phase
+# start, the 0-based indexes of the rounds in which step may act
+_WAKE_INDEXES: dict[tuple[Status, bool], tuple[int, ...]] = {
+    (status, leader): tuple(sorted(rip - 1 for rip in wake_rounds(status, leader)))
+    for status in Status for leader in (False, True)
+}
 # the moves and observations of a round in which no robot acts; never written
 _NOTHING: dict = {}
 
@@ -194,45 +207,47 @@ class Engine:
         self.wake_schedule: list[list[int]] = []
         self.trace = Trace(scenario, ruleset, self.labels)
         self.sink = sink if sink is not None else self.trace if record_rounds else None
-        # the states of this phase start (labels order) once taken, until
-        # its round 1 runs; taken on demand, since tests inject phase-start
-        # state after construction
-        self.phase_states: tuple[StateSnapshot, ...] | None = None
+        # whether the sink already has this phase start, until its round 1
+        # runs; handed on at round 1 otherwise, since tests inject
+        # phase-start state after construction
+        self.phase_handed_on = False
 
-    def _snapshot_phase(self) -> tuple[StateSnapshot, ...]:
-        """Take every robot's snapshot for the phase now starting, hand them
-        to the sink and keep them for ``snapshot_key``."""
-        labels = self.labels
-        states = self.phase_states = tuple(self.robots[label].snapshot() for label in labels)
-        if self.sink is not None:
-            self.sink.phase_start(self.phase, self.placement.by_robot, dict(zip(labels, states)))
-        return states
+    def _snapshot_phase(self) -> None:
+        """Hand the sink every robot's snapshot for the phase now starting;
+        the sink is the only taker of snapshots."""
+        robots = self.robots
+        self.sink.phase_start(self.phase, self.placement.by_robot,
+                              {label: robots[label].snapshot() for label in self.labels})
+        self.phase_handed_on = True
 
     def snapshot_key(self) -> tuple:
-        """Placement plus state vector, canonicalized over ring rotations.
+        """The livelock key, split as ((placement, states without
+        ``net_disp``), ``net_disp`` vector), canonicalized over ring
+        rotations; the states are read from the robots' fields, in labels
+        order, as the ``StateSnapshot`` fields.
 
         The canonical placement is the lexicographic minimum over all n
         rotations.  Only the rotation that puts ``labels[0]`` on node 0
         has 0 as its first coordinate, so that rotation is the minimum and
-        the key costs O(k), not O(n·k).  At a phase start the key shares
-        the states handed to the sink.
+        the key costs O(k), not O(n·k).
         """
-        states = self.phase_states
-        if states is None:
-            states = (self._snapshot_phase() if self.round_in_phase == 1 else
-                      tuple(self.robots[label].snapshot() for label in self.labels))
+        labels, robots = self.labels, self.robots
+        states = [robots[label] for label in labels]
         by_robot = self.placement.by_robot
-        origin = by_robot[self.labels[0]]
-        return (tuple((by_robot[label] - origin) % self.n for label in self.labels), states)
+        origin, n = by_robot[labels[0]], self.n
+        return ((tuple([(by_robot[label] - origin) % n for label in labels]),
+                 tuple(map(_ABSTRACT_STATE, states))),
+                tuple(map(_NET_DISP, states)))
 
     def _build_wake_schedule(self) -> list[list[int]]:
         """Per round of the phase now starting, the labels ``step`` may act
         on, in labels order."""
         schedule: list[list[int]] = [[] for _ in range(ROUNDS_PER_PHASE)]
+        robots = self.robots
         for label in self.labels:
-            state = self.robots[label]
-            for rip in wake_rounds(state.status, state.leader):
-                schedule[rip - 1].append(label)
+            state = robots[label]
+            for index in _WAKE_INDEXES[state.status, state.leader]:
+                schedule[index].append(label)
         return schedule
 
     def _run_rounds(self, count: int) -> None:
@@ -249,9 +264,9 @@ class Engine:
         cells = None  # the occupancy cells of the current placement, once computed
         for _ in range(count):
             if rip == 1:
-                if sink is not None and self.phase_states is None:
+                if sink is not None and not self.phase_handed_on:
                     self._snapshot_phase()
-                self.phase_states = None
+                self.phase_handed_on = False
                 schedule = self.wake_schedule = self._build_wake_schedule()
             elif rip == 13:
                 self.net_disp_at_13.append(tuple(robots[label].net_disp for label in labels))
@@ -335,14 +350,6 @@ class Engine:
         return self.moves_in_phase
 
 
-def _split_net_disp(key: tuple) -> tuple[tuple, tuple[int, ...]]:
-    """An exact ``snapshot_key`` as (the key without ``net_disp``, the
-    ``net_disp`` vector); ``net_disp`` is the last ``StateSnapshot`` field."""
-    positions, states = key
-    return (positions, tuple(state[:-1] for state in states)), tuple(
-        state.net_disp for state in states)
-
-
 def _repeats_forever(
     engine: Engine, a: int, disp_a: tuple[int, ...], disp_b: tuple[int, ...]
 ) -> bool:
@@ -411,7 +418,7 @@ def run(
     engine = Engine(scenario, ruleset, record_rounds=record_rounds, sink=sink)
     if max_phases is None:
         max_phases = phase_budget(engine.max_size, scenario.k)
-    abstract, disp = _split_net_disp(engine.snapshot_key())
+    abstract, disp = engine.snapshot_key()
     # key modulo net_disp -> the (phase, net_disp vector) of each phase start with it
     seen: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {abstract: [(engine.phase, disp)]}
 
@@ -421,7 +428,7 @@ def run(
         if phase_moves == 0 and engine.placement.all_distinct():
             result = RunResult.DISPERSED
             break
-        abstract, disp = _split_net_disp(engine.snapshot_key())
+        abstract, disp = engine.snapshot_key()
         earlier = seen.setdefault(abstract, [])
         if any(_repeats_forever(engine, a, disp_a, disp) for a, disp_a in earlier):
             result = RunResult.LIVELOCK

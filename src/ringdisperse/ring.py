@@ -53,7 +53,8 @@ class Placement:
     """Robot-to-node map with value semantics.
 
     ``by_robot`` maps robot label -> node; ``counts`` maps each occupied
-    node to its number of robots, computed once per placement.
+    node to its number of robots, counted once for a new placement and
+    adjusted for the movers by ``apply_moves``.
     """
 
     __slots__ = ("n", "by_robot", "counts")
@@ -79,12 +80,24 @@ class Placement:
         """
         if not moves:
             return self
-        new_by_robot = dict(self.by_robot)
+        n, by_robot = self.n, self.by_robot
+        new_by_robot = dict(by_robot)
+        counts = dict(self.counts)
+        # only the movers' nodes change count: each leaves one and enters one
         for label, port in moves.items():
-            if label not in new_by_robot:
+            node = by_robot.get(label)
+            if node is None:
                 raise ConfigurationError(f"unknown robot {label} in move set")
-            new_by_robot[label] = move_target(self.n, new_by_robot[label], port)
-        return Placement(self.n, new_by_robot)
+            target = new_by_robot[label] = move_target(n, node, port)
+            left = counts[node] - 1
+            if left:
+                counts[node] = left
+            else:
+                del counts[node]
+            counts[target] = counts.get(target, 0) + 1
+        placement = Placement.__new__(Placement)
+        placement.n, placement.by_robot, placement.counts = n, new_by_robot, counts
+        return placement
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -64,8 +65,10 @@ class StateSnapshot(NamedTuple):
 
     Snapshots and livelock keys are taken only at phase starts, where both
     latches are always False, so leaving them out loses nothing.  A plain
-    tuple underneath, so snapshots hash and compare as tuples.
-    ``net_disp`` stays the last field: ``engine.run`` drops it by slicing.
+    tuple underneath, so snapshots hash and compare as tuples.  The class
+    is also the one list of the fields the livelock key reads, straight
+    from the robot; ``net_disp`` stays the last field, which the key keeps
+    apart.
     """
 
     status: Status
@@ -79,6 +82,10 @@ class StateSnapshot(NamedTuple):
     le_bit: int
     disp_bit: int
     net_disp: int
+
+
+# a RobotState's StateSnapshot fields, in order, as one tuple
+_SNAPSHOT_FIELDS = attrgetter(*StateSnapshot._fields)
 
 
 @dataclass
@@ -122,19 +129,7 @@ class RobotState:
 
     def snapshot(self) -> StateSnapshot:
         """Hashable view of the persistent fields (excludes the latches)."""
-        return StateSnapshot(
-            self.status,
-            self.pending_status,
-            self.leader,
-            self.proceed,
-            self.move_var,
-            self.start,
-            self.settle,
-            self.advance,
-            self.le_bit,
-            self.disp_bit,
-            self.net_disp,
-        )
+        return tuple.__new__(StateSnapshot, _SNAPSHOT_FIELDS(self))
 
 
 def apply_pending_status(state: RobotState) -> None:

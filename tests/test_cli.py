@@ -176,9 +176,22 @@ def test_file_and_memory_report_the_same_violations(rooted_scenario, tmp_path, i
          "obs": {"x": [False, False, False], "2": [False, False, False]}}),
     (1, {"round": 0, "phase": 1, "rip": 1, "moves": [[1, 0, 1, 1]],
          "occ": [[0, 1], [1, 1]], "obs": [[False, False, False], [False, False, False]]}),
+    # round 6 moves no robot; each row below reads as that round through
+    # iteration or int(), which replays cleanly, but is not v2
+    (7, {"round": 6, "phase": 1, "rip": 7, "moves": "", "occ": [[0, 2]]}),
+    (7, {"round": 6, "phase": 1, "rip": 7, "moves": {}, "occ": [[0, 2]]}),
+    (7, {"round": 6, "phase": 1, "rip": 7, "moves": [], "occ": [[0, 2]],
+         "obs": {" 1": [False, False, False], "2": [False, False, False]}}),
+    (7, {"round": 6, "phase": 1, "rip": 7, "moves": [], "occ": [[0, 2]],
+         "obs": {"01": [False, False, False], "2": [False, False, False]}}),
+    (7, {"round": 6, "phase": 1, "rip": 7, "moves": [], "occ": [[0, 2]],
+         "obs": {"+1": [False, False, False], "2": [False, False, False]}}),
+    (7, {"round": 6, "phase": 1, "rip": 7, "moves": [], "occ": [[0, 2]], "obs": None}),
 ], ids=["no-moves", "three-element-move", "not-an-object", "header-not-an-object",
         "v1-header", "occ-cell-not-a-pair", "bool-round", "float-port", "float-count",
-        "three-int-occ-cell", "obs-key-not-a-label", "obs-a-list"])
+        "three-int-occ-cell", "obs-key-not-a-label", "obs-a-list", "moves-a-string",
+        "moves-an-object", "obs-key-space", "obs-key-leading-zero", "obs-key-plus",
+        "obs-null"])
 def test_verify_malformed_row_exits_input(rooted_scenario, tmp_path, capsys, line, row):
     trace_path = tmp_path / "trace.jsonl"
     main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])

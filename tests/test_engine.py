@@ -233,8 +233,8 @@ def trajectory(scenario, ruleset, record_rounds, rounds):
     return states
 
 
-def wake_everyone(status, leader):
-    return frozenset(range(1, ROUNDS_PER_PHASE + 1))
+# every robot woken in every round, whatever its status and leader flag
+WAKE_EVERYONE = {key: tuple(range(ROUNDS_PER_PHASE)) for key in engine_module._WAKE_INDEXES}
 
 
 @pytest.mark.parametrize("ruleset", list(Ruleset))
@@ -245,7 +245,7 @@ def test_wake_schedule_matches_stepping_every_robot(sample_647, ruleset, monkeyp
         recorded = trajectory(scenario, ruleset, True, rounds)
         unrecorded = trajectory(scenario, ruleset, False, rounds)
         with monkeypatch.context() as patch:
-            patch.setattr(engine_module, "wake_rounds", wake_everyone)
+            patch.setattr(engine_module, "_WAKE_INDEXES", WAKE_EVERYONE)
             everyone = trajectory(scenario, ruleset, True, rounds)
             oracle = run(scenario, ruleset)
         assert len(recorded) == len(unrecorded) == len(everyone) == rounds
@@ -276,7 +276,8 @@ def test_unrecorded_run_keeps_no_trace_and_the_same_verdict(sample_647, ruleset)
 def test_one_snapshot_per_robot_per_phase_start(monkeypatch, mode):
     # criterion 6's [2,2] chain disperses after 11 phases: a recorded or
     # checked run hands on 12 phase starts, the last one after the final
-    # phase; an unrecorded run needs the states of the 11 it keys only
+    # phase; an unrecorded run takes none, since its livelock key reads
+    # the robots' fields
     scenario = gen_chain([2, 2], gap=2, n=7, max_label=7)
     calls = []
     snapshot = RobotState.snapshot
@@ -289,9 +290,10 @@ def test_one_snapshot_per_robot_per_phase_start(monkeypatch, mode):
     sink = TraceCheck(scenario, every_observation=False) if mode == "checked" else None
     outcome = run(scenario, Ruleset.REPAIRED, record_rounds=mode == "recorded", sink=sink)
     assert outcome.result is RunResult.DISPERSED and outcome.phases_used == 11
-    phase_starts = 11 if mode == "unrecorded" else 12
-    assert len(calls) == scenario.k * phase_starts
-    assert calls == list(scenario.labels()) * phase_starts
+    phase_starts = 12
+    snapshots = 0 if mode == "unrecorded" else phase_starts
+    assert len(calls) == scenario.k * snapshots
+    assert calls == list(scenario.labels()) * snapshots
     if mode == "recorded":
         assert len(outcome.trace.phase_snapshots) == phase_starts
     else:
@@ -373,6 +375,13 @@ def test_snapshot_key_state_sensitivity():
     assert a.snapshot_key() != b.snapshot_key()
 
 
+def split_key(positions, engine):
+    """``positions`` and the robots' snapshots as the livelock key is
+    split: ((positions, states without net_disp), net_disp vector)."""
+    snaps = [engine.robots[label].snapshot() for label in engine.labels]
+    return ((positions, tuple(s[:-1] for s in snaps)), tuple(s.net_disp for s in snaps))
+
+
 def all_rotations_key(engine):
     """The livelock key by its definition: the lexicographic minimum of the
     placement over all n ring rotations, plus the state vector."""
@@ -381,7 +390,7 @@ def all_rotations_key(engine):
         tuple((by_robot[label] + r) % engine.n for label in engine.labels)
         for r in range(engine.n)
     )
-    return (best, tuple(engine.robots[label].snapshot() for label in engine.labels))
+    return split_key(best, engine)
 
 
 @st.composite
@@ -408,6 +417,19 @@ def engines_mid_run(draw):
 @given(engines_mid_run())
 def test_snapshot_key_equals_all_rotations_minimum(engine):
     assert engine.snapshot_key() == all_rotations_key(engine)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(lambda recorded: small_engines(record_rounds=recorded)),
+       st.integers(min_value=1, max_value=4))
+def test_snapshot_key_reads_the_snapshot_fields(engine, phases):
+    # the key read from the robots' fields is the snapshot-based key, split
+    for _ in range(phases):
+        by_robot = engine.placement.by_robot
+        origin = by_robot[engine.labels[0]]
+        positions = tuple((by_robot[label] - origin) % engine.n for label in engine.labels)
+        assert engine.snapshot_key() == split_key(positions, engine)
+        engine.run_phase()
 
 
 def test_round_counters_and_movement_limits():

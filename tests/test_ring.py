@@ -7,6 +7,7 @@ from ringdisperse.ring import (
     PORT_ZERO,
     ConfigurationError,
     Placement,
+    count_nodes,
     pred,
     ring_distance,
     succ,
@@ -74,6 +75,12 @@ def test_apply_moves_order_independent_and_conserving(n, robots, data):
     # the counts stay consistent with the robot-to-node map
     for node in q.by_robot.values():
         assert q.counts[node] == list(q.by_robot.values()).count(node)
+    # ... with no stale or zero entry for a node left empty
+    assert q.counts == count_nodes(q.by_robot.values())
+    assert q.all_distinct() == (len(count_nodes(q.by_robot.values())) == len(robots))
+    # value semantics: the source placement is unchanged
+    assert p.by_robot == robots
+    assert p.counts == count_nodes(robots.values())
 
 
 def test_ring_distance_wraps():
