@@ -77,7 +77,7 @@ def test_apply_moves_order_independent_and_conserving(n, robots, data):
         assert q.counts[node] == list(q.by_robot.values()).count(node)
     # ... with no stale or zero entry for a node left empty
     assert q.counts == count_nodes(q.by_robot.values())
-    assert q.all_distinct() == (len(count_nodes(q.by_robot.values())) == len(robots))
+    assert q.all_distinct() == (len(set(q.by_robot.values())) == len(robots))
     # value semantics: the source placement is unchanged
     assert p.by_robot == robots
     assert p.counts == count_nodes(robots.values())
