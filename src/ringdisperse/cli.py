@@ -98,16 +98,27 @@ def write_trace(outcome: RunOutcome, path, verbose: bool = False) -> None:
 
 
 def read_trace(path) -> tuple[dict, list[dict]]:
+    """The header and rows of a trace file, blank lines skipped; ValueError
+    names the header, or the row (numbered from 1), that is not JSON."""
     with open(path, encoding="utf-8") as fh:
         lines = (line for line in fh if line.strip())
         first = next(lines, None)
         if first is None:
             raise ValueError("empty trace file")
-        header = json.loads(first)
+        try:
+            header = json.loads(first)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"trace header is not JSON: {exc}") from None
         fmt = header.get("format") if isinstance(header, dict) else None
         if fmt != TRACE_FORMAT:
             raise ValueError(f"unsupported trace format {fmt!r}")
-        return header, [json.loads(line) for line in lines]
+        rows = []
+        for index, line in enumerate(lines, start=1):
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"trace row {index} is not JSON: {exc}") from None
+        return header, rows
 
 
 def _bits(value) -> Observation:

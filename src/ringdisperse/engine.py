@@ -6,21 +6,24 @@ The engine schedules, observes, commits and hands on; ``protocol.step``
 decides and writes every robot's state.  At round 1 of every phase the
 engine reads each robot's status and leader flag and builds a wake
 schedule from ``protocol.wake_rounds``: per round of the phase, the
-robots ``step`` may act on.  A skipped call is one that would have
-returned STAY and changed nothing.
+robots ``step`` may act on.  ``step`` returns the port a robot moves
+through, or None to stay; a skipped call is one that would have returned
+None and changed nothing.
 
 There is one round body, ``Engine._run_rounds``: ``run_phase`` runs it
 over the 19 rounds of a phase and ``step_round`` over one round.  It
 loads the placement, its counts and last round's movers once per call
 and observes and steps the woken robots.  When a sink is attached it
 hands the sink each phase start (``phase_start(phase, nodes, states)``)
-and each round as it happens (``round(global_round, phase, rip, moves,
-observations, cells)``): the moves as ``(label, from, to, port)`` in
-label order, the observations and the post-round occupancy cells.  A
-sink whose ``every_observation`` is true gets every robot's observation
-and the robots that sit the round out are observed for it; otherwise it
-gets the observations of the robots that decided.  There are two sinks.
-The ``Trace`` recorder keeps ``RoundRecord``s and ``PhaseSnapshot``s with
+at the phase's round 1, from the state as it stands then, and each round
+as it happens (``round(global_round, phase, rip, moves, observations,
+cells)``): the moves as ``(label, from, to, port)`` in label order, the
+observations and the post-round occupancy cells.  ``run`` hands on the
+phase start it ends on once, after its last phase.  A sink whose
+``every_observation`` is true gets every robot's observation and the
+robots that sit the round out are observed for it; otherwise it gets the
+observations of the robots that decided.  There are two sinks.  The
+``Trace`` recorder keeps ``RoundRecord``s and ``PhaseSnapshot``s with
 every observation, for ``run --trace`` and the in-memory trace walks.
 ``verify.TraceCheck`` judges the run as it goes, so ``evaluate_scenario``
 holds no trace: it builds no record and keeps no list.  Without a sink
@@ -29,18 +32,18 @@ hands nothing on and the trace holds the scenario, the ruleset and the
 verdict only.
 
 A round allocates only what it keeps: ``observe`` returns one of the
-eight shared observations and ``step`` one of the three shared actions,
-the counts are read straight from the two placements, last round's
-moves dict doubles as the set of robots that moved, a round in which no
-robot acts builds no dict, and a round without a move keeps its
-placement and hands on the cells of the round before.  Only a sink gets
-``snapshot()``s, each robot's once per phase start; the livelock key
-reads the robots' fields directly, so a run without a sink builds no
-snapshot.  The wake schedule is filled from ``_WAKE_INDEXES``, and a
-move commit adjusts the counts of the nodes its movers leave and enter.
-``observe`` and ``step`` are looked up as module globals at every call,
-and ``apply_moves`` and ``occupancy_vector`` called as methods, so that
-a wrapper set on this module or on ``Placement`` sees every call.
+eight shared observations and ``step`` a port, the counts are read
+straight from the two placements, last round's moves dict doubles as the
+set of robots that moved, a round in which no robot acts builds no dict,
+and a round without a move keeps its placement and hands on the cells of
+the round before.  Only a sink gets ``snapshot()``s, each robot's once
+per phase start; the livelock key reads the robots' fields directly, so
+a run without a sink builds no snapshot.  The wake schedule is filled
+from ``_WAKE_INDEXES``, and a move commit adjusts the counts of the
+nodes its movers leave and enter.  ``observe`` and ``step`` are looked
+up as module globals at every call, and ``apply_moves`` and
+``occupancy_vector`` called as methods, so that a wrapper set on this
+module or on ``Placement`` sees every call.
 """
 
 from __future__ import annotations
@@ -106,7 +109,6 @@ class Trace:
 
     scenario: Scenario
     ruleset: Ruleset
-    labels: tuple[int, ...]
     records: list[RoundRecord] = field(default_factory=list)
     phase_snapshots: list[PhaseSnapshot] = field(default_factory=list)
     result: "RunResult | None" = None  # set once the run reaches a verdict
@@ -199,26 +201,20 @@ class Engine:
         self.global_round = 0
         self.phase = 1
         self.round_in_phase = 1
-        self.moves_in_phase = 0
         # per finished phase, each robot's net_disp entering round 13, the
         # one round whose rule can read it (in labels order)
         self.net_disp_at_13: list[tuple[int, ...]] = []
         # per round of the current phase, the labels to step; built at round 1
         self.wake_schedule: list[list[int]] = []
-        self.trace = Trace(scenario, ruleset, self.labels)
+        self.trace = Trace(scenario, ruleset)
         self.sink = sink if sink is not None else self.trace if record_rounds else None
-        # whether the sink already has this phase start, until its round 1
-        # runs; handed on at round 1 otherwise, since tests inject
-        # phase-start state after construction
-        self.phase_handed_on = False
 
-    def _snapshot_phase(self) -> None:
-        """Hand the sink every robot's snapshot for the phase now starting;
+    def _hand_on_phase_start(self, phase: int, placement: Placement) -> None:
+        """Hand the sink every robot's snapshot for the start of ``phase``;
         the sink is the only taker of snapshots."""
         robots = self.robots
-        self.sink.phase_start(self.phase, self.placement.by_robot,
+        self.sink.phase_start(phase, placement.by_robot,
                               {label: robots[label].snapshot() for label in self.labels})
-        self.phase_handed_on = True
 
     def snapshot_key(self) -> tuple:
         """The livelock key, split as ((placement, states without
@@ -250,9 +246,10 @@ class Engine:
                 schedule[index].append(label)
         return schedule
 
-    def _run_rounds(self, count: int) -> None:
+    def _run_rounds(self, count: int) -> int:
         """The round body: run ``count`` synchronous rounds from the current
-        one, handing each phase start and round to the sink if there is one."""
+        one, handing each phase start and round to the sink if there is one.
+        Returns the number of moves committed."""
         robots, labels, ruleset, n = self.robots, self.labels, self.ruleset, self.n
         sink = self.sink
         every = sink is not None and sink.every_observation
@@ -260,13 +257,12 @@ class Engine:
         moved_last = self.moved_last
         phase, rip, global_round = self.phase, self.round_in_phase, self.global_round
         schedule = self.wake_schedule
-        moves_in_phase = self.moves_in_phase
+        moves_made = 0
         cells = None  # the occupancy cells of the current placement, once computed
         for _ in range(count):
             if rip == 1:
-                if sink is not None and not self.phase_handed_on:
-                    self._snapshot_phase()
-                self.phase_handed_on = False
+                if sink is not None:
+                    self._hand_on_phase_start(phase, placement)
                 schedule = self.wake_schedule = self._build_wake_schedule()
             elif rip == 13:
                 self.net_disp_at_13.append(tuple(robots[label].net_disp for label in labels))
@@ -282,7 +278,7 @@ class Engine:
                         node = by_robot[label]
                         port = step(robots[label], observe(
                             counts[node], prev_counts.get(node, 0), label in moved_last),
-                            rip, ruleset).port
+                            rip, ruleset)
                         if port is not None:
                             moves[label] = port
                 elif every:
@@ -292,7 +288,7 @@ class Engine:
                         observations[label] = observe(
                             counts[node], prev_counts.get(node, 0), label in moved_last)
                     for label in woken:
-                        port = step(robots[label], observations[label], rip, ruleset).port
+                        port = step(robots[label], observations[label], rip, ruleset)
                         if port is not None:
                             moves[label] = port
                 else:
@@ -301,7 +297,7 @@ class Engine:
                         node = by_robot[label]
                         seen = observations[label] = observe(
                             counts[node], prev_counts.get(node, 0), label in moved_last)
-                        port = step(robots[label], seen, rip, ruleset).port
+                        port = step(robots[label], seen, rip, ruleset)
                         if port is not None:
                             moves[label] = port
             else:
@@ -310,7 +306,7 @@ class Engine:
 
             if moves:
                 new_placement = placement.apply_moves(moves)
-                moves_in_phase += len(moves)
+                moves_made += len(moves)
                 cells = None
             else:  # the placement, and so its cells, stay
                 new_placement = placement
@@ -328,16 +324,12 @@ class Engine:
                     apply_pending_status(robots[label])
                 phase += 1
                 rip = 1
-                if sink is not None:
-                    # now, so that the sink gets the last phase start of a run
-                    self.placement, self.phase = placement, phase
-                    self._snapshot_phase()
             else:
                 rip += 1
         self.placement, self.prev_placement = placement, prev_placement
         self.moved_last = moved_last
         self.phase, self.round_in_phase, self.global_round = phase, rip, global_round
-        self.moves_in_phase = moves_in_phase
+        return moves_made
 
     def step_round(self) -> None:
         """Run one synchronous round."""
@@ -345,9 +337,7 @@ class Engine:
 
     def run_phase(self) -> int:
         """Run the 19 rounds of the current phase; returns its move count."""
-        self.moves_in_phase = 0
-        self._run_rounds(ROUNDS_PER_PHASE)
-        return self.moves_in_phase
+        return self._run_rounds(ROUNDS_PER_PHASE)
 
 
 def _repeats_forever(
@@ -438,6 +428,9 @@ def run(
             result = RunResult.BUDGET_EXCEEDED
             break
 
+    if engine.sink is not None:
+        # the phase start the run ends on; no round of it runs
+        engine._hand_on_phase_start(engine.phase, engine.placement)
     engine.trace.result = result
     return RunOutcome(
         result=result,

@@ -31,9 +31,9 @@ or 5 of an election phase; status and every other flag the gate reads
 are fixed within a phase, so in every other round ``step`` is a no-op
 and the engine skips the call.
 
-``step`` mutates the passed RobotState in place and returns the move,
-always one of the three shared actions ``STAY``, ``MOVE_ZERO`` and
-``MOVE_ONE``, so that a round allocates no action.
+``step`` mutates the passed RobotState in place and returns a port, the
+one the robot moves through, or None to stay: ``MOVE_ZERO``, ``MOVE_ONE``
+and ``STAY`` in the rules.
 All robots' moves within a round are computed against the same pre-round
 placement and committed simultaneously by the engine.
 """
@@ -41,7 +41,7 @@ placement and committed simultaneously by the engine.
 from __future__ import annotations
 
 import enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .perception import Observation
 from .ring import PORT_ONE, PORT_ZERO
@@ -53,16 +53,10 @@ class Ruleset(enum.Enum):
     REPAIRED = "repaired"
 
 
-class Action(NamedTuple):
-    """A robot's decision for one round: stay (port None) or move."""
-
-    port: int | None
-
-
-# the only three actions: every rule returns one of these constants
-STAY = Action(None)
-MOVE_ZERO = Action(PORT_ZERO)
-MOVE_ONE = Action(PORT_ONE)
+# a robot's decision for one round: stay, or the port it moves through
+STAY = None
+MOVE_ZERO = PORT_ZERO
+MOVE_ONE = PORT_ONE
 
 # Published participation table (status column x round), kept verbatim as
 # documentation.  Where it contradicts the rules the rules govern; the
@@ -95,13 +89,13 @@ LEADER_ROUNDS = frozenset({5, 6, 7, 9, 10, 11})
 LATCH_ROUNDS = frozenset({7, 10, 11, 12})
 
 # one status's decision in one round; it may write the state it is given
-Rule = Callable[[RobotState, Observation, Ruleset], Action]
+Rule = Callable[[RobotState, Observation, Ruleset], int | None]
 
 
 # -- leader election, rounds 1-5 ----------------------------------------------
 
 
-def _elect_alone_or_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _elect_alone_or_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if obs.alone and state.proceed == 0:
         state.leader = True
     elif state.proceed == 0 and bit_at(state.label, state.le_bit, state.max_size) == 1:
@@ -111,7 +105,7 @@ def _elect_alone_or_split(state: RobotState, obs: Observation, ruleset: Ruleset)
     return STAY
 
 
-def _inform_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _inform_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.proceed == 0 and obs.decrease:
         # the stayers detected the split and move forward to inform;
         # move_var marks them as this phase's informers so that round 3
@@ -122,7 +116,7 @@ def _inform_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> Acti
     return STAY
 
 
-def _return_from_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _return_from_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     informer = state.proceed == 2 and state.move_var == 2
     if ruleset is Ruleset.REPAIRED:
         # always return and keep candidacy: the informers' signal can be
@@ -139,37 +133,37 @@ def _return_from_split(state: RobotState, obs: Observation, ruleset: Ruleset) ->
     return STAY
 
 
-def _probe_predecessor(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _probe_predecessor(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.proceed == 1:
         return MOVE_ZERO  # probe the predecessor node
     return STAY
 
 
-def _election_result(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
-    action = STAY
+def _election_result(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+    port = STAY
     if state.proceed == 1:
         if obs.alone:
             state.leader = True
         state.proceed = 0
-        action = MOVE_ONE
+        port = MOVE_ONE
     # bit bookkeeping for every electing robot, winners included
     if state.le_bit == state.max_size:
         state.pending_status = Status.ACTIVE_MERGE
     else:
         state.le_bit += 1
-    return action
+    return port
 
 
 # -- active merge, rounds 6-8 -------------------------------------------------
 
 
-def _merge_sweep_out(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _merge_sweep_out(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.leader:
         return MOVE_ONE
     return STAY
 
 
-def _merge_sweep_end(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _merge_sweep_end(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.leader and obs.alone:
         # empty successor: merging is complete, return and retire the sweep
         state.pending_status = Status.ACTIVE_DISPERSE
@@ -177,7 +171,7 @@ def _merge_sweep_end(state: RobotState, obs: Observation, ruleset: Ruleset) -> A
     return STAY
 
 
-def _merge_follow(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _merge_follow(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     # non-leaders only; the leader is gated out of round 8
     if ruleset is Ruleset.LITERAL:
         if obs.increase:
@@ -200,27 +194,27 @@ def _merge_follow(state: RobotState, obs: Observation, ruleset: Ruleset) -> Acti
 # Rounds 9-11: the leader keeps one empty node ahead of its group.
 
 
-def _probe_ahead(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _probe_ahead(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.leader and state.advance == 0 and not obs.alone:
         state.advance = 1
         return MOVE_ONE
     return STAY
 
 
-def _probe_onward(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _probe_onward(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.leader and state.advance == 1 and obs.alone:
         return MOVE_ONE
     return STAY
 
 
-def _probe_back(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _probe_back(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.leader and state.advance == 1 and obs.alone:
         state.advance = 0
         return MOVE_ZERO
     return STAY
 
 
-def _retreat_on_leader_arrival(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _retreat_on_leader_arrival(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     """Round 12: a foreign leader landed here; fall back one node.
 
     The arrival happens during round 9 or 10, so the literal rule (which
@@ -240,7 +234,7 @@ def _retreat_on_leader_arrival(state: RobotState, obs: Observation, ruleset: Rul
 # -- active disperse, rounds 13-19 --------------------------------------------
 
 
-def _split_or_settle(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _split_or_settle(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if obs.alone and state.start == 0:
         # Repaired: only a robot still at its dispersal start node (the
         # rear of its chain) may arm the retirement timer on its own;
@@ -254,15 +248,15 @@ def _split_or_settle(state: RobotState, obs: Observation, ruleset: Ruleset) -> A
         state.settle = 1
         return STAY
     # not alone: process the current label bit, then advance the cursor
-    action = STAY
+    port = STAY
     if state.current_disp_bit() == 1:
         state.move_var = 1
-        action = MOVE_ONE
+        port = MOVE_ONE
     state.advance_disp_bit()
-    return action
+    return port
 
 
-def _announce_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _announce_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.move_var == 0 and obs.decrease:
         # a split happened; the stayers move forward to announce it
         state.move_var = 2
@@ -270,7 +264,7 @@ def _announce_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> Ac
     return STAY
 
 
-def _split_outcome(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _split_outcome(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.move_var == 0:
         state.pending_status = Status.PASSIVE
         return STAY
@@ -282,7 +276,7 @@ def _split_outcome(state: RobotState, obs: Observation, ruleset: Ruleset) -> Act
     return STAY
 
 
-def _mover_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _mover_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.move_var == 1:
         if obs.decrease:
             # the occupants vacated in round 16: this node was taken
@@ -293,13 +287,13 @@ def _mover_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> Act
     return STAY
 
 
-def _announce_retirement(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _announce_retirement(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.settle == 1:
         return MOVE_ONE  # announce the coming retirement ahead
     return STAY
 
 
-def _retire(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _retire(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.settle == 1:
         state.pending_status = Status.IDLE
         return MOVE_ZERO
@@ -309,19 +303,19 @@ def _retire(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
 # -- passive, rounds 15-19 ----------------------------------------------------
 
 
-def _hear_arrival(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _hear_arrival(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if obs.increase:
         state.move_var = 1  # an incoming group arrived: vacate next round
     return STAY
 
 
-def _vacate(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _vacate(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.move_var == 1:
         return MOVE_ZERO
     return STAY
 
 
-def _reactivate_or_jump(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _reactivate_or_jump(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if state.move_var == 0:
         state.pending_status = Status.ACTIVE_DISPERSE
         return STAY
@@ -329,7 +323,7 @@ def _reactivate_or_jump(state: RobotState, obs: Observation, ruleset: Ruleset) -
     return MOVE_ONE
 
 
-def _hear_retirement(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _hear_retirement(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if obs.increase:
         state.start = 1  # the predecessor announced it will retire
     return STAY
@@ -338,11 +332,11 @@ def _hear_retirement(state: RobotState, obs: Observation, ruleset: Ruleset) -> A
 # -- jump and wait ------------------------------------------------------------
 
 
-def _make_room(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _make_room(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     return MOVE_ONE  # make room for the group that arrived
 
 
-def _jump_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _jump_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     if obs.decrease:
         state.pending_status = Status.WAIT  # landed on an occupied node
     else:
@@ -350,7 +344,7 @@ def _jump_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> Acti
     return STAY
 
 
-def _end_wait(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _end_wait(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     state.pending_status = Status.PASSIVE
     return STAY
 
@@ -379,7 +373,7 @@ RULES: dict[Status, dict[int, Rule]] = {
 }
 
 
-def _no_op(state: RobotState, obs: Observation, ruleset: Ruleset) -> Action:
+def _no_op(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
     """A leader round with no rule for the leader's status."""
     return STAY
 
@@ -425,8 +419,9 @@ def participates(state: RobotState | StateSnapshot, round_in_phase: int) -> bool
     return round_in_phase in PARTICIPATION[state.status, state.leader]
 
 
-def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Ruleset) -> Action:
-    """Decide one robot's action for this round; mutates ``state``."""
+def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Ruleset) -> int | None:
+    """Decide one robot's move for this round: the port it moves through,
+    or None to stay; mutates ``state``."""
     # the gate of participates() and the rule lookup in one: step runs once
     # per woken robot-round
     rule = _DISPATCH[state.status, state.leader].get(round_in_phase)
@@ -440,7 +435,7 @@ def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Rule
                 state.decrease_at_7 = True
         elif obs.increase:
             state.increase_in_10_12 = True
-    action = rule(state, obs, ruleset)
-    if action is not STAY and state.status in DISPERSAL_STATUSES:
-        state.net_disp += 1 if action is MOVE_ONE else -1
-    return action
+    port = rule(state, obs, ruleset)
+    if port is not STAY and state.status in DISPERSAL_STATUSES:
+        state.net_disp += 1 if port == MOVE_ONE else -1
+    return port

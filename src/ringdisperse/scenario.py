@@ -91,10 +91,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("missing ring directive")
     if max_label is None:
         raise ScenarioError("missing maxlabel directive")
-    try:
-        return make_scenario(n, max_label, robots)
-    except ScenarioError as exc:
-        raise ScenarioError(str(exc)) from None
+    return make_scenario(n, max_label, robots)
 
 
 def render_scenario(s: Scenario) -> str:
@@ -104,8 +101,13 @@ def render_scenario(s: Scenario) -> str:
 
 
 def load_scenario(path) -> Scenario:
+    """Parse a scenario file; ScenarioError also for text that is not UTF-8."""
     with open(path, encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"not UTF-8 text: {exc}") from None
+    return parse_scenario(text)
 
 
 def gen_single_source(n: int, k: int, max_label: int, seed: int) -> Scenario:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,27 +52,23 @@ class SweepRow:
         )
 
 
-def _sweep_worker(args) -> SweepRow:
-    n, k, max_label, seed, ruleset_value = args
-    ruleset = Ruleset(ruleset_value)
+def _sweep_worker(params: tuple[int, int, int, int], ruleset: Ruleset) -> SweepRow:
+    n, k, max_label, seed = params
     try:
         scenario = gen_single_source(n, k, max_label, seed)
     except ScenarioError as exc:
-        return SweepRow(n, k, max_label, seed, ruleset_value, f"error:{exc}", 0, 0)
+        return SweepRow(n, k, max_label, seed, ruleset.value, f"error:{exc}", 0, 0)
     outcome = run(scenario, ruleset, record_rounds=False)
     return SweepRow(
-        n, k, max_label, seed, ruleset_value,
+        n, k, max_label, seed, ruleset.value,
         outcome.result.value, outcome.rounds_used, outcome.phases_used,
     )
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     """Run every sweep point; failures become per-row outcomes, never aborts."""
-    jobs = [
-        (n, k, max_label, seed, spec.ruleset.value)
-        for n, k, max_label, seed in spec.parameters()
-    ]
-    return map_jobs(_sweep_worker, jobs, workers, chunksize=8, serial_max=16)
+    worker = functools.partial(_sweep_worker, ruleset=spec.ruleset)
+    return map_jobs(worker, list(spec.parameters()), workers, chunksize=8, serial_max=16)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

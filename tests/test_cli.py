@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,26 @@ def test_run_malformed_scenario_exit(tmp_path, capsys):
     code = main(["run", "--scenario", str(bad)])
     assert code == 4
     assert "duplicate label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_non_utf8_scenario_exits_input(rooted_scenario, tmp_path, command):
+    # a UnicodeDecodeError is neither an OSError nor a ScenarioError
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"\xff\xfering 4\nmaxlabel 3\nrobot 1 0\n")
+    trace_path = tmp_path / "trace.jsonl"
+    main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])
+    args = [command, "--scenario", str(bad)]
+    if command == "verify":
+        args += ["--trace", str(trace_path)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "ringdisperse.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 4
+    assert done.stderr.startswith("error: ") and "not UTF-8" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_trace_roundtrip_verifies_clean(rooted_scenario, tmp_path, capsys):
@@ -187,21 +211,28 @@ def test_file_and_memory_report_the_same_violations(rooted_scenario, tmp_path, i
     (7, {"round": 6, "phase": 1, "rip": 7, "moves": [], "occ": [[0, 2]],
          "obs": {"+1": [False, False, False], "2": [False, False, False]}}),
     (7, {"round": 6, "phase": 1, "rip": 7, "moves": [], "occ": [[0, 2]], "obs": None}),
+    # a string is written as the line itself: rows cut short
+    (3, '{"round":2,"phase":1,"rip":3,"moves":[],"occ":[[0,'),
+    (0, '{"format":"ringdisperse-trace-v2","scenario":{"n":4,'),
 ], ids=["no-moves", "three-element-move", "not-an-object", "header-not-an-object",
         "v1-header", "occ-cell-not-a-pair", "bool-round", "float-port", "float-count",
         "three-int-occ-cell", "obs-key-not-a-label", "obs-a-list", "moves-a-string",
         "moves-an-object", "obs-key-space", "obs-key-leading-zero", "obs-key-plus",
-        "obs-null"])
+        "obs-null", "truncated-row", "truncated-header"])
 def test_verify_malformed_row_exits_input(rooted_scenario, tmp_path, capsys, line, row):
     trace_path = tmp_path / "trace.jsonl"
     main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])
     lines = trace_path.read_text().splitlines()
-    lines[line] = json.dumps(row)
+    lines[line] = row if type(row) is str else json.dumps(row)
     trace_path.write_text("\n".join(lines) + "\n")
     code = main(["verify", "--trace", str(trace_path),
                  "--scenario", str(rooted_scenario)])
     assert code == 4
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if type(row) is str:
+        where = f"trace row {line}" if line else "trace header"
+        assert err.startswith(f"error: {where} is not JSON: "), err
 
 
 @pytest.mark.parametrize("convert", [

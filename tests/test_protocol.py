@@ -7,19 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringdisperse.engine import ROUNDS_PER_PHASE, Engine
+from ringdisperse.engine import ROUNDS_PER_PHASE, Engine, PhaseSnapshot
 from ringdisperse.perception import OBSERVATIONS, Observation
 from ringdisperse.protocol import (
     EFFECTIVE_PARTICIPATION,
     LEADER_ROUNDS,
-    MOVE_ONE,
-    MOVE_ZERO,
     PAPER_PARTICIPATION,
     PARTICIPATION,
     PARTICIPATION_CONFLICTS,
     PORT_ONE,
     PORT_ZERO,
-    STAY,
     Ruleset,
     step,
     wake_rounds,
@@ -50,47 +47,45 @@ def phase_engine(n, max_label, robots_spec, ruleset=Ruleset.REPAIRED):
         state.status = status
         for field_name, value in extra.items():
             setattr(state, field_name, value)
-    eng.trace.phase_snapshots.clear()
-    eng._snapshot_phase()
     return eng
 
 
 def test_idle_robot_stays():
     st = robot(status=Status.IDLE)
-    assert step(st, obs(), 13, Ruleset.REPAIRED).port is None
+    assert step(st, obs(), 13, Ruleset.REPAIRED) is None
 
 
 def test_passive_stays_in_round_13():
     st = robot(status=Status.PASSIVE)
-    action = step(st, obs(), 13, Ruleset.REPAIRED)
-    assert action.port is None
+    port = step(st, obs(), 13, Ruleset.REPAIRED)
+    assert port is None
     assert st.pending_status is None
 
 
 def test_wait_turns_passive_in_round_17():
     st = robot(status=Status.WAIT)
-    action = step(st, obs(), 17, Ruleset.REPAIRED)
-    assert action.port is None
+    port = step(st, obs(), 17, Ruleset.REPAIRED)
+    assert port is None
     assert st.pending_status is Status.PASSIVE
 
 
 def test_wait_never_moves():
     st = robot(status=Status.WAIT)
     for rip in range(1, 20):
-        assert step(st, obs(), rip, Ruleset.REPAIRED).port is None
+        assert step(st, obs(), rip, Ruleset.REPAIRED) is None
 
 
 def test_singleton_elects_itself_in_round_1():
     st = robot(status=Status.LEADER_ELECTION)
-    action = step(st, obs(alone=True), 1, Ruleset.REPAIRED)
-    assert action.port is None
+    port = step(st, obs(alone=True), 1, Ruleset.REPAIRED)
+    assert port is None
     assert st.leader
 
 
 def test_leader_is_gated_outside_its_rounds():
     st = robot(status=Status.LEADER_ELECTION, leader=True)
-    action = step(st, obs(), 1, Ruleset.REPAIRED)
-    assert action.port is None
+    port = step(st, obs(), 1, Ruleset.REPAIRED)
+    assert port is None
     assert st.proceed == 0  # bit processing skipped entirely
 
 
@@ -99,32 +94,32 @@ def test_retired_candidate_is_inert():
     # every later election phase, including round 3
     st = robot(status=Status.LEADER_ELECTION, proceed=2)
     for rip in range(1, 6):
-        action = step(st, obs(decrease=True), rip, Ruleset.REPAIRED)
+        port = step(st, obs(decrease=True), rip, Ruleset.REPAIRED)
         if rip == 5:
             continue  # bookkeeping round, no move either way
-        assert action.port is None, f"moved in round {rip}"
+        assert port is None, f"moved in round {rip}"
 
 
 def test_fresh_informer_returns_in_round_3():
     st = robot(status=Status.LEADER_ELECTION, proceed=0)
-    action = step(st, obs(decrease=True), 2, Ruleset.REPAIRED)
-    assert action.port == PORT_ONE
+    port = step(st, obs(decrease=True), 2, Ruleset.REPAIRED)
+    assert port == PORT_ONE
     assert st.proceed == 2
-    action = step(st, obs(), 3, Ruleset.REPAIRED)
-    assert action.port == PORT_ZERO
+    port = step(st, obs(), 3, Ruleset.REPAIRED)
+    assert port == PORT_ZERO
 
 
 def test_literal_round3_drops_candidacy_without_increase():
     st = robot(status=Status.LEADER_ELECTION, proceed=1)
-    action = step(st, obs(increase=False), 3, Ruleset.LITERAL)
-    assert action.port == PORT_ZERO
+    port = step(st, obs(increase=False), 3, Ruleset.LITERAL)
+    assert port == PORT_ZERO
     assert st.proceed == 0
 
 
 def test_repaired_round3_keeps_candidacy():
     st = robot(status=Status.LEADER_ELECTION, proceed=1)
-    action = step(st, obs(increase=False), 3, Ruleset.REPAIRED)
-    assert action.port == PORT_ZERO
+    port = step(st, obs(increase=False), 3, Ruleset.REPAIRED)
+    assert port == PORT_ZERO
     assert st.proceed == 1
 
 
@@ -178,7 +173,7 @@ def phase_fields(draw):
 def test_step_is_a_no_op_outside_the_wake_rounds(fields):
     # the engine skips step in the rounds outside wake_rounds, so there step
     # must stay and leave the state alone for every status, observation and
-    # ruleset; in every round it returns one of the three shared actions
+    # ruleset; in every round it returns a port or None
     for status, leader in itertools.product(Status, (False, True)):
         # an election phase can turn the leader flag on mid-phase
         held = {leader, True} if status is Status.LEADER_ELECTION else {leader}
@@ -187,12 +182,14 @@ def test_step_is_a_no_op_outside_the_wake_rounds(fields):
                 held, range(1, ROUNDS_PER_PHASE + 1), Ruleset, OBSERVATIONS):
             state = RobotState(status=status, leader=now_leader, **fields)
             before = dataclasses.replace(state)
-            action = step(state, observation, rip, ruleset)
-            assert any(action is shared for shared in (STAY, MOVE_ZERO, MOVE_ONE)), (
-                status, now_leader, rip, action)
+            port = step(state, observation, rip, ruleset)
+            # type() as well, since False == 0 and True == 1
+            assert port is None or (
+                type(port) is int and port in (PORT_ZERO, PORT_ONE)), (
+                status, now_leader, rip, port)
             if rip in woken:
                 continue
-            assert action is STAY, (status, now_leader, rip)
+            assert port is None, (status, now_leader, rip)
             # dataclass equality compares every field, the latches included
             assert state == before, (status, now_leader, rip, observation)
 
@@ -203,9 +200,22 @@ def test_all_zero_bits_leaves_group_still():
         2: (0, Status.LEADER_ELECTION, {}),
         4: (0, Status.LEADER_ELECTION, {}),
     })
-    eng.run_phase()
-    assert eng.moves_in_phase == 0
+    assert eng.run_phase() == 0
     assert eng.robots[2].proceed == 0 and eng.robots[4].proceed == 0
+
+
+def test_injected_states_are_handed_on_at_round_1():
+    # phase_engine injects the statuses after construction; the sink gets
+    # them, not the constructed ones, with round 1 of the phase
+    eng = phase_engine(6, 7, {
+        6: (1, Status.WAIT, {}),
+        1: (0, Status.PASSIVE, {"start": 1}),
+    })
+    injected = {label: eng.robots[label].snapshot() for label in (1, 6)}
+    assert eng.trace.phase_snapshots == []
+    eng.step_round()
+    assert eng.trace.phase_snapshots == [PhaseSnapshot(1, {1: 0, 6: 1}, injected)]
+    assert injected[6].status is Status.WAIT and injected[1].start == 1
 
 
 def test_split_on_empty_successor():
@@ -323,19 +333,19 @@ def test_passive_hears_retirement_announcement():
 
 def test_leader_probe_rounds():
     st = robot(status=Status.ACTIVE_DISPERSE, leader=True)
-    assert step(st, obs(alone=False), 9, Ruleset.REPAIRED).port == PORT_ONE
+    assert step(st, obs(alone=False), 9, Ruleset.REPAIRED) == PORT_ONE
     assert st.advance == 1
-    assert step(st, obs(alone=True), 10, Ruleset.REPAIRED).port == PORT_ONE
-    assert step(st, obs(alone=True), 11, Ruleset.REPAIRED).port == PORT_ZERO
+    assert step(st, obs(alone=True), 10, Ruleset.REPAIRED) == PORT_ONE
+    assert step(st, obs(alone=True), 11, Ruleset.REPAIRED) == PORT_ZERO
     assert st.advance == 0
 
 
 def test_leader_never_runs_late_rounds():
     st = robot(status=Status.ACTIVE_DISPERSE, leader=True, settle=1)
     for rip in (12, 13, 14, 15, 16, 17, 18, 19):
-        action = step(st, obs(alone=True, increase=True, decrease=True),
+        port = step(st, obs(alone=True, increase=True, decrease=True),
                       rip, Ruleset.REPAIRED)
-        assert action.port is None
+        assert port is None
     assert st.pending_status is None
 
 
@@ -347,15 +357,15 @@ def test_retreat_detection_literal_misses_early_arrival():
     for rip, seen in rounds:
         step(st_rep, seen, rip, Ruleset.REPAIRED)
     assert st_rep.increase_in_10_12
-    action = step(st_rep, obs(), 12, Ruleset.REPAIRED)
-    assert action.port == PORT_ZERO
+    port = step(st_rep, obs(), 12, Ruleset.REPAIRED)
+    assert port == PORT_ZERO
     assert st_rep.pending_status is Status.PASSIVE
 
     st_lit = robot(status=Status.ACTIVE_DISPERSE)
     for rip, seen in rounds:
         step(st_lit, seen, rip, Ruleset.LITERAL)
-    action = step(st_lit, obs(), 12, Ruleset.LITERAL)
-    assert action.port is None
+    port = step(st_lit, obs(), 12, Ruleset.LITERAL)
+    assert port is None
     assert st_lit.pending_status is None
 
 
@@ -365,8 +375,8 @@ def test_merge_follow_and_stop_precedence():
     step(st, obs(), 6, Ruleset.REPAIRED)
     step(st, obs(decrease=True), 7, Ruleset.REPAIRED)
     assert st.decrease_at_7
-    action = step(st, obs(increase=True), 8, Ruleset.REPAIRED)
-    assert action.port is None
+    port = step(st, obs(increase=True), 8, Ruleset.REPAIRED)
+    assert port is None
     assert st.pending_status is Status.ACTIVE_DISPERSE
 
 
@@ -374,8 +384,8 @@ def test_merge_follow_on_departure():
     st = robot(status=Status.ACTIVE_MERGE)
     step(st, obs(), 6, Ruleset.REPAIRED)
     step(st, obs(decrease=True), 7, Ruleset.REPAIRED)
-    action = step(st, obs(), 8, Ruleset.REPAIRED)
-    assert action.port == PORT_ONE
+    port = step(st, obs(), 8, Ruleset.REPAIRED)
+    assert port == PORT_ONE
     assert st.pending_status is None
 
 
@@ -384,8 +394,8 @@ def test_no_latch_in_rounds_the_robot_sits_out():
     # none of these statuses reads a latch
     for status in (Status.LEADER_ELECTION, Status.WAIT, Status.JUMP, Status.IDLE):
         st = robot(status=status)
-        assert step(st, obs(decrease=True), 7, Ruleset.REPAIRED).port is None
-        assert step(st, obs(increase=True), 11, Ruleset.REPAIRED).port is None
+        assert step(st, obs(decrease=True), 7, Ruleset.REPAIRED) is None
+        assert step(st, obs(increase=True), 11, Ruleset.REPAIRED) is None
         assert not st.decrease_at_7 and not st.increase_in_10_12, status
 
 
@@ -413,7 +423,7 @@ def test_idle_robot_perceives_a_leader_arrival_without_latching():
 ])
 def test_step_counts_only_dispersal_moves_in_net_disp(status, extra, rip, seen, port, delta):
     st = robot(status=status, net_disp=3, **extra)
-    assert step(st, seen, rip, Ruleset.REPAIRED).port == port
+    assert step(st, seen, rip, Ruleset.REPAIRED) == port
     assert st.net_disp == 3 + delta
 
 

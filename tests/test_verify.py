@@ -100,7 +100,7 @@ def test_mutated_observation_is_caught(chain_outcome):
     scenario, outcome = chain_outcome
     trace = outcome.trace
     record = trace.records[0]
-    label = trace.labels[0]
+    label = trace.scenario.labels()[0]
     original = record.observations[label]
     record.observations[label] = Observation(original.alone, True, original.decrease)
     violations = validate_trace(trace, scenario)
