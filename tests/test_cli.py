@@ -84,10 +84,10 @@ def test_non_utf8_scenario_exits_input(rooted_scenario, tmp_path, command):
     # a UnicodeDecodeError is neither an OSError nor a ScenarioError
     bad = tmp_path / "bad.scn"
     bad.write_bytes(b"\xff\xfering 4\nmaxlabel 3\nrobot 1 0\n")
-    trace_path = tmp_path / "trace.jsonl"
-    main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])
     args = [command, "--scenario", str(bad)]
     if command == "verify":
+        trace_path = tmp_path / "trace.jsonl"
+        main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])
         args += ["--trace", str(trace_path)]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
