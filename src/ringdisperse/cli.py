@@ -15,12 +15,14 @@ entries is exactly three JSON booleans.  ``write_trace`` formats each row
 directly rather than through ``json.dumps``; the rows are byte-identical
 to v2 rows written with ``json.dumps(row, separators=(",", ":"))``, so
 the format is unchanged.  ``verify`` checks the
-header against the scenario and the row count, then feeds the rows to the
+header against the scenario and the row count, and that its ruleset and
+result are names of a ruleset and a verdict, then feeds the rows to the
 one trace walk, ``verify.check_trace``.  Trace files carry no robot
 statuses, so from a file the walk runs its replay only; participation,
 idle immobility and the invariants are checked in memory.  A violation
-prints as ``[kind] phase P round R: ...``; a malformed row, and any file
-in another format (the dense-occupancy v1 included), is invalid input.
+prints as ``[kind] phase P round R: ...``; a malformed row, a line that is
+not UTF-8, and any file in another format (the dense-occupancy v1
+included) are invalid input.
 
 Exit codes: 0 dispersed / no violations, 2 livelock (a proven cycle),
 3 budget exceeded (no proven cycle within the phase budget), 4 invalid
@@ -43,6 +45,7 @@ from .sweep import SweepSpec, fit_rounds, rows_to_csv, run_sweep
 from .verify import ENUMERATION_GUARD, check_trace, exhaustive_search
 
 TRACE_FORMAT = "ringdisperse-trace-v2"
+RULESET_NAMES = [ruleset.value for ruleset in Ruleset]
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -97,28 +100,47 @@ def write_trace(outcome: RunOutcome, path, verbose: bool = False) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _not_utf8(path) -> str:
+    """Which line of the trace file at ``path`` is not UTF-8, the header or
+    a row numbered as ``read_trace`` numbers them, and the codec's error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    before = 0  # the non-blank lines before this one
+    # bytes.splitlines splits where text-mode reading does (\n, \r, \r\n)
+    for line in data.splitlines():
+        try:
+            before += bool(line.decode("utf-8").strip())
+        except UnicodeDecodeError as exc:
+            return f"trace {f'row {before}' if before else 'header'} is not UTF-8: {exc}"
+    return "trace file is not UTF-8"  # it changed since it was read
+
+
 def read_trace(path) -> tuple[dict, list[dict]]:
     """The header and rows of a trace file, blank lines skipped; ValueError
-    names the header, or the row (numbered from 1), that is not JSON."""
-    with open(path, encoding="utf-8") as fh:
-        lines = (line for line in fh if line.strip())
-        first = next(lines, None)
-        if first is None:
-            raise ValueError("empty trace file")
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"trace header is not JSON: {exc}") from None
-        fmt = header.get("format") if isinstance(header, dict) else None
-        if fmt != TRACE_FORMAT:
-            raise ValueError(f"unsupported trace format {fmt!r}")
-        rows = []
-        for index, line in enumerate(lines, start=1):
+    names the header, or the row (numbered from 1), that is not UTF-8 or
+    not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = (line for line in fh if line.strip())
+            first = next(lines, None)
+            if first is None:
+                raise ValueError("empty trace file")
             try:
-                rows.append(json.loads(line))
+                header = json.loads(first)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"trace row {index} is not JSON: {exc}") from None
-        return header, rows
+                raise ValueError(f"trace header is not JSON: {exc}") from None
+            fmt = header.get("format") if isinstance(header, dict) else None
+            if fmt != TRACE_FORMAT:
+                raise ValueError(f"unsupported trace format {fmt!r}")
+            rows = []
+            for index, line in enumerate(lines, start=1):
+                try:
+                    rows.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"trace row {index} is not JSON: {exc}") from None
+            return header, rows
+    except UnicodeDecodeError:
+        raise ValueError(_not_utf8(path)) from None
 
 
 def _bits(value) -> Observation:
@@ -176,13 +198,18 @@ def _round_records(rows):
 
 
 def verify_trace_file(header: dict, rows: list[dict], scenario: Scenario) -> list[str]:
-    """Check the header against the scenario and the row count, then walk
-    the rows with ``verify.check_trace``.  Without phase-start statuses,
-    which trace files do not carry, the walk runs the replay only.
-    Raises ValueError on a malformed row."""
+    """Check the header against the scenario and the row count, and its
+    ruleset and result against their names, then walk the rows with
+    ``verify.check_trace``.  Without phase-start statuses, which trace
+    files do not carry, the walk runs the replay only.  Raises ValueError
+    on a malformed row."""
     problems: list[str] = []
     if header.get("scenario") != _scenario_json(scenario):
         problems.append("trace header scenario differs from the scenario file")
+    for key, kind in (("ruleset", Ruleset), ("result", RunResult)):
+        names = [member.value for member in kind]
+        if header.get(key) not in names:
+            problems.append(f"trace header {key} {header.get(key)!r} is not one of {names}")
     if header.get("rounds") != len(rows):
         problems.append(
             f"trace header records {header.get('rounds')} rounds, file has {len(rows)} rows"
@@ -287,9 +314,13 @@ def _cmd_search(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
+    except (OSError, ScenarioError) as exc:
+        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
         header, rows = read_trace(args.trace)
         problems = verify_trace_file(header, rows, scenario)
-    except (OSError, ScenarioError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     for problem in problems:
@@ -307,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario")
     p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--ruleset", choices=["literal", "repaired"], default="repaired")
+    p_run.add_argument("--ruleset", choices=RULESET_NAMES, default=Ruleset.REPAIRED.value)
     p_run.add_argument("--max-phases", type=int, default=None)
     p_run.add_argument("--trace", default=None)
     p_run.add_argument("--verbose", action="store_true",
@@ -323,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", type=int, default=10)
     p_sweep.add_argument("--k", type=int, default=4)
     p_sweep.add_argument("--maxlabel", type=int, default=15)
-    p_sweep.add_argument("--ruleset", choices=["literal", "repaired"], default="repaired")
+    p_sweep.add_argument("--ruleset", choices=RULESET_NAMES, default=Ruleset.REPAIRED.value)
     p_sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -331,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--n-max", type=int, required=True)
     p_search.add_argument("--k-max", type=int, required=True)
     p_search.add_argument("--l-max", type=int, required=True)
-    p_search.add_argument("--ruleset", choices=["literal", "repaired"], default="repaired")
+    p_search.add_argument("--ruleset", choices=RULESET_NAMES, default=Ruleset.REPAIRED.value)
     p_search.add_argument("--out-dir", default=None)
     p_search.set_defaults(func=_cmd_search)
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .perception import Observation, observe
-from .protocol import Ruleset, step, wake_rounds
+from .protocol import READS_NET_DISP, Ruleset, step, wake_rounds
 from .ring import Placement, move_target
 from .robots import RobotState, StateSnapshot, Status, apply_pending_status, max_label_bits
 from .scenario import Scenario
@@ -345,8 +345,8 @@ def _repeats_forever(
 ) -> bool:
     """Whether phases [a, b) repeat forever, given equal keys modulo
     ``net_disp`` at phase starts a and b; b is the engine's current phase."""
-    if engine.ruleset is Ruleset.LITERAL:
-        return True  # the literal rules never read net_disp
+    if engine.ruleset not in READS_NET_DISP:
+        return True
     deltas = [(i, after - before)
               for i, (before, after) in enumerate(zip(disp_a, disp_b)) if after != before]
     return all(
@@ -380,7 +380,8 @@ def run(
     state of a translating cycle never repeats.  Suppose phase starts a
     and b (a < b) have equal keys.  The rules see no node identities and
     read ``net_disp`` in one place only, ``net_disp == 0`` in round 13 of
-    active-disperse under the repaired rules.  So as long as that test
+    active-disperse under a ruleset in ``protocol.READS_NET_DISP`` (the
+    repaired rules, repair 4).  So as long as that test
     reads the same, phases b, b+1, ... replay phases a, a+1, ... with the
     placement rotated: the same statuses, moves and perceptions.  Each
     robot's ``net_disp`` then changes by the same delta over every pass
@@ -390,8 +391,9 @@ def run(
     [a, b) is 0 and no j >= 1 gives v + j*delta == 0
     (``zero_test_stable``).  A run that repeats forever never passes a
     quiet, all-distinct phase, since no phase of [a, b) was one.  The
-    literal rules never read ``net_disp``, so under them every repeat is
-    a cycle.  An exact repeat (every delta 0) is always one.
+    rules of a ruleset outside ``READS_NET_DISP`` (the literal rules)
+    never read ``net_disp``, so under them every repeat is a cycle.  An
+    exact repeat (every delta 0) is always one.
 
     The key leaves out the robots' perception state across the round 19
     -> round 1 boundary as well (the previous placement and who moved

@@ -1,12 +1,18 @@
 """Per-round decision rules, one per (status, round) cell, and round gating.
 
 Each phase is 19 synchronous rounds.  ``RULES[status][round]`` is the
-rule a robot runs in that round given its status at the phase start: the
-one copy of the per-round rules, from which the participation tables are
-derived.  A status change decided mid-phase is held in ``pending_status``
-and committed only at the phase boundary.  The ``Ruleset`` switch selects
-between the literal rules and a repaired variant that fixes four
-flag-timing defects (see the clause comments).
+literal rule a robot runs in that round given its status at the phase
+start: the one copy of the per-round rules, from which the participation
+tables are derived.  A status change decided mid-phase is held in
+``pending_status`` and committed only at the phase boundary.  A ruleset
+is data, not a branch in a rule: ``RULES`` with the cells of its overlay
+(``OVERLAYS``) replaced.  The literal ruleset replaces none; the repaired
+one replaces the five cells of ``REPAIRS``, which fix four flag-timing
+defects.  A repair replaces a cell and never adds one, so both rulesets
+share one participation schedule.  ``READS_NET_DISP`` names the rulesets
+whose rules read ``net_disp``: only the repaired one does, in round 13 of
+active-disperse (repair 4), and ``engine.run``'s livelock proof rests on
+that.
 
 ``step`` is the one place that decides and writes a robot's state within
 a round, and ``PARTICIPATION``, keyed by the status and leader flag, is
@@ -49,8 +55,14 @@ from .robots import DISPERSAL_STATUSES, RobotState, StateSnapshot, Status, bit_a
 
 
 class Ruleset(enum.Enum):
+    """The literal rules, or those rules with the four repairs (``OVERLAYS``)."""
+
     LITERAL = "literal"
     REPAIRED = "repaired"
+
+    # hash by identity, as Status does: step looks the ruleset up on every
+    # woken robot-round
+    __hash__ = object.__hash__
 
 
 # a robot's decision for one round: stay, or the port it moves through
@@ -89,13 +101,13 @@ LEADER_ROUNDS = frozenset({5, 6, 7, 9, 10, 11})
 LATCH_ROUNDS = frozenset({7, 10, 11, 12})
 
 # one status's decision in one round; it may write the state it is given
-Rule = Callable[[RobotState, Observation, Ruleset], int | None]
+Rule = Callable[[RobotState, Observation], int | None]
 
 
 # -- leader election, rounds 1-5 ----------------------------------------------
 
 
-def _elect_alone_or_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _elect_alone_or_split(state: RobotState, obs: Observation) -> int | None:
     if obs.alone and state.proceed == 0:
         state.leader = True
     elif state.proceed == 0 and bit_at(state.label, state.le_bit, state.max_size) == 1:
@@ -105,7 +117,7 @@ def _elect_alone_or_split(state: RobotState, obs: Observation, ruleset: Ruleset)
     return STAY
 
 
-def _inform_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _inform_split(state: RobotState, obs: Observation) -> int | None:
     if state.proceed == 0 and obs.decrease:
         # the stayers detected the split and move forward to inform;
         # move_var marks them as this phase's informers so that round 3
@@ -116,15 +128,8 @@ def _inform_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> int 
     return STAY
 
 
-def _return_from_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _return_from_split(state: RobotState, obs: Observation) -> int | None:
     informer = state.proceed == 2 and state.move_var == 2
-    if ruleset is Ruleset.REPAIRED:
-        # always return and keep candidacy: the informers' signal can be
-        # cancelled by a neighbouring group's arrivals (net-change
-        # blindspot), so increase=false must not disqualify a candidate
-        if state.proceed == 1 or informer:
-            return MOVE_ZERO
-        return STAY
     if (state.proceed == 1 and obs.increase) or informer:
         return MOVE_ZERO
     if state.proceed == 1 and not obs.increase:
@@ -133,13 +138,13 @@ def _return_from_split(state: RobotState, obs: Observation, ruleset: Ruleset) ->
     return STAY
 
 
-def _probe_predecessor(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _probe_predecessor(state: RobotState, obs: Observation) -> int | None:
     if state.proceed == 1:
         return MOVE_ZERO  # probe the predecessor node
     return STAY
 
 
-def _election_result(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _election_result(state: RobotState, obs: Observation) -> int | None:
     port = STAY
     if state.proceed == 1:
         if obs.alone:
@@ -157,13 +162,13 @@ def _election_result(state: RobotState, obs: Observation, ruleset: Ruleset) -> i
 # -- active merge, rounds 6-8 -------------------------------------------------
 
 
-def _merge_sweep_out(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _merge_sweep_out(state: RobotState, obs: Observation) -> int | None:
     if state.leader:
         return MOVE_ONE
     return STAY
 
 
-def _merge_sweep_end(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _merge_sweep_end(state: RobotState, obs: Observation) -> int | None:
     if state.leader and obs.alone:
         # empty successor: merging is complete, return and retire the sweep
         state.pending_status = Status.ACTIVE_DISPERSE
@@ -171,61 +176,41 @@ def _merge_sweep_end(state: RobotState, obs: Observation, ruleset: Ruleset) -> i
     return STAY
 
 
-def _merge_follow(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _merge_follow(state: RobotState, obs: Observation) -> int | None:
     # non-leaders only; the leader is gated out of round 8
-    if ruleset is Ruleset.LITERAL:
-        if obs.increase:
-            state.pending_status = Status.ACTIVE_DISPERSE
-            return STAY
-        return MOVE_ONE
-    # Repaired: follow the leader's observed departure, stop on its
-    # observed return.  The literal increase=false test reads the flag
-    # one round too late and makes a multi-group chain translate
-    # rigidly forever.  Stop takes precedence over follow.
     if obs.increase:
         state.pending_status = Status.ACTIVE_DISPERSE
         return STAY
-    if state.decrease_at_7:
-        return MOVE_ONE
-    return STAY
+    return MOVE_ONE
 
 
 # -- rounds 9-12, shared by active-disperse and passive -----------------------
 # Rounds 9-11: the leader keeps one empty node ahead of its group.
 
 
-def _probe_ahead(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _probe_ahead(state: RobotState, obs: Observation) -> int | None:
     if state.leader and state.advance == 0 and not obs.alone:
         state.advance = 1
         return MOVE_ONE
     return STAY
 
 
-def _probe_onward(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _probe_onward(state: RobotState, obs: Observation) -> int | None:
     if state.leader and state.advance == 1 and obs.alone:
         return MOVE_ONE
     return STAY
 
 
-def _probe_back(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _probe_back(state: RobotState, obs: Observation) -> int | None:
     if state.leader and state.advance == 1 and obs.alone:
         state.advance = 0
         return MOVE_ZERO
     return STAY
 
 
-def _retreat_on_leader_arrival(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
-    """Round 12: a foreign leader landed here; fall back one node.
-
-    The arrival happens during round 9 or 10, so the literal rule (which
-    reads the instantaneous round-12 flag) demonstrably misses it; the
-    repaired rule reads the increase latched over rounds 10-12.
-    """
-    if ruleset is Ruleset.REPAIRED:
-        arrived = state.increase_in_10_12
-    else:
-        arrived = obs.increase
-    if arrived:
+def _retreat_on_leader_arrival(state: RobotState, obs: Observation) -> int | None:
+    """Round 12: a foreign leader landed here; fall back one node."""
+    if obs.increase:
         state.pending_status = Status.PASSIVE
         return MOVE_ZERO
     return STAY
@@ -234,15 +219,9 @@ def _retreat_on_leader_arrival(state: RobotState, obs: Observation, ruleset: Rul
 # -- active disperse, rounds 13-19 --------------------------------------------
 
 
-def _split_or_settle(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _split_or_settle(state: RobotState, obs: Observation) -> int | None:
     if obs.alone and state.start == 0:
-        # Repaired: only a robot still at its dispersal start node (the
-        # rear of its chain) may arm the retirement timer on its own;
-        # everyone else waits for the predecessor's round-18 visit.
-        # The literal alone-twice rule retires inner robots early, and
-        # a later split landing on an idle node then sticks forever.
-        if ruleset is Ruleset.LITERAL or state.net_disp == 0:
-            state.start = 1
+        state.start = 1
         return STAY
     if obs.alone and state.start == 1:
         state.settle = 1
@@ -256,7 +235,7 @@ def _split_or_settle(state: RobotState, obs: Observation, ruleset: Ruleset) -> i
     return port
 
 
-def _announce_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _announce_split(state: RobotState, obs: Observation) -> int | None:
     if state.move_var == 0 and obs.decrease:
         # a split happened; the stayers move forward to announce it
         state.move_var = 2
@@ -264,7 +243,7 @@ def _announce_split(state: RobotState, obs: Observation, ruleset: Ruleset) -> in
     return STAY
 
 
-def _split_outcome(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _split_outcome(state: RobotState, obs: Observation) -> int | None:
     if state.move_var == 0:
         state.pending_status = Status.PASSIVE
         return STAY
@@ -276,7 +255,7 @@ def _split_outcome(state: RobotState, obs: Observation, ruleset: Ruleset) -> int
     return STAY
 
 
-def _mover_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _mover_landing(state: RobotState, obs: Observation) -> int | None:
     if state.move_var == 1:
         if obs.decrease:
             # the occupants vacated in round 16: this node was taken
@@ -287,13 +266,13 @@ def _mover_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> int
     return STAY
 
 
-def _announce_retirement(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _announce_retirement(state: RobotState, obs: Observation) -> int | None:
     if state.settle == 1:
         return MOVE_ONE  # announce the coming retirement ahead
     return STAY
 
 
-def _retire(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _retire(state: RobotState, obs: Observation) -> int | None:
     if state.settle == 1:
         state.pending_status = Status.IDLE
         return MOVE_ZERO
@@ -303,19 +282,19 @@ def _retire(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None
 # -- passive, rounds 15-19 ----------------------------------------------------
 
 
-def _hear_arrival(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _hear_arrival(state: RobotState, obs: Observation) -> int | None:
     if obs.increase:
         state.move_var = 1  # an incoming group arrived: vacate next round
     return STAY
 
 
-def _vacate(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _vacate(state: RobotState, obs: Observation) -> int | None:
     if state.move_var == 1:
         return MOVE_ZERO
     return STAY
 
 
-def _reactivate_or_jump(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _reactivate_or_jump(state: RobotState, obs: Observation) -> int | None:
     if state.move_var == 0:
         state.pending_status = Status.ACTIVE_DISPERSE
         return STAY
@@ -323,7 +302,7 @@ def _reactivate_or_jump(state: RobotState, obs: Observation, ruleset: Ruleset) -
     return MOVE_ONE
 
 
-def _hear_retirement(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _hear_retirement(state: RobotState, obs: Observation) -> int | None:
     if obs.increase:
         state.start = 1  # the predecessor announced it will retire
     return STAY
@@ -332,11 +311,11 @@ def _hear_retirement(state: RobotState, obs: Observation, ruleset: Ruleset) -> i
 # -- jump and wait ------------------------------------------------------------
 
 
-def _make_room(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _make_room(state: RobotState, obs: Observation) -> int | None:
     return MOVE_ONE  # make room for the group that arrived
 
 
-def _jump_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _jump_landing(state: RobotState, obs: Observation) -> int | None:
     if obs.decrease:
         state.pending_status = Status.WAIT  # landed on an occupied node
     else:
@@ -344,7 +323,7 @@ def _jump_landing(state: RobotState, obs: Observation, ruleset: Ruleset) -> int 
     return STAY
 
 
-def _end_wait(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _end_wait(state: RobotState, obs: Observation) -> int | None:
     state.pending_status = Status.PASSIVE
     return STAY
 
@@ -373,9 +352,76 @@ RULES: dict[Status, dict[int, Rule]] = {
 }
 
 
-def _no_op(state: RobotState, obs: Observation, ruleset: Ruleset) -> int | None:
+def _no_op(state: RobotState, obs: Observation) -> int | None:
     """A leader round with no rule for the leader's status."""
     return STAY
+
+
+# -- the four repairs of the repaired ruleset ---------------------------------
+# Each replaces a rule cell of RULES; 1, 3 and 4 are a guard in front of the
+# literal rule they amend.
+
+
+def _follow_observed_departure(state: RobotState, obs: Observation) -> int | None:
+    """Repair 1, round 8: follow the leader's observed departure, stop on
+    its observed return (stop takes precedence).  The literal
+    increase=false test reads the flag one round too late and makes a
+    multi-group chain translate rigidly forever."""
+    if not obs.increase and not state.decrease_at_7:
+        return STAY
+    return _merge_follow(state, obs)
+
+
+def _retreat_on_latched_arrival(state: RobotState, obs: Observation) -> int | None:
+    """Repair 2, round 12: the foreign leader lands during round 9 or 10,
+    so the literal rule, which reads the instantaneous round-12 flag,
+    demonstrably misses it; this one reads the increase latched over
+    rounds 10-12."""
+    if state.increase_in_10_12:
+        state.pending_status = Status.PASSIVE
+        return MOVE_ZERO
+    return STAY
+
+
+def _keep_candidacy(state: RobotState, obs: Observation) -> int | None:
+    """Repair 3, round 3: a candidate always returns and keeps candidacy.
+    The informers' signal can be cancelled by a neighbouring group's
+    arrivals (net-change blindspot), so increase=false must not
+    disqualify it."""
+    if state.proceed == 1:
+        return MOVE_ZERO
+    return _return_from_split(state, obs)
+
+
+def _arm_only_at_start(state: RobotState, obs: Observation) -> int | None:
+    """Repair 4, round 13: only a robot still at its dispersal start node
+    (the rear of its chain) may arm the retirement timer on its own;
+    everyone else waits for the predecessor's round-18 visit.  The literal
+    alone-twice rule retires inner robots early, and a later split landing
+    on an idle node then sticks forever."""
+    if obs.alone and state.start == 0 and state.net_disp != 0:
+        return STAY
+    return _split_or_settle(state, obs)
+
+
+# REPAIRS[status, round]: the cells of RULES the repaired ruleset replaces.
+REPAIRS: dict[tuple[Status, int], Rule] = {
+    (Status.ACTIVE_MERGE, 8): _follow_observed_departure,
+    (Status.ACTIVE_DISPERSE, 12): _retreat_on_latched_arrival,
+    (Status.PASSIVE, 12): _retreat_on_latched_arrival,
+    (Status.LEADER_ELECTION, 3): _keep_candidacy,
+    (Status.ACTIVE_DISPERSE, 13): _arm_only_at_start,
+}
+
+# A ruleset is RULES with the cells of its overlay replaced.
+OVERLAYS: dict[Ruleset, dict[tuple[Status, int], Rule]] = {
+    Ruleset.LITERAL: {},
+    Ruleset.REPAIRED: REPAIRS,
+}
+
+# The rulesets whose rules read net_disp (repair 4, in round 13 of
+# active-disperse); engine.run's livelock proof rests on it.
+READS_NET_DISP: frozenset[Ruleset] = frozenset({Ruleset.REPAIRED})
 
 
 # The rounds each status has a rule for: the paper's table with the
@@ -399,11 +445,13 @@ _WAKE_ROUNDS = {
     for (status, leader), rounds in PARTICIPATION.items()
 }
 
-# The rule step runs, by (status, leader flag) and then round: exactly the
-# rounds of PARTICIPATION, each with its status's rule or, in a leader
-# round the status has no rule for, the no-op.
-_DISPATCH: dict[tuple[Status, bool], dict[int, Rule]] = {
-    (status, leader): {rip: RULES[status].get(rip, _no_op) for rip in rounds}
+# The rule step runs, by (ruleset, status, leader flag) and then round:
+# exactly the rounds of PARTICIPATION, each with the ruleset's rule for the
+# status or, in a leader round the status has no rule for, the no-op.
+_DISPATCH: dict[tuple[Ruleset, Status, bool], dict[int, Rule]] = {
+    (ruleset, status, leader): {
+        rip: overlay.get((status, rip), RULES[status].get(rip, _no_op)) for rip in rounds}
+    for ruleset, overlay in OVERLAYS.items()
     for (status, leader), rounds in PARTICIPATION.items()
 }
 
@@ -424,7 +472,7 @@ def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Rule
     or None to stay; mutates ``state``."""
     # the gate of participates() and the rule lookup in one: step runs once
     # per woken robot-round
-    rule = _DISPATCH[state.status, state.leader].get(round_in_phase)
+    rule = _DISPATCH[ruleset, state.status, state.leader].get(round_in_phase)
     if rule is None:
         return STAY
     # the latches read by repairs 1 and 2; apply_pending_status clears them
@@ -435,7 +483,7 @@ def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Rule
                 state.decrease_at_7 = True
         elif obs.increase:
             state.increase_in_10_12 = True
-    port = rule(state, obs, ruleset)
+    port = rule(state, obs)
     if port is not STAY and state.status in DISPERSAL_STATUSES:
         state.net_disp += 1 if port == MOVE_ONE else -1
     return port

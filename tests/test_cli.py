@@ -95,8 +95,32 @@ def test_non_utf8_scenario_exits_input(rooted_scenario, tmp_path, command):
     done = subprocess.run([sys.executable, "-m", "ringdisperse.cli", *args],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 4
-    assert done.stderr.startswith("error: ") and "not UTF-8" in done.stderr
+    assert done.stderr.startswith(f"error: {bad}: ") and "not UTF-8" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("line, where", [
+    (0, "trace header"),
+    (3, "trace row 3"),
+    (None, "trace row 96"),  # appended after the 95 rows
+], ids=["header", "row", "appended"])
+def test_verify_names_the_trace_line_that_is_not_utf8(rooted_scenario, tmp_path, capsys,
+                                                      line, where):
+    trace_path = tmp_path / "trace.jsonl"
+    main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])
+    lines = trace_path.read_bytes().splitlines(keepends=True)
+    if line is None:
+        lines.append(b"\xff")
+    else:
+        lines[line] = lines[line][:5] + b"\xff" + lines[line][5:]
+    # a blank line is not numbered as a row
+    trace_path.write_bytes(b"\n" + b"".join(lines[:2]) + b"\n" + b"".join(lines[2:]))
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(trace_path), "--scenario", str(rooted_scenario)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where} is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                          f"in position {0 if line is None else 5}"), err
 
 
 def test_trace_roundtrip_verifies_clean(rooted_scenario, tmp_path, capsys):
@@ -176,6 +200,27 @@ def test_file_and_memory_report_the_same_violations(rooted_scenario, tmp_path, i
     from_memory = [str(v) for v in validate_trace(trace, scenario)]
     assert from_file
     assert from_file == from_memory
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ruleset", "bogus"), ("ruleset", None), ("ruleset", ["repaired"]),
+    ("result", "bogus"), ("result", 0),
+], ids=["ruleset-bogus", "ruleset-null", "ruleset-list", "result-bogus", "result-int"])
+def test_verify_reports_a_header_ruleset_or_result_that_is_no_name(
+        rooted_scenario, tmp_path, capsys, key, value):
+    trace_path = tmp_path / "trace.jsonl"
+    main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])
+    lines = trace_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[key] = value
+    lines[0] = json.dumps(header)
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(trace_path), "--scenario", str(rooted_scenario)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert f"violation: trace header {key} {value!r} is not one of" in out, out
+    assert "1 violations" in out
 
 
 @pytest.mark.parametrize("line, row", [

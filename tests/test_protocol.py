@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,18 @@ from hypothesis import strategies as st
 from ringdisperse.engine import ROUNDS_PER_PHASE, Engine, PhaseSnapshot
 from ringdisperse.perception import OBSERVATIONS, Observation
 from ringdisperse.protocol import (
+    _DISPATCH,
     EFFECTIVE_PARTICIPATION,
     LEADER_ROUNDS,
+    OVERLAYS,
     PAPER_PARTICIPATION,
     PARTICIPATION,
     PARTICIPATION_CONFLICTS,
     PORT_ONE,
     PORT_ZERO,
+    READS_NET_DISP,
+    REPAIRS,
+    RULES,
     Ruleset,
     step,
     wake_rounds,
@@ -147,6 +153,37 @@ def test_wake_table_is_the_participation_table():
             assert wake_rounds(status, leader) == rounds, (status, leader)
 
 
+def test_repairs_replace_cells_of_the_literal_rules():
+    # a repair never adds a cell, so PARTICIPATION, wake_rounds and the
+    # engine's wake indexes, all derived from RULES, hold under both rulesets
+    assert OVERLAYS == {Ruleset.LITERAL: {}, Ruleset.REPAIRED: REPAIRS}
+    assert set(REPAIRS) == {
+        (Status.LEADER_ELECTION, 3), (Status.ACTIVE_MERGE, 8),
+        (Status.ACTIVE_DISPERSE, 12), (Status.PASSIVE, 12), (Status.ACTIVE_DISPERSE, 13)}
+    for status, rip in REPAIRS:
+        assert rip in RULES[status], (status, rip)
+
+
+def test_rulesets_dispatch_differ_in_the_repaired_cells_only():
+    differences = set()
+    for (status, leader), rounds in PARTICIPATION.items():
+        literal = _DISPATCH[Ruleset.LITERAL, status, leader]
+        repaired = _DISPATCH[Ruleset.REPAIRED, status, leader]
+        assert set(literal) == set(repaired) == rounds, (status, leader)
+        differences |= {(status, rip) for rip in rounds if literal[rip] is not repaired[rip]}
+    assert differences == set(REPAIRS)
+
+
+def test_ruleset_hashes_by_identity_and_survives_pickle():
+    for ruleset in Ruleset:
+        assert hash(ruleset) == object.__hash__(ruleset)
+    table = {ruleset: ruleset.value for ruleset in Ruleset}
+    restored = pickle.loads(pickle.dumps(table))
+    for ruleset in Ruleset:
+        assert restored[ruleset] == ruleset.value
+        assert pickle.loads(pickle.dumps(ruleset)) is ruleset
+
+
 @st.composite
 def phase_fields(draw):
     """Every RobotState field but status and leader, over its whole range."""
@@ -192,6 +229,46 @@ def test_step_is_a_no_op_outside_the_wake_rounds(fields):
             assert port is None, (status, now_leader, rip)
             # dataclass equality compares every field, the latches included
             assert state == before, (status, now_leader, rip, observation)
+
+
+def stepped(fields, status, leader, observation, rip, ruleset):
+    """step's port and the state it leaves, from a fresh state."""
+    state = RobotState(status=status, leader=leader, **fields)
+    return step(state, observation, rip, ruleset), state
+
+
+@settings(max_examples=40, deadline=None)
+@given(phase_fields(), st.integers(min_value=-40, max_value=40))
+def test_step_reads_net_disp_only_where_its_ruleset_declares(fields, other):
+    # the first premise of engine.run's livelock proof: with every other
+    # field equal, step moves the same way, writes the same fields and
+    # changes net_disp by the same amount whatever net_disp is, except in
+    # round 13 of active-disperse under a ruleset in READS_NET_DISP
+    shifted = {**fields, "net_disp": other}
+    for status, leader, rip, ruleset, observation in itertools.product(
+            Status, (False, True), range(1, ROUNDS_PER_PHASE + 1), Ruleset, OBSERVATIONS):
+        if status is Status.ACTIVE_DISPERSE and rip == 13 and ruleset in READS_NET_DISP:
+            continue
+        port, state = stepped(fields, status, leader, observation, rip, ruleset)
+        other_port, other_state = stepped(shifted, status, leader, observation, rip, ruleset)
+        assert port == other_port, (status, leader, rip, ruleset, observation)
+        assert (other_state.net_disp - other
+                == state.net_disp - fields["net_disp"]), (status, leader, rip, ruleset)
+        assert (dataclasses.replace(other_state, net_disp=state.net_disp)
+                == state), (status, leader, rip, ruleset, observation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(phase_fields())
+def test_round_1_reads_neither_increase_nor_decrease(fields):
+    # the second premise: the perception state the livelock key leaves out
+    # sets only round 1's increase and decrease, which no round-1 rule reads
+    for status, leader, ruleset, alone in itertools.product(
+            Status, (False, True), Ruleset, (False, True)):
+        outcomes = [stepped(fields, status, leader, Observation(alone, increase, decrease),
+                            1, ruleset)
+                    for increase, decrease in itertools.product((False, True), repeat=2)]
+        assert all(outcome == outcomes[0] for outcome in outcomes), (status, leader, ruleset)
 
 
 def test_all_zero_bits_leaves_group_still():
