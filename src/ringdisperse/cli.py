@@ -14,9 +14,12 @@ size.  The ``obs`` key appears only under --verbose, and each of its
 entries is exactly three JSON booleans.  ``write_trace`` formats each row
 directly rather than through ``json.dumps``; the rows are byte-identical
 to v2 rows written with ``json.dumps(row, separators=(",", ":"))``, so
-the format is unchanged.  ``verify`` checks the
-header against the scenario and the row count, and that its ruleset and
-result are names of a ruleset and a verdict, then feeds the rows to the
+the format is unchanged.  ``read_trace`` decodes each row once and
+hands ``json.loads`` only the lines it must judge, so the rows and the
+messages are the ones ``json.loads`` gives.  ``verify`` checks the
+header against the scenario and the row count, that its ruleset and
+result are names of a ruleset and a verdict, and that the rows bear the
+result out, then feeds the rows to the
 one trace walk, ``verify.check_trace``.  Trace files carry no robot
 statuses, so from a file the walk runs its replay only; participation,
 idle immobility and the invariants are checked in memory.  A violation
@@ -36,8 +39,8 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import RoundRecord, RunOutcome, RunResult, phase_budget, run
-from .perception import OBSERVATIONS, Observation
+from .engine import ROUNDS_PER_PHASE, RoundRecord, RunOutcome, RunResult, phase_budget, run
+from .perception import OBSERVATIONS
 from .protocol import Ruleset
 from .robots import max_label_bits
 from .scenario import Scenario, ScenarioError, load_scenario, render_scenario
@@ -75,7 +78,9 @@ _OBS_JSON = {obs: json.dumps(list(obs), separators=(",", ":")) for obs in OBSERV
 def write_trace(outcome: RunOutcome, path, verbose: bool = False) -> None:
     """Write the trace file of ``outcome``.  Rows are formatted directly
     and are byte for byte what ``json.dumps(row, separators=(",", ":"))``
-    makes of them."""
+    makes of them.  A row whose occupancy or observations equal the
+    previous row's reuses that row's text for them: records hold integer
+    labels, nodes and counts, so equal values format alike."""
     trace = outcome.trace
     header = {
         "format": TRACE_FORMAT,
@@ -85,17 +90,21 @@ def write_trace(outcome: RunOutcome, path, verbose: bool = False) -> None:
         "rounds": outcome.rounds_used,
     }
     lines = [json.dumps(header, separators=(",", ":"))]
+    last = None  # the record before this one
     for record in trace.records:
         moves = ",".join([f"[{label},{frm},{to},{port}]"
-                          for label, frm, to, port in record.moves])
-        occ = ",".join([f"[{node},{count}]" for node, count in record.occupancy])
+                          for label, frm, to, port in record.moves]) if record.moves else ""
+        if last is None or record.occupancy != last.occupancy:
+            occ = ",".join([f"[{node},{count}]" for node, count in record.occupancy])
         row = (f'{{"round":{record.global_round},"phase":{record.phase},'
                f'"rip":{record.round_in_phase},"moves":[{moves}],"occ":[{occ}]')
         if verbose:
-            obs = ",".join([f'"{label}":{_OBS_JSON[seen]}'
-                            for label, seen in sorted(record.observations.items())])
+            if last is None or record.observations != last.observations:
+                obs = ",".join([f'"{label}":{_OBS_JSON[seen]}'
+                                for label, seen in sorted(record.observations.items())])
             row = f'{row},"obs":{{{obs}}}'
         lines.append(row + "}")
+        last = record
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -115,10 +124,23 @@ def _not_utf8(path) -> str:
     return "trace file is not UTF-8"  # it changed since it was read
 
 
+# what json.loads skips around a value; str.strip would also skip \x0b,
+# \x0c and the other whitespace JSON does not allow
+_JSON_WHITESPACE = " \t\n\r"
+_decode = json.JSONDecoder().raw_decode
+
+
 def read_trace(path) -> tuple[dict, list[dict]]:
     """The header and rows of a trace file, blank lines skipped; ValueError
     names the header, or the row (numbered from 1), that is not UTF-8 or
-    not JSON."""
+    not JSON.
+
+    A row is decoded once, from its first character, and must be followed
+    by JSON whitespace only: what ``json.loads`` accepts of a line that
+    starts with its value.  Any other line, one that is blank or one
+    ``json.loads`` must judge (leading whitespace, a BOM, trailing text),
+    goes to ``json.loads``, so the rows and every message are the ones it
+    gives."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = (line for line in fh if line.strip())
@@ -133,23 +155,25 @@ def read_trace(path) -> tuple[dict, list[dict]]:
             if fmt != TRACE_FORMAT:
                 raise ValueError(f"unsupported trace format {fmt!r}")
             rows = []
-            for index, line in enumerate(lines, start=1):
+            index = 0
+            for line in fh:  # the lines after the header
                 try:
-                    rows.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"trace row {index} is not JSON: {exc}") from None
+                    row, end = _decode(line)
+                    clean = not line[end:].strip(_JSON_WHITESPACE)
+                except json.JSONDecodeError:
+                    clean = False
+                if not clean:
+                    if not line.strip():
+                        continue
+                    try:
+                        row = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"trace row {index + 1} is not JSON: {exc}") from None
+                index += 1
+                rows.append(row)
             return header, rows
     except UnicodeDecodeError:
         raise ValueError(_not_utf8(path)) from None
-
-
-def _bits(value) -> Observation:
-    """An ``obs`` entry as its shared Observation: exactly three booleans."""
-    if type(value) is list and len(value) == 3:
-        alone, increase, decrease = value
-        if type(alone) is bool and type(increase) is bool and type(decrease) is bool:
-            return OBSERVATIONS[alone << 2 | increase << 1 | decrease]
-    raise TypeError(f"{value!r} is not three booleans")
 
 
 def _label(key: str) -> int:
@@ -165,8 +189,9 @@ def _round_records(rows):
     replay holds no second copy of the rows; ValueError on a malformed row.
 
     ``moves`` and ``occ`` must be lists and ``obs``, when present, a dict
-    keyed by canonical decimal labels.  A label no robot has is left to
-    the replay, which reports it."""
+    keyed by canonical decimal labels whose entries are exactly three
+    booleans, read as the shared Observations.  A label no robot has is
+    left to the replay, which reports it."""
     labels: dict[str, int] = {}  # obs key -> label, checked once per key
     for index, row in enumerate(rows, start=1):
         try:
@@ -190,19 +215,37 @@ def _round_records(rows):
                     label = labels.get(key)
                     if label is None:
                         label = labels[key] = _label(key)
-                    observations[label] = _bits(bits)
+                    if type(bits) is not list or len(bits) != 3:
+                        raise TypeError(f"{bits!r} is not three booleans")
+                    alone, increase, decrease = bits
+                    if type(alone) is not bool or type(increase) is not bool or (
+                            type(decrease) is not bool):
+                        raise TypeError(f"{bits!r} is not three booleans")
+                    observations[label] = OBSERVATIONS[alone << 2 | increase << 1 | decrease]
             record = RoundRecord(*counters, tuple(moves), observations, tuple(cells))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"trace row {index} is malformed: {exc!r}") from exc
         yield record
 
 
+def _ends_dispersed(rows: list[dict]) -> bool:
+    """Whether well-formed rows end as a dispersed run ends.  ``engine.run``
+    tests for dispersal after each phase and before any other verdict, so
+    a run is dispersed exactly when its last phase, the last 19 rows, moved
+    no robot and left every robot on a node of its own."""
+    tail = rows[-ROUNDS_PER_PHASE:]
+    return (len(tail) == ROUNDS_PER_PHASE and not any(row["moves"] for row in tail)
+            and all(count == 1 for _, count in tail[-1]["occ"]))
+
+
 def verify_trace_file(header: dict, rows: list[dict], scenario: Scenario) -> list[str]:
-    """Check the header against the scenario and the row count, and its
-    ruleset and result against their names, then walk the rows with
+    """Check the header against the scenario and the row count, its
+    ruleset and result against their names, and its result against the
+    rows (see ``_ends_dispersed``), then walk the rows with
     ``verify.check_trace``.  Without phase-start statuses, which trace
-    files do not carry, the walk runs the replay only.  Raises ValueError
-    on a malformed row."""
+    files do not carry, the walk runs the replay only.  The ruleset is
+    not checked against the rows: that takes a run of the scenario.
+    Raises ValueError on a malformed row."""
     problems: list[str] = []
     if header.get("scenario") != _scenario_json(scenario):
         problems.append("trace header scenario differs from the scenario file")
@@ -215,6 +258,14 @@ def verify_trace_file(header: dict, rows: list[dict], scenario: Scenario) -> lis
             f"trace header records {header.get('rounds')} rounds, file has {len(rows)} rows"
         )
     violations = check_trace(scenario, _round_records(rows))
+    result = header.get("result")
+    if result in [member.value for member in RunResult]:
+        dispersed = _ends_dispersed(rows)
+        if dispersed != (result == RunResult.DISPERSED.value):
+            problems.append(
+                f"trace header result {result!r} does not match the rows, which "
+                f"{'end' if dispersed else 'do not end'} on a phase without a move "
+                f"and with every robot on a node of its own")
     return problems + [str(v) for v in violations]
 
 

@@ -24,7 +24,12 @@ from .scenario import Scenario, make_scenario
 
 _POST_MERGE = {Status.ACTIVE_DISPERSE, Status.PASSIVE, Status.WAIT, Status.JUMP}
 _ACTIVE_SIDE = {Status.ACTIVE_DISPERSE, Status.WAIT, Status.JUMP}
+_ONLY_PASSIVE = {Status.PASSIVE}
 _TRACKED = _POST_MERGE | {Status.IDLE}  # (e) tracks a pair from here on
+# the members the walk tests for, bound once: reading a member through its
+# class costs an attribute lookup each time
+_LEADER_ELECTION, _ACTIVE_MERGE, _ACTIVE_DISPERSE, _IDLE = (
+    Status.LEADER_ELECTION, Status.ACTIVE_MERGE, Status.ACTIVE_DISPERSE, Status.IDLE)
 
 ENUMERATION_GUARD = 10**7
 _NO_MOVERS: frozenset[int] = frozenset()
@@ -96,20 +101,25 @@ class TraceCheck:
     allows.  An illegal move is reported and not applied, so the replay
     stays on the ring.  The occupancy is compared as a sequence of
     ``occupancy_cells``, so a zero count, a repeated node or an unsorted
-    cell is a mismatch.  Most rounds are quiet: a round that follows two
-    rounds without a move entry perceives what the round before it
-    perceived, and a round without a move keeps the occupancy, so both
-    expectations are reused; an expected observation is computed when a
-    round first compares it, and every given observation and cell is
-    still compared.  With ``every_observation``, once the expectations
-    cover every robot a round's observations are compared with them as
-    one dict, and only a mismatch walks the robots to report it.
+    cell is a mismatch.  A robot perceives the node counts entering this
+    round and the round before at its node, as the engine observes it, so
+    a move rebuilds nothing per robot.  Most rounds are quiet: a round
+    that follows two rounds without a move entry perceives what the round
+    before it perceived, and a round without a move keeps the occupancy,
+    so both expectations are reused; an expected observation is computed
+    when a round first compares it, and every given observation and cell
+    is still compared.  With ``every_observation`` the expectations are
+    filled for every robot at once and a round's observations are
+    compared with them as one dict; only a mismatch walks the robots to
+    report it.
 
     Each phase start is checked for (a), (c), (d), (g), (i) and net
     displacement, and updates the per-chain, per-robot and per-pair
     tallies from which ``finish`` reports (e), (f), (h) and the record
-    count.  Without snapshots (trace files carry no statuses) only the
-    replay runs.
+    count.  One pass over the robots groups them, keeps the (f) tallies
+    and checks (g) and net displacement; the other checks walk the groups.
+    Without snapshots (trace files carry no statuses) only the replay
+    runs.
     """
 
     def __init__(self, scenario: Scenario, every_observation: bool = True):
@@ -127,12 +137,12 @@ class TraceCheck:
         self.electing_chains = [idx for idx, chain in enumerate(self.chains)
                                 if starts.count(chain[0]) > 1]
         self.violations: list[Violation] = []
-        # the replay: positions and counts entering the next round
+        # the replay: positions and node counts entering the next round, and
+        # the node counts entering the round before it
         self.position = dict(scenario.robots)
         self.occupancy = occupancy_cells(starts)
-        self.node_counts = dict(self.occupancy)
-        self.counts_now = {label: self.node_counts[node] for label, node in scenario.robots}
-        self.moved_last: set[int] = set()
+        self.node_counts = self.prev_counts = dict(self.occupancy)
+        self.moved_last = _NO_MOVERS
         self.moved_before = False
         self.expected_obs: dict = {}
         self.expected_round = self.rounds = 0
@@ -147,9 +157,11 @@ class TraceCheck:
         self.last_status: dict[int, Status] = {}
         self.merged_at: list[int | None] = [None] * len(self.chains)
         self.ever_leader: set[int] = set()
-        # (e) per pair: None until both are post-merge, then whether they
-        # have been distinguished; a pair leaves at its first violation
-        self.pairs = dict.fromkeys(itertools.combinations(labels, 2))
+        # (e) the pairs not yet distinguished, None until both robots are
+        # post-merge and then False, and the distinguished pairs; a pair
+        # leaves both at its first violation
+        self.open_pairs = dict.fromkeys(itertools.combinations(labels, 2))
+        self.apart_pairs: set[tuple[int, int]] = set()
         self.pair_violations: dict[tuple[int, int], Violation] = {}
         # (f) per robot, phase starts per status after its first active-disperse one
         self.after_disperse: dict[int, dict[Status, int]] = {}
@@ -165,8 +177,8 @@ class TraceCheck:
         occupancy cells."""
         at = self._at
         expected_round = self.expected_round
-        if global_round != expected_round or (phase - 1, rip - 1) != divmod(
-                expected_round, ROUNDS_PER_PHASE):
+        if global_round != expected_round or rip != expected_round % ROUNDS_PER_PHASE + 1 or (
+                phase != expected_round // ROUNDS_PER_PHASE + 1):
             expected_phase, expected_rip = divmod(expected_round, ROUNDS_PER_PHASE)
             at(phase, global_round, "round-counter",
                f"round-in-phase {rip}; expected round {expected_round}, "
@@ -176,36 +188,33 @@ class TraceCheck:
         position, moved_last = self.position, self.moved_last
 
         # perception against the placement entering this round
-        prev_counts = self.counts_now
-        if moved_last:
-            node_counts = self.node_counts
-            self.counts_now = {label: node_counts[node] for label, node in position.items()}
+        counts, prev_counts = self.node_counts, self.prev_counts
         if moved_last or self.moved_before:
             self.expected_obs = {}
-        every = self.every_observation
         expected = self.expected_obs
-        if every and len(expected) == len(position) and observations == expected:
-            pass  # a quiet round: the filled expectations match in one comparison
-        elif observations is not None and (observations or every):
+        if observations is None:
+            pass
+        elif self.every_observation:
+            if len(expected) != len(position):
+                # every entry holds for each round until the next reset
+                for label, node in position.items():
+                    expected[label] = observe(
+                        counts[node], prev_counts.get(node, 0), label in moved_last)
+            if observations != expected:
+                self._misperceived(phase, global_round, observations, expected)
+        elif observations:
             # filled on demand: every entry holds for each round since the reset
-            counts_now = self.counts_now
-            wrong = every and len(observations) != len(position)
-            for label in position if every else observations:
+            wrong = False
+            for label, seen in observations.items():
                 want = expected.get(label)
                 if want is None and label in position:
+                    node = position[label]
                     want = expected[label] = observe(
-                        counts_now[label], prev_counts[label], label in moved_last)
-                if observations.get(label) != want:
+                        counts[node], prev_counts.get(node, 0), label in moved_last)
+                if seen != want:
                     wrong = True
             if wrong:
-                for label in position:
-                    seen = observations.get(label)
-                    if (every or seen is not None) and seen != expected[label]:
-                        at(phase, global_round, "perception-replay",
-                           f"recorded {seen}, recomputed {expected[label]}", (label,))
-                for label in observations.keys() - position.keys():
-                    at(phase, global_round, "perception-replay",
-                       "observation of an unknown robot", (label,))
+                self._misperceived(phase, global_round, observations, expected)
 
         info = self.phases.get(phase)
         if moves:
@@ -228,7 +237,7 @@ class TraceCheck:
                 state = states.get(label)  # None: no such phase or robot, reported above
                 if state is None:
                     pass
-                elif state.status is Status.IDLE:
+                elif state.status is _IDLE:
                     at(phase, global_round, "idle-moved", "idle robot moved", (label,))
                 elif not participates(state, rip):
                     mover = "leader" if state.leader else state.status.value
@@ -242,10 +251,11 @@ class TraceCheck:
                 self.colocated = None
         else:
             moving = _NO_MOVERS
-        self.moved_before = bool(moved_last)
+        self.prev_counts = counts
+        self.moved_before = moved_last  # read for its truth only
         self.moved_last = moving
 
-        if tuple(cells) != self.occupancy:
+        if cells != self.occupancy and tuple(cells) != self.occupancy:
             recorded: dict[int, int] = {}
             for node, count in cells:
                 recorded[node] = recorded.get(node, 0) + count
@@ -271,28 +281,72 @@ class TraceCheck:
                 at(phase, global_round, "cross-chain-colocation", "robots from different "
                    "chains share a node during election/merge", tuple(group), (node,))
 
+    def _misperceived(self, phase: int, global_round: int, observations: dict,
+                      expected: dict) -> None:
+        """Report each given observation that differs from the replay's, a
+        missing one when every robot must be observed, and each observation
+        of a robot the scenario does not have."""
+        every, position = self.every_observation, self.position
+        for label in position:
+            seen = observations.get(label)
+            if (every or seen is not None) and seen != expected[label]:
+                self._at(phase, global_round, "perception-replay",
+                         f"recorded {seen}, recomputed {expected[label]}", (label,))
+        for label in observations.keys() - position.keys():
+            self._at(phase, global_round, "perception-replay",
+                     "observation of an unknown robot", (label,))
+
     def phase_start(self, phase: int, nodes: dict[int, int], states: dict) -> None:
         """One phase start: each robot's node and ``StateSnapshot``."""
         out = self.violations
         n, labels, chain_of = self.n, self.labels, self.chain_of
+        ever_leader, after_disperse = self.ever_leader, self.after_disperse
         status: dict[int, Status] = {}
         at_node: dict[int, list[int]] = {}
         plain_at_node: dict[int, list[int]] = {}  # a leader-only node is a scout post
         electing = []
+        merging = False
+        # (g) the status graph has no back edges, and non-leader net
+        # displacement per phase is 0 or +1, or -1 after a round-12 retreat;
+        # reported after (d)
+        transitions: list[Violation] = []
+        last = self.last
+        if last is not None:
+            last_phase, last_nodes, last_states = last
+            last_status = self.last_status
+            retreated = self.retreated.get(last_phase, ())
         for label in labels:
             state = states[label]
             node = nodes[label]
-            status[label] = state.status
+            now = status[label] = state.status
             at_node.setdefault(node, []).append(label)
             if state.leader:
-                self.ever_leader.add(label)
+                ever_leader.add(label)
             else:
                 plain_at_node.setdefault(node, []).append(label)
-            if state.status is Status.LEADER_ELECTION or state.status is Status.ACTIVE_MERGE:
+            if now is _LEADER_ELECTION or now is _ACTIVE_MERGE:
                 electing.append(label)
+                merging = merging or now is _ACTIVE_MERGE
+            # (f) per-robot phase tallies after the first active-disperse phase
+            tally = after_disperse.get(label)
+            if tally is not None:
+                tally[now] = tally.get(now, 0) + 1
+            elif now is _ACTIVE_DISPERSE:
+                after_disperse[label] = {}
+            if last is not None:
+                before = last_status[label]
+                if before is not now and (before, now) not in LEGAL_TRANSITIONS:
+                    transitions.append(Violation("status-backedge", phase, None, (label,), (),
+                                                 f"{before.value} -> {now.value}"))
+                delta = (node - last_nodes[label]) % n
+                if delta > 1 and not last_states[label].leader and not (
+                        delta == n - 1 and label in retreated):
+                    transitions.append(Violation("net-displacement", last_phase, None, (label,),
+                                                 (), f"moved {delta} nodes net in one phase"))
         if len(electing) < 2 or len({chain_of[label] for label in electing}) < 2:
             electing = []
         self.phases[phase] = (states, electing)
+        self.last, self.last_status = (phase, nodes, states), status
 
         # (a) unique leader per chain whose back group started with >1 robot
         if self.snapshots == self.max_size:  # start of phase max_size + 1
@@ -305,13 +359,13 @@ class TraceCheck:
         self.snapshots += 1
 
         # (c) robots from different chains on adjacent nodes are never merging
-        if Status.ACTIVE_MERGE in status.values():
+        if merging:
             for node, group in at_node.items():
                 for r1, r2 in itertools.product(group, at_node.get(succ(n, node), ())):
                     if chain_of[r1] == chain_of[r2]:
                         continue
                     for r in (r1, r2):
-                        if status[r] is Status.ACTIVE_MERGE:
+                        if status[r] is _ACTIVE_MERGE:
                             out.append(Violation("cross-chain-activemerge-adjacency", phase,
                                                  None, (r1, r2), (node, succ(n, node)),
                                                  "merging robot adjacent to a foreign chain"))
@@ -321,81 +375,65 @@ class TraceCheck:
         merged_at = self.merged_at
         for idx, members in enumerate(self.members):
             if merged_at[idx] is None and len({nodes[label] for label in members}) == 1 and all(
-                    status[label] is Status.ACTIVE_DISPERSE for label in members):
+                    status[label] is _ACTIVE_DISPERSE for label in members):
                 merged_at[idx] = phase
 
         # (d) post-merge alternation: one side of an adjacent occupied pair is
         # all passive, the other all active/wait/jump.  Guaranteed only under
         # the repaired rules, but evaluated for both so literal traces show
-        # their breakage.
+        # their breakage.  (i) co-located same-status dispersing robots agree
+        # on the bit cursor; reported after (g).
         merged_chains = {idx for idx, at in enumerate(merged_at) if at is not None}
-        for node, group in plain_at_node.items() if merged_chains else ():
-            nxt = succ(n, node)
-            other = plain_at_node.get(nxt)
-            if not other or not {chain_of[label] for label in group + other} <= merged_chains:
-                continue
-            s1 = {status[label] for label in group}
-            s2 = {status[label] for label in other}
-            if not (s1 | s2) <= _POST_MERGE:
-                continue
-            first = s1 <= _ACTIVE_SIDE and s2 == {Status.PASSIVE}
-            second = s2 <= _ACTIVE_SIDE and s1 == {Status.PASSIVE}
-            if first == second:
-                out.append(Violation("alternation", phase, None, tuple(sorted(group + other)),
-                                     (node, nxt), f"adjacent occupied nodes hold "
-                                     f"{sorted(s.value for s in s1)} / "
-                                     f"{sorted(s.value for s in s2)}"))
-
-        # (e) distinguishedness is monotone once both robots are post-merge
-        for (r1, r2), was_distinguished in list(self.pairs.items()):
-            st1, st2 = status[r1], status[r2]
-            if was_distinguished is None and (st1 not in _TRACKED or st2 not in _TRACKED):
-                continue
-            distinguished = nodes[r1] != nodes[r2] or st1 is not st2
-            if was_distinguished and not distinguished:
-                self.pair_violations[(r1, r2)] = Violation(
-                    "distinguished-pair", phase, None, (r1, r2), (nodes[r1],),
-                    "previously distinguished robots share node and status again")
-                del self.pairs[(r1, r2)]
-            else:
-                self.pairs[(r1, r2)] = bool(was_distinguished) or distinguished
-
-        # (f) per-robot phase tallies after the first active-disperse phase
-        for label in labels:
-            tally = self.after_disperse.get(label)
-            if tally is not None:
-                tally[status[label]] = tally.get(status[label], 0) + 1
-            elif status[label] is Status.ACTIVE_DISPERSE:
-                self.after_disperse[label] = {}
-
-        # (g) the status graph has no back edges, and non-leader net
-        # displacement per phase is 0 or +1, or -1 after a round-12 retreat
-        last = self.last
-        if last is not None:
-            last_phase, last_nodes, last_states = last
-            retreated = self.retreated.get(last_phase, ())
-            for label in labels:
-                before, after = self.last_status[label], status[label]
-                if before is not after and (before, after) not in LEGAL_TRANSITIONS:
-                    out.append(Violation("status-backedge", phase, None, (label,), (),
-                                         f"{before.value} -> {after.value}"))
-                delta = (nodes[label] - last_nodes[label]) % n
-                if delta > 1 and not last_states[label].leader and not (
-                        delta == n - 1 and label in retreated):
-                    out.append(Violation("net-displacement", last_phase, None, (label,), (),
-                                         f"moved {delta} nodes net in one phase"))
-        self.last, self.last_status = (phase, nodes, states), status
-
-        # (i) co-located same-status dispersing robots agree on the bit cursor
+        all_merged = len(merged_chains) == len(merged_at)
+        misaligned: list[Violation] = []
         for node, group in plain_at_node.items():
-            if len(group) < 2:
+            other = plain_at_node.get(succ(n, node)) if merged_chains else None
+            if other and (all_merged or {chain_of[label] for label in group + other}
+                          <= merged_chains):
+                s1 = {status[label] for label in group}
+                s2 = {status[label] for label in other}
+                if (s1 | s2) <= _POST_MERGE:
+                    first = s1 <= _ACTIVE_SIDE and s2 == _ONLY_PASSIVE
+                    second = s2 <= _ACTIVE_SIDE and s1 == _ONLY_PASSIVE
+                    if first == second:
+                        out.append(Violation(
+                            "alternation", phase, None, tuple(sorted(group + other)),
+                            (node, succ(n, node)), f"adjacent occupied nodes hold "
+                            f"{sorted(s.value for s in s1)} / {sorted(s.value for s in s2)}"))
+            if len(group) > 1:
+                actives = tuple(label for label in group if status[label] is _ACTIVE_DISPERSE)
+                cursors = {states[label].disp_bit for label in actives}
+                if len(cursors) > 1:
+                    misaligned.append(Violation(
+                        "cursor-misalignment", phase, None, actives, (node,),
+                        f"co-located dispersing robots at bit cursors {sorted(cursors)}"))
+        out += transitions
+        out += misaligned
+
+        # (e) distinguishedness is monotone once both robots are post-merge:
+        # a distinguished pair that shares its node and status again is a
+        # violation
+        apart = self.apart_pairs
+        if apart:
+            for node, group in at_node.items():
+                if len(group) > 1:
+                    for pair in itertools.combinations(group, 2):
+                        if pair in apart and status[pair[0]] is status[pair[1]]:
+                            apart.remove(pair)
+                            self.pair_violations[pair] = Violation(
+                                "distinguished-pair", phase, None, pair, (node,),
+                                "previously distinguished robots share node and status again")
+        open_pairs = self.open_pairs
+        for pair, tracked in list(open_pairs.items()):
+            r1, r2 = pair
+            st1, st2 = status[r1], status[r2]
+            if tracked is None and (st1 not in _TRACKED or st2 not in _TRACKED):
                 continue
-            actives = tuple(label for label in group if status[label] is Status.ACTIVE_DISPERSE)
-            cursors = {states[label].disp_bit for label in actives}
-            if len(cursors) > 1:
-                out.append(Violation("cursor-misalignment", phase, None, actives, (node,),
-                                     f"co-located dispersing robots at bit cursors "
-                                     f"{sorted(cursors)}"))
+            if nodes[r1] != nodes[r2] or st1 is not st2:
+                del open_pairs[pair]
+                apart.add(pair)
+            else:
+                open_pairs[pair] = False
 
     def finish(self, result: RunResult | None = None) -> list[Violation]:
         """Every violation found; after snapshots, with the record count,

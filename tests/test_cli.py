@@ -204,8 +204,9 @@ def test_file_and_memory_report_the_same_violations(rooted_scenario, tmp_path, i
 
 @pytest.mark.parametrize("key, value", [
     ("ruleset", "bogus"), ("ruleset", None), ("ruleset", ["repaired"]),
-    ("result", "bogus"), ("result", 0),
-], ids=["ruleset-bogus", "ruleset-null", "ruleset-list", "result-bogus", "result-int"])
+    ("result", "bogus"), ("result", 0), ("result", ["dispersed"]),
+], ids=["ruleset-bogus", "ruleset-null", "ruleset-list", "result-bogus", "result-int",
+        "result-list"])
 def test_verify_reports_a_header_ruleset_or_result_that_is_no_name(
         rooted_scenario, tmp_path, capsys, key, value):
     trace_path = tmp_path / "trace.jsonl"
@@ -221,6 +222,38 @@ def test_verify_reports_a_header_ruleset_or_result_that_is_no_name(
     out = capsys.readouterr().out
     assert f"violation: trace header {key} {value!r} is not one of" in out, out
     assert "1 violations" in out
+
+
+@pytest.mark.parametrize("fixture, argv, result, ends", [
+    ("rooted_scenario", [], "livelock", "end"),
+    ("rooted_scenario", [], "budget-exceeded", "end"),
+    ("chain_scenario", ["--ruleset", "literal"], "dispersed", "do not end"),
+], ids=["dispersed-as-livelock", "dispersed-as-budget", "livelock-as-dispersed"])
+def test_verify_reports_a_header_result_the_rows_do_not_bear_out(
+        request, tmp_path, capsys, fixture, argv, result, ends):
+    # a run is dispersed exactly when its last phase moves no robot and
+    # ends on distinct nodes, so a rewritten result is caught from the rows
+    scenario = request.getfixturevalue(fixture)
+    trace_path = tmp_path / "trace.jsonl"
+    main(["run", "--scenario", str(scenario), "--trace", str(trace_path), *argv])
+    lines = trace_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["result"] != result
+    header["result"] = result
+    lines[0] = json.dumps(header)
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(trace_path), "--scenario", str(scenario)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert (f"violation: trace header result {result!r} does not match the rows, which "
+            f"{ends} on a phase without a move and with every robot on a node of its own"
+            in out), out
+    assert "1 violations" in out
+
+
+# row 7 of the rooted scenario's trace: round 6 moves no robot
+_ROW_7 = '{"round":6,"phase":1,"rip":7,"moves":[],"occ":[[0,2]]}'
 
 
 @pytest.mark.parametrize("line, row", [
@@ -259,15 +292,26 @@ def test_verify_reports_a_header_ruleset_or_result_that_is_no_name(
     # a string is written as the line itself: rows cut short
     (3, '{"round":2,"phase":1,"rip":3,"moves":[],"occ":[[0,'),
     (0, '{"format":"ringdisperse-trace-v2","scenario":{"n":4,'),
+    # row 7 as written, then the text around it; json.loads judges each line
+    # (only its whitespace, " \t\n\r", may pad a value), and the reader
+    # must give its row and message
+    (7, _ROW_7 + " x"),
+    (7, _ROW_7 + _ROW_7),
+    (7, "\ufeff" + _ROW_7),
+    (7, _ROW_7.replace('"moves":[]', '"moves":""') + " \t "),
+    (7, " \t" + _ROW_7.replace('"moves":[]', '"moves":""') + "\t"),
+    (7, _ROW_7 + "\x0b"),
 ], ids=["no-moves", "three-element-move", "not-an-object", "header-not-an-object",
         "v1-header", "occ-cell-not-a-pair", "bool-round", "float-port", "float-count",
         "three-int-occ-cell", "obs-key-not-a-label", "obs-a-list", "moves-a-string",
         "moves-an-object", "obs-key-space", "obs-key-leading-zero", "obs-key-plus",
-        "obs-null", "truncated-row", "truncated-header"])
+        "obs-null", "truncated-row", "truncated-header", "trailing-text", "two-objects",
+        "bom", "json-whitespace-after", "json-whitespace-around", "vertical-tab-after"])
 def test_verify_malformed_row_exits_input(rooted_scenario, tmp_path, capsys, line, row):
     trace_path = tmp_path / "trace.jsonl"
     main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])
     lines = trace_path.read_text().splitlines()
+    assert lines[7] == _ROW_7
     lines[line] = row if type(row) is str else json.dumps(row)
     trace_path.write_text("\n".join(lines) + "\n")
     code = main(["verify", "--trace", str(trace_path),
@@ -277,7 +321,12 @@ def test_verify_malformed_row_exits_input(rooted_scenario, tmp_path, capsys, lin
     assert err.startswith("error: ")
     if type(row) is str:
         where = f"trace row {line}" if line else "trace header"
-        assert err.startswith(f"error: {where} is not JSON: "), err
+        try:
+            json.loads(row + "\n")  # the line as read
+        except json.JSONDecodeError as exc:
+            assert err == f"error: {where} is not JSON: {exc}\n", err
+        else:  # JSON with a malformed field
+            assert err.startswith(f"error: {where} is malformed: "), err
 
 
 @pytest.mark.parametrize("convert", [

@@ -432,6 +432,20 @@ def test_snapshot_key_reads_the_snapshot_fields(engine, phases):
         engine.run_phase()
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_engines(record_rounds=True), st.integers(min_value=1, max_value=4))
+def test_phase_start_key_from_the_handed_snapshots_is_the_key(engine, phases):
+    # with a sink the key is built from the snapshots handed on; it must be
+    # the key read from the robots' fields, hash included, and the phase
+    # start is handed on there and not again at round 1
+    for phase in range(1, phases + 1):
+        key = engine.phase_start_key()
+        assert key == engine.snapshot_key() and hash(key) == hash(engine.snapshot_key())
+        assert [snap.phase for snap in engine.trace.phase_snapshots] == list(range(1, phase + 1))
+        engine.run_phase()
+    assert len(engine.trace.phase_snapshots) == phases
+
+
 def test_round_counters_and_movement_limits():
     scenario = gen_chain([2, 2], gap=2, n=7, max_label=7)
     outcome = run(scenario, Ruleset.REPAIRED)

@@ -1,6 +1,7 @@
 """Validator, invariant suite, search and shrinking."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -15,8 +16,9 @@ from ringdisperse.engine import RunResult, run
 from ringdisperse.perception import Observation
 from ringdisperse.protocol import Ruleset
 from ringdisperse.robots import Status
-from ringdisperse.scenario import gen_chain, make_scenario
+from ringdisperse.scenario import gen_chain, gen_single_source, make_scenario
 from ringdisperse.verify import (
+    REPLAY_KINDS,
     TraceCheck,
     check_invariants,
     check_trace,
@@ -225,6 +227,36 @@ def test_findings_on_a_647_sample_are_pinned():
         assert Counter(kind for o in outcomes for kind in o.finding_kinds) == kinds
         assert sum(o.validation_count for o in outcomes) == 0
         assert sum(1 for o in outcomes if not o.ok and not o.finding_kinds) == unexplained
+
+
+@pytest.mark.parametrize("scenarios, ruleset, pinned", [
+    ("sample", Ruleset.REPAIRED,
+     "168345f9537e2d6b8c8a714dfb42ee5f50d5ddc1920b600312c05ce7014962d4"),
+    ("sample", Ruleset.LITERAL,
+     "77bcaa12b7ab76369714245c6c80bab8050bfa16b94a67c08a65c409cbabbe01"),
+    ("large", Ruleset.REPAIRED,
+     "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05"),
+    ("large", Ruleset.LITERAL,
+     "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05"),
+], ids=["647-sample-repaired", "647-sample-literal", "large-ring-repaired",
+        "large-ring-literal"])
+def test_violation_lists_are_pinned_in_order(scenarios, ruleset, pinned):
+    # sha256 over each recorded run's violations as printed, in the order
+    # check_trace reports them; the pins were taken before the walk was made
+    # cheaper, so a faster walk must report the same list.  The large ring
+    # run has no violation, and its pin is that of an empty list.
+    if scenarios == "sample":
+        scenarios = list(enumerate_scenarios(6, 4, 7))[::50]
+    else:
+        scenarios = [gen_single_source(10**4, 8, 1023, seed=7)]
+    lists = []
+    for scenario in scenarios:
+        trace = run(scenario, ruleset).trace
+        found = check_trace(scenario, trace.records, trace.phase_snapshots, trace.result)
+        assert validate_trace(trace, scenario) == [v for v in found if v.kind in REPLAY_KINDS]
+        assert check_invariants(trace) == [v for v in found if v.kind not in REPLAY_KINDS]
+        lists.append([str(v) for v in found])
+    assert hashlib.sha256(repr(lists).encode()).hexdigest() == pinned
 
 
 def streamed_violations(scenario, ruleset, sink=None):
