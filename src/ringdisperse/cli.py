@@ -137,10 +137,9 @@ def read_trace(path) -> tuple[dict, list[dict]]:
 
     A row is decoded once, from its first character, and must be followed
     by JSON whitespace only: what ``json.loads`` accepts of a line that
-    starts with its value.  Any other line, one that is blank or one
-    ``json.loads`` must judge (leading whitespace, a BOM, trailing text),
-    goes to ``json.loads``, so the rows and every message are the ones it
-    gives."""
+    starts with its value.  A blank line is skipped, and any other line
+    (leading whitespace, a BOM, trailing text) goes to ``json.loads``, so
+    the rows and every message are the ones it gives."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = (line for line in fh if line.strip())

@@ -242,9 +242,9 @@ def test_findings_on_a_647_sample_are_pinned():
         "large-ring-literal"])
 def test_violation_lists_are_pinned_in_order(scenarios, ruleset, pinned):
     # sha256 over each recorded run's violations as printed, in the order
-    # check_trace reports them; the pins were taken before the walk was made
-    # cheaper, so a faster walk must report the same list.  The large ring
-    # run has no violation, and its pin is that of an empty list.
+    # check_trace reports them, so a change to how the walk runs must keep
+    # every list and its order.  The large ring run has no violation, and
+    # its pin is that of an empty list.
     if scenarios == "sample":
         scenarios = list(enumerate_scenarios(6, 4, 7))[::50]
     else:
