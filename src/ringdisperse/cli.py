@@ -14,9 +14,13 @@ size.  The ``obs`` key appears only under --verbose, and each of its
 entries is exactly three JSON booleans.  ``write_trace`` formats each row
 directly rather than through ``json.dumps``; the rows are byte-identical
 to v2 rows written with ``json.dumps(row, separators=(",", ":"))``, so
-the format is unchanged.  ``read_trace`` decodes each row once and
-hands ``json.loads`` only the lines it must judge, so the rows and the
-messages are the ones ``json.loads`` gives.  ``verify`` checks the
+the format is unchanged.  ``read_trace`` decodes the text after a row's
+counters once per distinct text in the file (quiet rounds repeat it),
+decodes any other row once, and hands ``json.loads`` only the lines it
+must judge, so the rows and the messages are the ones ``json.loads``
+gives.  Rows with equal text after the counters share their values, so
+callers treat the rows as read-only; ``_round_records`` converts a
+shared value once.  ``verify`` checks the
 header against the scenario and the row count, that its ruleset and
 result are names of a ruleset and a verdict, and that the rows bear the
 result out, then feeds the rows to the
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -128,6 +133,11 @@ def _not_utf8(path) -> str:
 # \x0c and the other whitespace JSON does not allow
 _JSON_WHITESPACE = " \t\n\r"
 _decode = json.JSONDecoder().raw_decode
+# the start of a row as write_trace writes it: the three counters in
+# canonical decimal of at most 18 digits ([0-9], since \d and int() also
+# take other scripts' digits), then the opening quote of the next key
+_row_start = re.compile(r'\{"round":(0|[1-9][0-9]{0,17}),"phase":(0|[1-9][0-9]{0,17}),'
+                        r'"rip":(0|[1-9][0-9]{0,17}),(?=")').match
 
 
 def read_trace(path) -> tuple[dict, list[dict]]:
@@ -135,11 +145,17 @@ def read_trace(path) -> tuple[dict, list[dict]]:
     names the header, or the row (numbered from 1), that is not UTF-8 or
     not JSON.
 
-    A row is decoded once, from its first character, and must be followed
-    by JSON whitespace only: what ``json.loads`` accepts of a line that
-    starts with its value.  A blank line is skipped, and any other line
-    (leading whitespace, a BOM, trailing text) goes to ``json.loads``, so
-    the rows and every message are the ones it gives."""
+    A row that starts as ``write_trace`` starts one has its counters read
+    from that start, and the rest of the line, its body, decoded as
+    ``"{" + body`` once per distinct body text in the file: rows of quiet
+    rounds repeat the previous row's body.  The row is the counters
+    updated with the body's fields, as ``json.loads`` builds it, duplicate
+    keys and key order included.  Rows with equal bodies share the body's
+    values, so callers must treat the rows as read-only.  Any other row is
+    decoded once, from its first character; a body or row must be
+    followed by JSON whitespace only.  A blank line is skipped, and any
+    other line (leading whitespace, a BOM, trailing text) goes to
+    ``json.loads``, so the rows and every message are the ones it gives."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = (line for line in fh if line.strip())
@@ -155,7 +171,28 @@ def read_trace(path) -> tuple[dict, list[dict]]:
                 raise ValueError(f"unsupported trace format {fmt!r}")
             rows = []
             index = 0
+            bodies: dict[str, dict] = {}  # body text -> its decoded fields
             for line in fh:  # the lines after the header
+                start = _row_start(line)
+                if start is not None:
+                    body = line[start.end():]
+                    fields = bodies.get(body)
+                    if fields is None:
+                        try:
+                            text = "{" + body
+                            fields, end = _decode(text)
+                            if text[end:].strip(_JSON_WHITESPACE):
+                                fields = None
+                            else:
+                                bodies[body] = fields
+                        except ValueError:  # left to the path below, which judges it
+                            fields = None
+                    if fields is not None:
+                        round_, phase, rip = start.groups()
+                        index += 1
+                        rows.append({"round": int(round_), "phase": int(phase),
+                                     "rip": int(rip), **fields})
+                        continue
                 try:
                     row, end = _decode(line)
                     clean = not line[end:].strip(_JSON_WHITESPACE)
@@ -190,23 +227,43 @@ def _round_records(rows):
     ``moves`` and ``occ`` must be lists and ``obs``, when present, a dict
     keyed by canonical decimal labels whose entries are exactly three
     booleans, read as the shared Observations.  A label no robot has is
-    left to the replay, which reports it."""
+    left to the replay, which reports it.
+
+    A ``moves``, ``occ`` or ``obs`` value that is the very object the
+    previous row carried, as rows with equal bodies share them (see
+    ``read_trace``), is not converted again: its record shares the
+    previous record's value.  The test is by identity, never by value,
+    since JSON ``1`` equals ``true``; so every value a row brings is
+    checked."""
     labels: dict[str, int] = {}  # obs key -> label, checked once per key
+    # a fresh object: no value a row holds is it, None ("obs": null) included
+    absent = object()
+    # the previous row's values and their conversions; a failed check ends
+    # the walk, so a value is taken as checked once it is converted
+    last_moves = last_occ = last_obs = absent
+    moves_t = cells_t = observations = None
     for index, row in enumerate(rows, start=1):
         try:
             moves, occ = row["moves"], row["occ"]
             if type(moves) is not list or type(occ) is not list:
                 raise TypeError("moves or occ is not a list")
             counters = (row["round"], row["phase"], row["rip"])
-            moves = [(label, frm, to, port) for label, frm, to, port in moves]
-            cells = [(node, count) for node, count in occ]
-            for values in (counters, *moves, *cells):
+            new_moves = new_cells = ()  # the values to check
+            if moves is not last_moves:
+                moves_t = new_moves = tuple([(label, frm, to, port)
+                                             for label, frm, to, port in moves])
+                last_moves = moves
+            if occ is not last_occ:
+                cells_t = new_cells = tuple([(node, count) for node, count in occ])
+                last_occ = occ
+            for values in (counters, *new_moves, *new_cells):
                 for value in values:
                     if type(value) is not int:
                         raise TypeError(f"{values} are not all integers")
-            observations = None
-            if "obs" in row:
-                obs = row["obs"]
+            obs = row.get("obs", absent)
+            if obs is absent:
+                observations, last_obs = None, absent
+            elif obs is not last_obs:
                 if type(obs) is not dict:
                     raise TypeError("obs is not an object")
                 observations = {}
@@ -221,7 +278,8 @@ def _round_records(rows):
                             type(decrease) is not bool):
                         raise TypeError(f"{bits!r} is not three booleans")
                     observations[label] = OBSERVATIONS[alone << 2 | increase << 1 | decrease]
-            record = RoundRecord(*counters, tuple(moves), observations, tuple(cells))
+                last_obs = obs
+            record = RoundRecord(*counters, moves_t, observations, cells_t)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"trace row {index} is malformed: {exc!r}") from exc
         yield record

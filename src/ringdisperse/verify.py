@@ -671,20 +671,33 @@ def exhaustive_search(
     minimize: bool = True,
     workers: int | None = None,
 ) -> SearchReport:
-    """Run every small instance; tally outcomes and minimize failures."""
+    """Run every small instance; tally outcomes and minimize failures.
+    Each failure is minimized in the worker that judged it, in the one
+    pool of the search."""
     report = SearchReport(n_max, k_max, l_max, ruleset.value)
-    results = evaluate_many(enumerate_scenarios(n_max, k_max, l_max), ruleset, workers=workers)
-    for outcome in results:
+    job = functools.partial(_search_job, ruleset=ruleset, minimize=minimize)
+    results = map_jobs(job, list(enumerate_scenarios(n_max, k_max, l_max)), workers,
+                       chunksize=64, serial_max=64)
+    for outcome, minimized in results:
         report.total += 1
         key = outcome.result.value
         report.tallies[key] = report.tallies.get(key, 0) + 1
         report.validation_violations += outcome.validation_count
         if not outcome.ok:
-            minimized = outcome.scenario
-            if minimize:
-                minimized = minimize_scenario(outcome.scenario, ruleset, outcome.result)
             report.failures.append((outcome, minimized))
     return report
+
+
+def _search_job(scenario: Scenario, ruleset, minimize: bool) -> tuple:
+    """One scenario as ``exhaustive_search`` judges it: its outcome, and
+    for a run that did not disperse the scenario that reproduces its
+    verdict, minimized when ``minimize`` is set (None for a dispersed run)."""
+    outcome = evaluate_scenario(scenario, ruleset)
+    if outcome.ok:
+        return outcome, None
+    if not minimize:
+        return outcome, scenario
+    return outcome, minimize_scenario(scenario, ruleset, outcome.result)
 
 
 def minimize_scenario(scenario: Scenario, ruleset, expected: RunResult) -> Scenario:

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
@@ -21,7 +23,7 @@ from ringdisperse.cli import (
 from ringdisperse.engine import run
 from ringdisperse.perception import OBSERVATIONS
 from ringdisperse.protocol import Ruleset
-from ringdisperse.scenario import gen_single_source, load_scenario, make_scenario
+from ringdisperse.scenario import gen_single_source, load_scenario, make_scenario, render_scenario
 from ringdisperse.verify import enumerate_scenarios, validate_trace
 
 
@@ -412,6 +414,198 @@ def test_read_observations_are_the_shared_values(rooted_scenario, tmp_path):
                     for obs in record.observations.values()]
     assert observations
     assert all(any(obs is shared for shared in OBSERVATIONS) for obs in observations)
+
+
+_CRITERION_8_CHAIN = make_scenario(7, 7, ((1, 0), (2, 0), (3, 1), (4, 1)))
+
+
+def _body(line):
+    """The text of a written row after its three counters."""
+    return line.split(",", 3)[3]
+
+
+def _read_or_message(path):
+    try:
+        return read_trace(path)[1]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _json_loads_or_message(path):
+    """The rows ``json.loads`` makes of the file's lines after the header,
+    blank lines skipped, or the message ``read_trace`` must give."""
+    rows = []
+    for line in path.read_text().splitlines(keepends=True)[1:]:
+        if not line.strip():
+            continue
+        try:
+            rows.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            return f"trace row {len(rows) + 1} is not JSON: {exc}"
+        except ValueError as exc:  # a number past int()'s digit limit
+            return str(exc)
+    return rows
+
+
+def _same_json(got, expected):
+    """Equal rows, each with equal values and key order, true/false not
+    read as 1/0; compared row by row, so a failure shows one row."""
+    assert type(got) is list and len(got) == len(expected)
+    for index, (row, want) in enumerate(zip(got, expected), start=1):
+        assert (index, json.dumps(row)) == (index, json.dumps(want))
+        assert row == want
+
+
+@pytest.mark.parametrize("verbose", [False, True], ids=["plain", "verbose"])
+@pytest.mark.parametrize("scenario", [
+    _CRITERION_8_CHAIN, gen_single_source(10**4, 8, 1023, seed=7)], ids=["chain", "ring-10^4"])
+def test_read_trace_rows_equal_json_loads(tmp_path, scenario, verbose):
+    path = tmp_path / "trace.jsonl"
+    write_trace(run(scenario), path, verbose)
+    rows = read_trace(path)[1]
+    _same_json(rows, _json_loads_or_message(path))
+    # quiet rounds repeat a body, and rows with equal bodies share its values
+    bodies = [_body(line) for line in path.read_text().splitlines()[1:]]
+    assert len(set(bodies)) < len(bodies) // 2
+    assert len({id(row["occ"]) for row in rows}) == len(set(bodies))
+
+
+# a quiet row of the criterion-8 chain, the same body as the row before it
+_QUIET = ('{"round":7,"phase":1,"rip":8,"moves":[],"occ":[[0,2],[1,2]],"obs":{'
+          '"1":[false,false,false],"2":[false,false,false],"3":[false,false,false],'
+          '"4":[false,false,false]}}')
+
+
+@pytest.mark.parametrize("line", [
+    _QUIET.replace('"moves"', '"round":99,"moves"'),
+    _QUIET.replace('"moves"', '"rip":1,"moves"'),
+    _QUIET.replace('"moves":[]', '"moves":[1],"moves":[]'),
+    _QUIET.replace('"2":', '"1":[true,true,true],"2":'),
+    _QUIET.replace('"rip":8,', '"rip":8,,'),
+    '{"round":7,"phase":1,"rip":8,}',
+    _QUIET.replace('"round":7', '"round":07'),
+    _QUIET.replace('"round":7', '"round":-0'),
+    _QUIET.replace('"round":7', '"round":' + "7" * 18),
+    _QUIET.replace('"round":7', '"round":' + "7" * 19),
+    _QUIET.replace('"round":7', '"round":' + "7" * 5000),
+    _QUIET.replace('"round":7', '"round":٧'),
+    _QUIET.replace('"round":7', '"round":7٧'),
+    _QUIET.replace('"phase":1', '"phase": 1').replace('"round":7', '"round": 7'),
+    _QUIET.replace('"occ":', '"occ" :'),
+    _QUIET + " x",
+    _QUIET + " \t\r",
+    _QUIET.replace('"round":7,"phase":1,"rip":8', '"round":8,"phase":1,"rip":9'),
+    _QUIET.replace('"round":7,"phase":1,"rip":8', '"round":3,"phase":5,"rip":0'),
+    _QUIET[:-1],
+    _QUIET.replace("[false,false,false]}", "[false,false,00]}"),
+], ids=["dup-round", "dup-rip", "dup-moves", "dup-obs-key", "comma-after-counters",
+        "only-counters", "round-01", "round-minus-0", "round-18-digits", "round-19-digits",
+        "round-5000-digits", "round-arabic-digit",
+        "round-ascii-then-arabic-digit", "spaces-after-colons",
+        "space-before-colon", "trailing-text", "trailing-json-whitespace",
+        "previous-body-next-counters", "previous-body-other-counters", "truncated",
+        "bad-number-in-body"])
+def test_read_trace_matches_json_loads_on_crafted_rows(tmp_path, line):
+    # the crafted row follows two rows with its body, so a decoded body is
+    # at hand; each must read as json.loads reads it, or fail with its message
+    path = tmp_path / "trace.jsonl"
+    write_trace(run(_CRITERION_8_CHAIN), path, verbose=True)
+    lines = path.read_text().splitlines()
+    assert lines[8] == _QUIET and _body(lines[7]) == _body(_QUIET)
+    lines[9] = line
+    path.write_text("\n".join(lines) + "\n")
+    expected = _json_loads_or_message(path)
+    got = _read_or_message(path)
+    if type(expected) is str:
+        assert got == expected
+    else:
+        _same_json(got, expected)
+
+
+def _verify_exits_input(tmp_path, lines, row):
+    scenario_path = tmp_path / "chain.scn"
+    scenario_path.write_text(render_scenario(_CRITERION_8_CHAIN))
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["verify", "--trace", str(trace_path), "--scenario", str(scenario_path)])
+    assert code == 4
+    assert err.getvalue().startswith(f"error: trace row {row} is malformed: "), err.getvalue()
+
+
+def _trace_lines(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    write_trace(run(_CRITERION_8_CHAIN), path, verbose=True)
+    return path.read_text().splitlines()
+
+
+def test_verify_rejects_an_int_bit_in_a_row_equal_in_value_to_the_last(tmp_path):
+    # JSON 1 == true, so the row equals the one before it in value, not in type
+    lines = _trace_lines(tmp_path)
+    row = next(i for i in range(2, len(lines))
+               if _body(lines[i]) == _body(lines[i - 1]) and '[true,false,false]' in lines[i])
+    lines[row] = lines[row].replace("[true,false,false]", "[1,false,false]", 1)
+    assert json.loads(lines[row])["obs"] == json.loads(lines[row - 1])["obs"]
+    _verify_exits_input(tmp_path, lines, row)
+
+
+def _retype_one(row, field):
+    """Turn the first 1 of ``row[field]`` into true, in place; False if
+    there is none."""
+    for item in row[field]:
+        for position, value in enumerate(item):
+            if type(value) is int and value == 1:
+                item[position] = True
+                return True
+    return False
+
+
+@pytest.mark.parametrize("field", ["moves", "occ"])
+def test_verify_rejects_a_true_in_values_equal_to_the_last_rows(tmp_path, field):
+    # the next row repeats a row's moves and occ with one 1 as true: equal
+    # in value to the values the row before it carried, not in type
+    lines = _trace_lines(tmp_path)
+    r = next(r for r in range(1, len(lines) - 1) if _retype_one(json.loads(lines[r]), field))
+    row = json.loads(lines[r])
+    _retype_one(row, field)
+    row.update({key: json.loads(lines[r + 1])[key] for key in ("round", "phase", "rip")})
+    lines[r + 1] = json.dumps(row, separators=(",", ":"))
+    assert json.loads(lines[r + 1])[field] == json.loads(lines[r])[field]
+    _verify_exits_input(tmp_path, lines, r + 1)
+
+
+def test_verify_rejects_obs_null_after_a_verbose_row(tmp_path):
+    lines = _trace_lines(tmp_path)
+    lines[9] = lines[9].split(',"obs":')[0] + ',"obs":null}'
+    _verify_exits_input(tmp_path, lines, 9)
+
+
+def test_tampered_row_inside_a_run_of_quiet_rows_is_reported(tmp_path):
+    # the rows before and after the tampered one share one decoded body
+    scenario = _CRITERION_8_CHAIN
+    outcome = run(scenario)
+    path = tmp_path / "trace.jsonl"
+    write_trace(outcome, path, verbose=True)
+    lines = path.read_text().splitlines()
+    records = outcome.trace.records
+    # record r is file line r + 1
+    r = next(r for r in range(1, len(records) - 1)
+             if _body(lines[r]) == _body(lines[r + 1]) == _body(lines[r + 2]))
+    flipped = _flip_robot_1(records[r].observations)
+    row = json.loads(lines[r + 1])
+    row["obs"] = {str(label): [seen.alone, seen.increase, seen.decrease]
+                  for label, seen in sorted(flipped.items())}
+    lines[r + 1] = json.dumps(row, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    header, rows = read_trace(path)
+    from_file = verify_trace_file(header, rows, scenario)
+    records = records[:r] + [dataclasses.replace(records[r], observations=flipped)] + \
+        records[r + 1:]
+    trace = dataclasses.replace(outcome.trace, records=records)
+    from_memory = [str(v) for v in validate_trace(trace, scenario)]
+    assert from_file == from_memory
+    assert from_file and all(problem.startswith("[perception-replay]") for problem in from_file)
 
 
 def _traced_file_size(n, tmp_path):
