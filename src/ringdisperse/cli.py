@@ -15,10 +15,10 @@ entries is exactly three JSON booleans.  ``write_trace`` formats each row
 directly rather than through ``json.dumps``; the rows are byte-identical
 to v2 rows written with ``json.dumps(row, separators=(",", ":"))``, so
 the format is unchanged.  ``read_trace`` decodes the text after a row's
-counters once per distinct text in the file (quiet rounds repeat it),
-decodes any other row once, and hands ``json.loads`` only the lines it
-must judge, so the rows and the messages are the ones ``json.loads``
-gives.  Rows with equal text after the counters share their values, so
+counters once per distinct text in the file (quiet rounds repeat it)
+and hands any other line to ``json.loads``, so the rows and the
+messages are the ones ``json.loads`` gives.  Rows with equal text after
+the counters share their values, so
 callers treat the rows as read-only; ``_round_records`` converts a
 shared value once.  ``verify`` checks the
 header against the scenario and the row count, that its ruleset and
@@ -129,10 +129,6 @@ def _not_utf8(path) -> str:
     return "trace file is not UTF-8"  # it changed since it was read
 
 
-# what json.loads skips around a value; str.strip would also skip \x0b,
-# \x0c and the other whitespace JSON does not allow
-_JSON_WHITESPACE = " \t\n\r"
-_decode = json.JSONDecoder().raw_decode
 # the start of a row as write_trace writes it: the three counters in
 # canonical decimal of at most 18 digits ([0-9], since \d and int() also
 # take other scripts' digits), then the opening quote of the next key
@@ -151,11 +147,10 @@ def read_trace(path) -> tuple[dict, list[dict]]:
     rounds repeat the previous row's body.  The row is the counters
     updated with the body's fields, as ``json.loads`` builds it, duplicate
     keys and key order included.  Rows with equal bodies share the body's
-    values, so callers must treat the rows as read-only.  Any other row is
-    decoded once, from its first character; a body or row must be
-    followed by JSON whitespace only.  A blank line is skipped, and any
-    other line (leading whitespace, a BOM, trailing text) goes to
-    ``json.loads``, so the rows and every message are the ones it gives."""
+    values, so callers must treat the rows as read-only.  A blank line is
+    skipped, and any other line, or one whose body ``json.loads`` rejects,
+    goes to ``json.loads`` whole, so the rows and every message are the
+    ones it gives."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = (line for line in fh if line.strip())
@@ -179,32 +174,21 @@ def read_trace(path) -> tuple[dict, list[dict]]:
                     fields = bodies.get(body)
                     if fields is None:
                         try:
-                            text = "{" + body
-                            fields, end = _decode(text)
-                            if text[end:].strip(_JSON_WHITESPACE):
-                                fields = None
-                            else:
-                                bodies[body] = fields
-                        except ValueError:  # left to the path below, which judges it
-                            fields = None
+                            fields = bodies[body] = json.loads("{" + body)
+                        except ValueError:  # the whole line is judged below
+                            pass
                     if fields is not None:
                         round_, phase, rip = start.groups()
                         index += 1
                         rows.append({"round": int(round_), "phase": int(phase),
                                      "rip": int(rip), **fields})
                         continue
+                if not line.strip():
+                    continue
                 try:
-                    row, end = _decode(line)
-                    clean = not line[end:].strip(_JSON_WHITESPACE)
-                except json.JSONDecodeError:
-                    clean = False
-                if not clean:
-                    if not line.strip():
-                        continue
-                    try:
-                        row = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(f"trace row {index + 1} is not JSON: {exc}") from None
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"trace row {index + 1} is not JSON: {exc}") from None
                 index += 1
                 rows.append(row)
             return header, rows
