@@ -1,6 +1,4 @@
-import contextlib
 import dataclasses
-import io
 import json
 import os
 import random
@@ -522,16 +520,15 @@ def test_read_trace_matches_json_loads_on_crafted_rows(tmp_path, line):
         _same_json(got, expected)
 
 
-def _verify_exits_input(tmp_path, lines, row):
+def _verify_exits_input(tmp_path, capsys, lines, row):
     scenario_path = tmp_path / "chain.scn"
     scenario_path.write_text(render_scenario(_CRITERION_8_CHAIN))
     trace_path = tmp_path / "trace.jsonl"
     trace_path.write_text("\n".join(lines) + "\n")
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["verify", "--trace", str(trace_path), "--scenario", str(scenario_path)])
+    code = main(["verify", "--trace", str(trace_path), "--scenario", str(scenario_path)])
     assert code == 4
-    assert err.getvalue().startswith(f"error: trace row {row} is malformed: "), err.getvalue()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trace row {row} is malformed: "), err
 
 
 def _trace_lines(tmp_path):
@@ -540,14 +537,14 @@ def _trace_lines(tmp_path):
     return path.read_text().splitlines()
 
 
-def test_verify_rejects_an_int_bit_in_a_row_equal_in_value_to_the_last(tmp_path):
+def test_verify_rejects_an_int_bit_in_a_row_equal_in_value_to_the_last(tmp_path, capsys):
     # JSON 1 == true, so the row equals the one before it in value, not in type
     lines = _trace_lines(tmp_path)
     row = next(i for i in range(2, len(lines))
                if _body(lines[i]) == _body(lines[i - 1]) and '[true,false,false]' in lines[i])
     lines[row] = lines[row].replace("[true,false,false]", "[1,false,false]", 1)
     assert json.loads(lines[row])["obs"] == json.loads(lines[row - 1])["obs"]
-    _verify_exits_input(tmp_path, lines, row)
+    _verify_exits_input(tmp_path, capsys, lines, row)
 
 
 def _retype_one(row, field):
@@ -562,7 +559,7 @@ def _retype_one(row, field):
 
 
 @pytest.mark.parametrize("field", ["moves", "occ"])
-def test_verify_rejects_a_true_in_values_equal_to_the_last_rows(tmp_path, field):
+def test_verify_rejects_a_true_in_values_equal_to_the_last_rows(tmp_path, capsys, field):
     # the next row repeats a row's moves and occ with one 1 as true: equal
     # in value to the values the row before it carried, not in type
     lines = _trace_lines(tmp_path)
@@ -572,13 +569,13 @@ def test_verify_rejects_a_true_in_values_equal_to_the_last_rows(tmp_path, field)
     row.update({key: json.loads(lines[r + 1])[key] for key in ("round", "phase", "rip")})
     lines[r + 1] = json.dumps(row, separators=(",", ":"))
     assert json.loads(lines[r + 1])[field] == json.loads(lines[r])[field]
-    _verify_exits_input(tmp_path, lines, r + 1)
+    _verify_exits_input(tmp_path, capsys, lines, r + 1)
 
 
-def test_verify_rejects_obs_null_after_a_verbose_row(tmp_path):
+def test_verify_rejects_obs_null_after_a_verbose_row(tmp_path, capsys):
     lines = _trace_lines(tmp_path)
     lines[9] = lines[9].split(',"obs":')[0] + ',"obs":null}'
-    _verify_exits_input(tmp_path, lines, 9)
+    _verify_exits_input(tmp_path, capsys, lines, 9)
 
 
 def test_tampered_row_inside_a_run_of_quiet_rows_is_reported(tmp_path):
