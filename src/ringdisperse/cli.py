@@ -139,7 +139,8 @@ _row_start = re.compile(r'\{"round":(0|[1-9][0-9]{0,17}),"phase":(0|[1-9][0-9]{0
 def read_trace(path) -> tuple[dict, list[dict]]:
     """The header and rows of a trace file, blank lines skipped; ValueError
     names the header, or the row (numbered from 1), that is not UTF-8 or
-    not JSON.
+    not JSON, a value nested past the recursion limit or a number past
+    ``int()``'s digit limit included.
 
     A row that starts as ``write_trace`` starts one has its counters read
     from that start, and the rest of the line, its body, decoded as
@@ -159,7 +160,7 @@ def read_trace(path) -> tuple[dict, list[dict]]:
                 raise ValueError("empty trace file")
             try:
                 header = json.loads(first)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"trace header is not JSON: {exc}") from None
             fmt = header.get("format") if isinstance(header, dict) else None
             if fmt != TRACE_FORMAT:
@@ -175,7 +176,7 @@ def read_trace(path) -> tuple[dict, list[dict]]:
                     if fields is None:
                         try:
                             fields = bodies[body] = json.loads("{" + body)
-                        except ValueError:  # the whole line is judged below
+                        except (ValueError, RecursionError):  # the whole line is judged below
                             pass
                     if fields is not None:
                         round_, phase, rip = start.groups()
@@ -187,7 +188,7 @@ def read_trace(path) -> tuple[dict, list[dict]]:
                     continue
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ValueError(f"trace row {index + 1} is not JSON: {exc}") from None
                 index += 1
                 rows.append(row)

@@ -18,10 +18,9 @@ hands the sink each phase start (``phase_start(phase, nodes, states)``)
 at the phase's round 1, from the state as it stands then, and each round
 as it happens (``round(global_round, phase, rip, moves, observations,
 cells)``): the moves as ``(label, from, to, port)`` in label order, the
-observations and the post-round occupancy cells.  ``run`` hands on each
-phase start where it takes the phase start's livelock key, so round 1
-does not hand it on again, and after a dispersal it hands on the phase
-start the run ends on.  A sink whose
+observations and the post-round occupancy cells.  Once its last phase
+has run, ``run`` hands on the phase start it ends on, whatever the
+verdict; no round of that phase runs.  A sink whose
 ``every_observation`` is true gets every robot's observation and the
 robots that sit the round out are observed for it; otherwise it gets the
 observations of the robots that decided.  There are two sinks.  The
@@ -39,14 +38,13 @@ straight from the two placements, last round's moves dict doubles as the
 set of robots that moved, a round in which no robot acts builds no dict,
 and a round without a move keeps its placement and hands on the cells of
 the round before.  Only a sink gets ``snapshot()``s, each robot's once
-per phase start, and with a sink the livelock key is built from the
-snapshots handed on; without one the key reads the robots' fields
-directly, so a run without a sink builds no snapshot.  The wake schedule is filled
-from ``_WAKE_INDEXES``, and a move commit adjusts the counts of the
-nodes its movers leave and enter.  ``observe`` and ``step`` are looked
-up as module globals at every call, and ``apply_moves`` and
-``occupancy_vector`` called as methods, so that a wrapper set on this
-module or on ``Placement`` sees every call.
+per phase start.  Every run, with a sink or without, builds the livelock
+key from the robots' fields, so a run without a sink builds no snapshot.
+The wake schedule is filled from ``_WAKE_INDEXES``, and a move commit
+adjusts the counts of the nodes its movers leave and enter.  ``observe``
+and ``step`` are looked up as module globals at every call, and
+``apply_moves`` and ``occupancy_vector`` called as methods, so that a
+wrapper set on this module or on ``Placement`` sees every call.
 """
 
 from __future__ import annotations
@@ -209,20 +207,15 @@ class Engine:
         self.net_disp_at_13: list[tuple[int, ...]] = []
         # per round of the current phase, the labels to step; built at round 1
         self.wake_schedule: list[list[int]] = []
-        # the last phase whose start the sink was handed
-        self.handed_on = 0
         self.trace = Trace(scenario, ruleset)
         self.sink = sink if sink is not None else self.trace if record_rounds else None
 
-    def _hand_on_phase_start(self, phase: int, placement: Placement) -> list[StateSnapshot]:
+    def _hand_on_phase_start(self, phase: int, placement: Placement) -> None:
         """Hand the sink every robot's snapshot for the start of ``phase``;
-        the sink is the only taker of snapshots.  Returns them in labels
-        order."""
+        the sink is the only taker of snapshots."""
         robots = self.robots
-        states = {label: robots[label].snapshot() for label in self.labels}
-        self.sink.phase_start(phase, placement.by_robot, states)
-        self.handed_on = phase
-        return list(states.values())
+        self.sink.phase_start(phase, placement.by_robot,
+                              {label: robots[label].snapshot() for label in self.labels})
 
     def snapshot_key(self) -> tuple:
         """The livelock key, split as ((placement, states without
@@ -235,27 +228,11 @@ class Engine:
         has 0 as its first coordinate, so that rotation is the minimum and
         the key costs O(k), not O(n·k).
         """
-        robots = self.robots
-        states = [robots[label] for label in self.labels]
-        return self._key(tuple(map(_ABSTRACT_STATE, states)), tuple(map(_NET_DISP, states)))
-
-    def _key(self, abstract_states: tuple, net_disps: tuple) -> tuple:
-        """The livelock key of the current placement and these states."""
-        labels, by_robot = self.labels, self.placement.by_robot
+        labels, by_robot, robots = self.labels, self.placement.by_robot, self.robots
         origin, n = by_robot[labels[0]], self.n
-        return ((tuple([(by_robot[label] - origin) % n for label in labels]), abstract_states),
-                net_disps)
-
-    def phase_start_key(self) -> tuple:
-        """The livelock key at the phase start the engine stands at.  With a
-        sink this is where the phase start is handed on, and the key is
-        built from the snapshots handed to it: the same tuples as
-        ``snapshot_key`` reads, so each robot's state is read once."""
-        if self.sink is None:
-            return self.snapshot_key()
-        snapshots = self._hand_on_phase_start(self.phase, self.placement)
-        return self._key(tuple([snap[:-1] for snap in snapshots]),
-                         tuple([snap[-1] for snap in snapshots]))
+        states = [robots[label] for label in labels]
+        return ((tuple([(by_robot[label] - origin) % n for label in labels]),
+                 tuple(map(_ABSTRACT_STATE, states))), tuple(map(_NET_DISP, states)))
 
     def _build_wake_schedule(self) -> list[list[int]]:
         """Per round of the phase now starting, the labels ``step`` may act
@@ -283,7 +260,7 @@ class Engine:
         cells = None  # the occupancy cells of the current placement, once computed
         for _ in range(count):
             if rip == 1:
-                if sink is not None and self.handed_on != phase:
+                if sink is not None:
                     self._hand_on_phase_start(phase, placement)
                 schedule = self.wake_schedule = self._build_wake_schedule()
             elif rip == 13:
@@ -432,7 +409,7 @@ def run(
     engine = Engine(scenario, ruleset, record_rounds=record_rounds, sink=sink)
     if max_phases is None:
         max_phases = phase_budget(engine.max_size, scenario.k)
-    abstract, disp = engine.phase_start_key()
+    abstract, disp = engine.snapshot_key()
     # key modulo net_disp -> the (phase, net_disp vector) of each phase start with it
     seen: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {abstract: [(engine.phase, disp)]}
 
@@ -442,7 +419,7 @@ def run(
         if phase_moves == 0 and engine.placement.all_distinct():
             result = RunResult.DISPERSED
             break
-        abstract, disp = engine.phase_start_key()
+        abstract, disp = engine.snapshot_key()
         earlier = seen.setdefault(abstract, [])
         if any(_repeats_forever(engine, a, disp_a, disp) for a, disp_a in earlier):
             result = RunResult.LIVELOCK
@@ -452,8 +429,8 @@ def run(
             result = RunResult.BUDGET_EXCEEDED
             break
 
-    if engine.sink is not None and engine.handed_on != engine.phase:
-        # the phase start a dispersal ends on; no round of it runs
+    if engine.sink is not None:
+        # the phase start the run ends on; no round of it runs
         engine._hand_on_phase_start(engine.phase, engine.placement)
     engine.trace.result = result
     return RunOutcome(

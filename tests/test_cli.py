@@ -301,12 +301,21 @@ _ROW_7 = '{"round":6,"phase":1,"rip":7,"moves":[],"occ":[[0,2]]}'
     (7, _ROW_7.replace('"moves":[]', '"moves":""') + " \t "),
     (7, " \t" + _ROW_7.replace('"moves":[]', '"moves":""') + "\t"),
     (7, _ROW_7 + "\x0b"),
+    # JSON that json.loads cannot build: nested past the recursion limit,
+    # or a number past int()'s 4,300-digit limit
+    (7, _ROW_7.replace('"moves":[]', '"moves":' + "[" * 100_000 + "]" * 100_000)),
+    (0, '{"format":"ringdisperse-trace-v2","scenario":' + "[" * 100_000 + "]" * 100_000 + "}"),
+    (7, _ROW_7.replace('"round":6', '"round":' + "6" * 5000)),
+    (7, _ROW_7.replace('"occ":[[0,2]]', '"occ":[[' + "1" * 5000 + ',2]]')),
+    (0, '{"format":"ringdisperse-trace-v2","rounds":' + "9" * 5000 + "}"),
 ], ids=["no-moves", "three-element-move", "not-an-object", "header-not-an-object",
         "v1-header", "occ-cell-not-a-pair", "bool-round", "float-port", "float-count",
         "three-int-occ-cell", "obs-key-not-a-label", "obs-a-list", "moves-a-string",
         "moves-an-object", "obs-key-space", "obs-key-leading-zero", "obs-key-plus",
         "obs-null", "truncated-row", "truncated-header", "trailing-text", "two-objects",
-        "bom", "json-whitespace-after", "json-whitespace-around", "vertical-tab-after"])
+        "bom", "json-whitespace-after", "json-whitespace-around", "vertical-tab-after",
+        "moves-nested-deep", "header-nested-deep", "round-5000-digits", "node-5000-digits",
+        "header-value-5000-digits"])
 def test_verify_malformed_row_exits_input(rooted_scenario, tmp_path, capsys, line, row):
     trace_path = tmp_path / "trace.jsonl"
     main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path)])
@@ -323,7 +332,7 @@ def test_verify_malformed_row_exits_input(rooted_scenario, tmp_path, capsys, lin
         where = f"trace row {line}" if line else "trace header"
         try:
             json.loads(row + "\n")  # the line as read
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             assert err == f"error: {where} is not JSON: {exc}\n", err
         else:  # JSON with a malformed field
             assert err.startswith(f"error: {where} is malformed: "), err
@@ -438,10 +447,8 @@ def _json_loads_or_message(path):
             continue
         try:
             rows.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             return f"trace row {len(rows) + 1} is not JSON: {exc}"
-        except ValueError as exc:  # a number past int()'s digit limit
-            return str(exc)
     return rows
 
 
@@ -486,6 +493,8 @@ _QUIET = ('{"round":7,"phase":1,"rip":8,"moves":[],"occ":[[0,2],[1,2]],"obs":{'
     _QUIET.replace('"round":7', '"round":' + "7" * 18),
     _QUIET.replace('"round":7', '"round":' + "7" * 19),
     _QUIET.replace('"round":7', '"round":' + "7" * 5000),
+    _QUIET.replace('"occ":[[0,2]', '"occ":[[' + "1" * 5000 + ",2]"),
+    _QUIET.replace('"moves":[]', '"moves":' + "[" * 100_000 + "]" * 100_000),
     _QUIET.replace('"round":7', '"round":٧'),
     _QUIET.replace('"round":7', '"round":7٧'),
     _QUIET.replace('"phase":1', '"phase": 1').replace('"round":7', '"round": 7'),
@@ -498,7 +507,7 @@ _QUIET = ('{"round":7,"phase":1,"rip":8,"moves":[],"occ":[[0,2],[1,2]],"obs":{'
     _QUIET.replace("[false,false,false]}", "[false,false,00]}"),
 ], ids=["dup-round", "dup-rip", "dup-moves", "dup-obs-key", "comma-after-counters",
         "only-counters", "round-01", "round-minus-0", "round-18-digits", "round-19-digits",
-        "round-5000-digits", "round-arabic-digit",
+        "round-5000-digits", "node-5000-digits", "moves-nested-deep", "round-arabic-digit",
         "round-ascii-then-arabic-digit", "spaces-after-colons",
         "space-before-colon", "trailing-text", "trailing-json-whitespace",
         "previous-body-next-counters", "previous-body-other-counters", "truncated",

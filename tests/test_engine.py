@@ -272,12 +272,21 @@ def test_unrecorded_run_keeps_no_trace_and_the_same_verdict(sample_647, ruleset)
         assert unrecorded.final_placement == recorded.final_placement, scenario
 
 
-@pytest.mark.parametrize("mode", ["recorded", "checked", "unrecorded"])
-def test_one_snapshot_per_robot_per_phase_start(monkeypatch, mode):
-    # criterion 6's [2,2] chain disperses after 11 phases: a recorded or
-    # checked run hands on 12 phase starts, the last one after the final
-    # phase; an unrecorded run takes none, since its livelock key reads
-    # the robots' fields
+@pytest.mark.parametrize("mode, ruleset, max_phases, result, phases", [
+    pytest.param(mode, *verdict, id=mode + suffix)
+    for suffix, verdict in [
+        ("", (Ruleset.REPAIRED, None, RunResult.DISPERSED, 11)),
+        ("-livelock", (Ruleset.LITERAL, None, RunResult.LIVELOCK, 4)),
+        ("-budget-exceeded", (Ruleset.REPAIRED, 4, RunResult.BUDGET_EXCEEDED, 4)),
+    ]
+    for mode in ["recorded", "checked", "unrecorded"]
+])
+def test_one_snapshot_per_robot_per_phase_start(monkeypatch, mode, ruleset, max_phases,
+                                                result, phases):
+    # criterion 6's [2,2] chain: whatever the verdict, a recorded or checked
+    # run hands on phases_used + 1 phase starts, the last one after the
+    # final phase; an unrecorded run takes none, since its livelock key
+    # reads the robots' fields
     scenario = gen_chain([2, 2], gap=2, n=7, max_label=7)
     calls = []
     snapshot = RobotState.snapshot
@@ -288,9 +297,9 @@ def test_one_snapshot_per_robot_per_phase_start(monkeypatch, mode):
 
     monkeypatch.setattr(RobotState, "snapshot", counted)
     sink = TraceCheck(scenario, every_observation=False) if mode == "checked" else None
-    outcome = run(scenario, Ruleset.REPAIRED, record_rounds=mode == "recorded", sink=sink)
-    assert outcome.result is RunResult.DISPERSED and outcome.phases_used == 11
-    phase_starts = 12
+    outcome = run(scenario, ruleset, max_phases, record_rounds=mode == "recorded", sink=sink)
+    assert outcome.result is result and outcome.phases_used == phases
+    phase_starts = phases + 1
     snapshots = 0 if mode == "unrecorded" else phase_starts
     assert len(calls) == scenario.k * snapshots
     assert calls == list(scenario.labels()) * snapshots
@@ -434,16 +443,11 @@ def test_snapshot_key_reads_the_snapshot_fields(engine, phases):
 
 @settings(max_examples=100, deadline=None)
 @given(small_engines(record_rounds=True), st.integers(min_value=1, max_value=4))
-def test_phase_start_key_from_the_handed_snapshots_is_the_key(engine, phases):
-    # with a sink the key is built from the snapshots handed on; it must be
-    # the key read from the robots' fields, hash included, and the phase
-    # start is handed on there and not again at round 1
-    for phase in range(1, phases + 1):
-        key = engine.phase_start_key()
-        assert key == engine.snapshot_key() and hash(key) == hash(engine.snapshot_key())
-        assert [snap.phase for snap in engine.trace.phase_snapshots] == list(range(1, phase + 1))
+def test_run_phase_hands_on_each_phase_start_once(engine, phases):
+    # round 1 of each phase hands that phase start on, once and in order
+    for _ in range(phases):
         engine.run_phase()
-    assert len(engine.trace.phase_snapshots) == phases
+    assert [snap.phase for snap in engine.trace.phase_snapshots] == list(range(1, phases + 1))
 
 
 def test_round_counters_and_movement_limits():
