@@ -337,7 +337,11 @@ def _cmd_run(args) -> int:
         placed = " ".join(f"{label}@{node}" for label, node in sorted(final.items()))
         print(f"final placement: {placed}")
     if args.trace:
-        write_trace(outcome, args.trace, verbose=args.verbose)
+        try:
+            write_trace(outcome, args.trace, verbose=args.verbose)
+        except OSError as exc:
+            print(f"error: {args.trace}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"trace written to {args.trace}")
     return _RESULT_EXIT[outcome.result]
 
@@ -368,7 +372,11 @@ def _cmd_sweep(args) -> int:
         return EXIT_INPUT
     csv_text = rows_to_csv(rows)
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(csv_text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {args.out}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"{len(rows)} rows written to {args.out}")
     else:
         sys.stdout.write(csv_text)
@@ -390,16 +398,20 @@ def _cmd_search(args) -> int:
     print(report.render())
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(report.render() + "\n", encoding="utf-8")
-        for idx, (outcome, minimized) in enumerate(report.failures):
-            path = out_dir / f"finding-{idx:04d}.scn"
-            body = render_scenario(minimized)
-            kinds = ",".join(outcome.finding_kinds) or "none"
-            path.write_text(
-                f"# outcome: {outcome.result.value}\n# findings: {kinds}\n{body}",
-                encoding="utf-8",
-            )
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "report.txt").write_text(report.render() + "\n", encoding="utf-8")
+            for idx, (outcome, minimized) in enumerate(report.failures):
+                path = out_dir / f"finding-{idx:04d}.scn"
+                body = render_scenario(minimized)
+                kinds = ",".join(outcome.finding_kinds) or "none"
+                path.write_text(
+                    f"# outcome: {outcome.result.value}\n# findings: {kinds}\n{body}",
+                    encoding="utf-8",
+                )
+        except OSError as exc:
+            print(f"error: {args.out_dir}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"report and {len(report.failures)} finding files in {out_dir}")
     return EXIT_OK if report.validation_violations == 0 else EXIT_VIOLATIONS
 

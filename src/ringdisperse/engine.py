@@ -17,15 +17,13 @@ and observes and steps the woken robots.  When a sink is attached it
 hands the sink each phase start (``phase_start(phase, nodes, states)``)
 at the phase's round 1, from the state as it stands then, and each round
 as it happens (``round(global_round, phase, rip, moves, observations,
-cells)``): the moves as ``(label, from, to, port)`` in label order, the
-observations and the post-round occupancy cells.  Once its last phase
-has run, ``run`` hands on the phase start it ends on, whatever the
-verdict; no round of that phase runs.  A sink whose
-``every_observation`` is true gets every robot's observation and the
-robots that sit the round out are observed for it; otherwise it gets the
-observations of the robots that decided.  There are two sinks.  The
-``Trace`` recorder keeps ``RoundRecord``s and ``PhaseSnapshot``s with
-every observation, for ``run --trace`` and the in-memory trace walks.
+cells)``): the moves as ``(label, from, to, port)`` in label order,
+every robot's observation, the robots that sit the round out included,
+and the post-round occupancy cells.  Once its last phase has run,
+``run`` hands on the phase start it ends on, whatever the verdict; no
+round of that phase runs.  There are two sinks, and both get this one
+feed.  The ``Trace`` recorder keeps ``RoundRecord``s and
+``PhaseSnapshot``s, for ``run --trace`` and the in-memory trace walks.
 ``verify.TraceCheck`` judges the run as it goes, so ``evaluate_scenario``
 holds no trace: it builds no record and keeps no list.  Without a sink
 (``record_rounds=False``, as ``sweep`` and minimization run) a round
@@ -35,9 +33,9 @@ verdict only.
 A round allocates only what it keeps: ``observe`` returns one of the
 eight shared observations and ``step`` a port, the counts are read
 straight from the two placements, last round's moves dict doubles as the
-set of robots that moved, a round in which no robot acts builds no dict,
-and a round without a move keeps its placement and hands on the cells of
-the round before.  Only a sink gets ``snapshot()``s, each robot's once
+set of robots that moved, a round without a sink in which no robot acts
+builds no dict, and a round without a move keeps its placement and
+hands on the cells of the round before.  Only a sink gets ``snapshot()``s, each robot's once
 per phase start.  Every run, with a sink or without, builds the livelock
 key from the robots' fields, so a run without a sink builds no snapshot.
 The wake schedule is filled from ``_WAKE_INDEXES``, and a move commit
@@ -70,7 +68,7 @@ _WAKE_INDEXES: dict[tuple[Status, bool], tuple[int, ...]] = {
     (status, leader): tuple(sorted(rip - 1 for rip in wake_rounds(status, leader)))
     for status in Status for leader in (False, True)
 }
-# the moves and observations of a round in which no robot acts; never written
+# the moves of a round without a sink in which no robot acts; never written
 _NOTHING: dict = {}
 
 
@@ -105,16 +103,13 @@ class PhaseSnapshot:
 @dataclass
 class Trace:
     """A run's round records and phase-start snapshots; both stay empty in
-    a run that records nothing.  As the recording sink it keeps every
-    robot's observation."""
+    a run that records nothing."""
 
     scenario: Scenario
     ruleset: Ruleset
     records: list[RoundRecord] = field(default_factory=list)
     phase_snapshots: list[PhaseSnapshot] = field(default_factory=list)
     result: "RunResult | None" = None  # set once the run reaches a verdict
-
-    every_observation = True  # a class attribute, not a field
 
     def phase_start(self, phase: int, nodes: dict[int, int],
                     states: dict[int, StateSnapshot]) -> None:
@@ -251,7 +246,6 @@ class Engine:
         Returns the number of moves committed."""
         robots, labels, ruleset, n = self.robots, self.labels, self.ruleset, self.n
         sink = self.sink
-        every = sink is not None and sink.every_observation
         placement, prev_placement = self.placement, self.prev_placement
         moved_last = self.moved_last
         phase, rip, global_round = self.phase, self.round_in_phase, self.global_round
@@ -266,7 +260,7 @@ class Engine:
             elif rip == 13:
                 self.net_disp_at_13.append(tuple(robots[label].net_disp for label in labels))
             woken = schedule[rip - 1]
-            if woken or every:
+            if woken or sink is not None:
                 by_robot = placement.by_robot
                 counts = placement.counts
                 # a robot's node may have been empty a round earlier
@@ -280,7 +274,7 @@ class Engine:
                             rip, ruleset)
                         if port is not None:
                             moves[label] = port
-                elif every:
+                else:
                     observations: dict[int, Observation] = {}
                     for label in labels:
                         node = by_robot[label]
@@ -290,18 +284,8 @@ class Engine:
                         port = step(robots[label], observations[label], rip, ruleset)
                         if port is not None:
                             moves[label] = port
-                else:
-                    observations = {}
-                    for label in woken:
-                        node = by_robot[label]
-                        seen = observations[label] = observe(
-                            counts[node], prev_counts.get(node, 0), label in moved_last)
-                        port = step(robots[label], seen, rip, ruleset)
-                        if port is not None:
-                            moves[label] = port
-            else:
-                # nobody acts: no move and, for the check, no observation
-                moves = observations = _NOTHING
+            else:  # no sink and nobody acts: no move
+                moves = _NOTHING
 
             if moves:
                 new_placement = placement.apply_moves(moves)

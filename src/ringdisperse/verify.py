@@ -85,12 +85,10 @@ class TraceCheck:
     engine's state: positions, counts and perception are replayed from
     the moves alone.
 
-    With ``every_observation`` (stored records and trace files) a round's
-    observations must cover every robot, and a missing one is a
-    perception violation.  Without it (the engine feed) they are the
-    observations of the robots that decided, and only those are compared;
-    the robots that sit a round out are not observed, and no decision
-    reads what they would have seen.
+    The engine feed, stored records and ``--verbose`` trace files all
+    carry every robot's observation, the robots that sit a round out
+    included, so a round's observations must cover every robot, and a
+    missing one is a perception violation.
 
     One set of replayed positions and node counts serves the replay (the
     round counter, contiguous from round 0 with the matching phase and
@@ -106,12 +104,10 @@ class TraceCheck:
     a move rebuilds nothing per robot.  Most rounds are quiet: a round
     that follows two rounds without a move entry perceives what the round
     before it perceived, and a round without a move keeps the occupancy,
-    so both expectations are reused; an expected observation is computed
-    when a round first compares it, and every given observation and cell
-    is still compared.  With ``every_observation`` the expectations are
-    filled for every robot at once and a round's observations are
-    compared with them as one dict; only a mismatch walks the robots to
-    report it.
+    so both expectations are reused, and every given observation and cell
+    is still compared.  The expectations are filled for every robot at
+    once and a round's observations are compared with them as one dict;
+    only a mismatch walks the robots to report it.
 
     Each phase start is checked for (a), (c), (d), (g), (i) and net
     displacement, and updates the per-chain, per-robot and per-pair
@@ -122,8 +118,7 @@ class TraceCheck:
     runs.
     """
 
-    def __init__(self, scenario: Scenario, every_observation: bool = True):
-        self.every_observation = every_observation
+    def __init__(self, scenario: Scenario):
         self.n, self.k = scenario.n, scenario.k
         self.max_size = max_label_bits(scenario.max_label)
         self.labels = labels = scenario.labels()
@@ -192,28 +187,13 @@ class TraceCheck:
         if moved_last or self.moved_before:
             self.expected_obs = {}
         expected = self.expected_obs
-        if observations is None:
-            pass
-        elif self.every_observation:
+        if observations is not None:
             if len(expected) != len(position):
                 # every entry holds for each round until the next reset
                 for label, node in position.items():
                     expected[label] = observe(
                         counts[node], prev_counts.get(node, 0), label in moved_last)
             if observations != expected:
-                self._misperceived(phase, global_round, observations, expected)
-        elif observations:
-            # filled on demand: every entry holds for each round since the reset
-            wrong = False
-            for label, seen in observations.items():
-                want = expected.get(label)
-                if want is None and label in position:
-                    node = position[label]
-                    want = expected[label] = observe(
-                        counts[node], prev_counts.get(node, 0), label in moved_last)
-                if seen != want:
-                    wrong = True
-            if wrong:
                 self._misperceived(phase, global_round, observations, expected)
 
         info = self.phases.get(phase)
@@ -283,13 +263,13 @@ class TraceCheck:
 
     def _misperceived(self, phase: int, global_round: int, observations: dict,
                       expected: dict) -> None:
-        """Report each given observation that differs from the replay's, a
-        missing one when every robot must be observed, and each observation
-        of a robot the scenario does not have."""
-        every, position = self.every_observation, self.position
+        """Report each observation that differs from the replay's or is
+        missing, and each observation of a robot the scenario does not
+        have."""
+        position = self.position
         for label in position:
             seen = observations.get(label)
-            if (every or seen is not None) and seen != expected[label]:
+            if seen != expected[label]:
                 self._at(phase, global_round, "perception-replay",
                          f"recorded {seen}, recomputed {expected[label]}", (label,))
         for label in observations.keys() - position.keys():
@@ -611,7 +591,7 @@ def evaluate_scenario(
 ) -> ScenarioOutcome:
     """Run ``scenario`` with a ``TraceCheck`` fed round by round, unless
     neither kind is asked for; no trace is kept."""
-    check = TraceCheck(scenario, every_observation=False) if validate or invariants else None
+    check = TraceCheck(scenario) if validate or invariants else None
     outcome = run(scenario, ruleset, sink=check)
     violations = check.finish(outcome.result) if check is not None else []
     validation = [v for v in violations if validate and v.kind in REPLAY_KINDS]

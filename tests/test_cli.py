@@ -762,6 +762,27 @@ def test_malformed_worker_count_exits_input(monkeypatch, capsys, argv):
     assert err.startswith("error: ") and "RINGDISPERSE_WORKERS" in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "search"])
+def test_unwritable_output_path_exits_input(chain_scenario, tmp_path, capsys, command):
+    # a missing parent directory for a file, or a file where the output
+    # directory's parent must be: a one-line error, no traceback
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path, argv = {
+        "run": (tmp_path / "missing" / "trace.jsonl",
+                ["run", "--scenario", str(chain_scenario), "--trace"]),
+        "sweep": (tmp_path / "missing" / "sweep.csv",
+                  ["sweep", "--vary", "k", "--from", "2", "--to", "3", "--seeds", "1",
+                   "--n", "8", "--out"]),
+        "search": (blocker / "findings",
+                   ["search", "--n-max", "4", "--k-max", "2", "--l-max", "3", "--out-dir"]),
+    }[command]
+    assert main(argv + [str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert not path.exists()
+
+
 def test_search_writes_report_and_findings(tmp_path, capsys):
     out_dir = tmp_path / "findings"
     code = main(["search", "--n-max", "4", "--k-max", "2", "--l-max", "3",

@@ -296,7 +296,7 @@ def test_one_snapshot_per_robot_per_phase_start(monkeypatch, mode, ruleset, max_
         return snapshot(state)
 
     monkeypatch.setattr(RobotState, "snapshot", counted)
-    sink = TraceCheck(scenario, every_observation=False) if mode == "checked" else None
+    sink = TraceCheck(scenario) if mode == "checked" else None
     outcome = run(scenario, ruleset, max_phases, record_rounds=mode == "recorded", sink=sink)
     assert outcome.result is result and outcome.phases_used == phases
     phase_starts = phases + 1

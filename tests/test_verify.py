@@ -12,9 +12,9 @@ from collections import Counter
 import pytest
 
 from ringdisperse import engine as engine_module
-from ringdisperse.engine import RunResult, run
+from ringdisperse.engine import RoundRecord, RunResult, run
 from ringdisperse.perception import Observation
-from ringdisperse.protocol import Ruleset
+from ringdisperse.protocol import Ruleset, wake_rounds
 from ringdisperse.robots import Status
 from ringdisperse.scenario import gen_chain, gen_single_source, make_scenario
 from ringdisperse.verify import (
@@ -259,46 +259,61 @@ def test_violation_lists_are_pinned_in_order(scenarios, ruleset, pinned):
     assert hashlib.sha256(repr(lists).encode()).hexdigest() == pinned
 
 
-def streamed_violations(scenario, ruleset, sink=None):
-    """The violations of a run judged as it goes, as ``evaluate_scenario``
-    judges it, and the run's outcome."""
-    check = TraceCheck(scenario, every_observation=False)
-    outcome = run(scenario, ruleset, record_rounds=False,
-                  sink=check if sink is None else sink(check))
-    return check.finish(outcome.result), outcome
+class Capturing:
+    """A sink that hands the check each phase start and round, and keeps
+    each round it hands on as a ``RoundRecord``."""
 
-
-@pytest.mark.parametrize("ruleset", list(Ruleset))
-def test_streamed_check_equals_the_record_walk(ruleset):
-    sample = random.Random(7).sample(list(enumerate_scenarios(6, 4, 7)), 300)
-    found = 0
-    for scenario in sample:
-        streamed, outcome = streamed_violations(scenario, ruleset)
-        recorded = run(scenario, ruleset)
-        trace = recorded.trace
-        assert outcome.result is recorded.result, scenario
-        assert outcome.rounds_used == recorded.rounds_used, scenario
-        assert streamed == check_trace(scenario, trace.records, trace.phase_snapshots,
-                                       trace.result), scenario
-        found += bool(streamed)
-    assert found > 0  # the sample holds runs with findings
-
-
-class Tampering:
-    """A sink that hands the check round ``target`` rewritten by ``tamper``."""
-
-    every_observation = False
-
-    def __init__(self, check, target, tamper):
-        self.check, self.target, self.tamper = check, target, tamper
+    def __init__(self, check):
+        self.check, self.rounds = check, []
 
     def phase_start(self, phase, nodes, states):
         self.check.phase_start(phase, nodes, states)
 
     def round(self, global_round, phase, rip, moves, observations, cells):
+        self.rounds.append(RoundRecord(global_round, phase, rip, moves, observations, cells))
+        self.check.round(global_round, phase, rip, moves, observations, cells)
+
+
+class Tampering(Capturing):
+    """A sink that hands the check round ``target`` rewritten by ``tamper``."""
+
+    def __init__(self, check, target, tamper):
+        super().__init__(check)
+        self.target, self.tamper = target, tamper
+
+    def round(self, global_round, phase, rip, moves, observations, cells):
         if global_round == self.target:
             moves, observations, cells = self.tamper(moves, observations, cells)
-        self.check.round(global_round, phase, rip, moves, observations, cells)
+        super().round(global_round, phase, rip, moves, observations, cells)
+
+
+def streamed_violations(scenario, ruleset, sink=Capturing):
+    """The violations of a run judged as it goes, as ``evaluate_scenario``
+    judges it, the run's outcome, and the ``sink(check)`` that fed the
+    check."""
+    check = TraceCheck(scenario)
+    feed = sink(check)
+    outcome = run(scenario, ruleset, sink=feed)
+    return check.finish(outcome.result), outcome, feed
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_streamed_check_equals_the_record_walk(ruleset):
+    # the check is fed what the recorder keeps, every robot's observation
+    # included, and reports what the walk over the records reports
+    sample = random.Random(7).sample(list(enumerate_scenarios(6, 4, 7)), 300)
+    found = 0
+    for scenario in sample:
+        streamed, outcome, feed = streamed_violations(scenario, ruleset)
+        recorded = run(scenario, ruleset)
+        trace = recorded.trace
+        assert outcome.result is recorded.result, scenario
+        assert outcome.rounds_used == recorded.rounds_used, scenario
+        assert feed.rounds == trace.records, scenario
+        assert streamed == check_trace(scenario, trace.records, trace.phase_snapshots,
+                                       trace.result), scenario
+        found += bool(streamed)
+    assert found > 0  # the sample holds runs with findings
 
 
 def wrong_observation(moves, observations, cells):
@@ -318,25 +333,33 @@ def wrong_cells(moves, observations, cells):
     return moves, observations, cells[:-1] + ((node, count + 1),)
 
 
+def dropped_observation(moves, observations, cells):
+    return moves, {label: seen for label, seen in observations.items()
+                   if label != min(observations)}, cells
+
+
 @pytest.mark.parametrize("tamper, kind", [
     (wrong_observation, "perception-replay"),
     (illegal_move, "move-legality"),
     (wrong_cells, "occupancy"),
+    (dropped_observation, "perception-replay"),
 ])
 def test_feed_reports_what_the_record_walk_reports(tamper, kind):
-    # in round 0 every robot is electing and decides, so the feed holds
-    # the same lowest label that the record's observations do, and the
-    # round has moves
     scenario = gen_chain([2, 2], gap=2, n=9, max_label=7)
     recorded = run(scenario, Ruleset.REPAIRED)
     trace = recorded.trace
-    target = 0
-    assert trace.records[target].moves
-    streamed, _ = streamed_violations(
-        scenario, Ruleset.REPAIRED, lambda check: Tampering(check, target, tamper))
+    target = 19  # round 1 of phase 2
     record = trace.records[target]
-    # the record walk gets the same rewrite, applied to every robot's
-    # observations where the feed holds the deciding robots' only
+    assert record.moves
+    # the lowest label, whose observation the tampers rewrite, sits the
+    # round out: no rule of its phase-start state acts in round 1
+    states = trace.snapshot_for(record.phase).states
+    assert [label for label, state in states.items()
+            if record.round_in_phase not in wake_rounds(state.status, state.leader)] == [
+        min(scenario.labels())]
+    streamed, _, _ = streamed_violations(
+        scenario, Ruleset.REPAIRED, lambda check: Tampering(check, target, tamper))
+    # the record walk gets the same rewrite
     moves, observations, cells = tamper(record.moves, record.observations, record.occupancy)
     records = list(trace.records)
     records[target] = dataclasses.replace(record, moves=moves, observations=observations,
