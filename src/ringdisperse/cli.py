@@ -31,6 +31,9 @@ prints as ``[kind] phase P round R: ...``; a malformed row, a line that is
 not UTF-8, and any file in another format (the dense-occupancy v1
 included) are invalid input.
 
+``run --trace``, ``sweep --out`` and ``search --out-dir`` try their
+output path before any run, so a bad path costs no work.
+
 Exit codes: 0 dispersed / no violations, 2 livelock (a proven cycle),
 3 budget exceeded (no proven cycle within the phase budget), 4 invalid
 input, 1 verification violations.
@@ -311,6 +314,28 @@ def verify_trace_file(header: dict, rows: list[dict], scenario: Scenario) -> lis
     return problems + [str(v) for v in violations]
 
 
+def _try_output(path, directory: bool = False) -> bool:
+    """Try an output path before any work, so that a bad one costs no run:
+    make the directory when ``directory`` is set, then open the file, or
+    the directory's ``report.txt``, for appending, which changes no byte
+    of an existing file, and remove it again if the open made it.  On
+    failure prints ``error: <path>: <reason>`` and returns False."""
+    target = Path(path)
+    try:
+        if directory:
+            target.mkdir(parents=True, exist_ok=True)
+            target = target / "report.txt"
+        made = not target.exists()
+        with open(target, "a", encoding="utf-8"):
+            pass
+        if made:
+            target.unlink()
+    except OSError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(args) -> int:
     if args.max_phases is not None and args.max_phases < 1:
         print(f"error: --max-phases must be at least 1, not {args.max_phases}", file=sys.stderr)
@@ -319,6 +344,8 @@ def _cmd_run(args) -> int:
         scenario = load_scenario(args.scenario)
     except (OSError, ScenarioError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.trace and not _try_output(args.trace):
         return EXIT_INPUT
     ruleset = Ruleset(args.ruleset)
     outcome = run(scenario, ruleset, max_phases=args.max_phases)
@@ -365,6 +392,8 @@ def _cmd_sweep(args) -> int:
         seeds=args.seeds,
         ruleset=Ruleset(args.ruleset),
     )
+    if args.out and not _try_output(args.out):
+        return EXIT_INPUT
     try:
         rows = run_sweep(spec)
     except ValueError as exc:  # a malformed RINGDISPERSE_WORKERS
@@ -390,6 +419,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_search(args) -> int:
     ruleset = Ruleset(args.ruleset)
+    if args.out_dir and not _try_output(args.out_dir, directory=True):
+        return EXIT_INPUT
+    # k distinct labels from [0, L] leave k = L + 1 as the only robot count
+    # above L; say so once, not once per scenario
+    if 0 <= args.l_max < min(args.k_max, args.n_max - 1):
+        print(f"warning: --l-max {args.l_max} is below the robot count {args.l_max + 1} "
+              f"of some scenarios; the protocol assumes L >= k", file=sys.stderr)
     try:
         report = exhaustive_search(args.n_max, args.k_max, args.l_max, ruleset)
     except ValueError as exc:

@@ -12,8 +12,9 @@ None and changed nothing.
 
 There is one round body, ``Engine._run_rounds``: ``run_phase`` runs it
 over the 19 rounds of a phase and ``step_round`` over one round.  It
-loads the placement, its counts and last round's movers once per call
-and observes and steps the woken robots.  When a sink is attached it
+loads the placement, its counts, the movers of the last two rounds and
+the last observations once per call and observes and steps the woken
+robots.  When a sink is attached it
 hands the sink each phase start (``phase_start(phase, nodes, states)``)
 at the phase's round 1, from the state as it stands then, and each round
 as it happens (``round(global_round, phase, rip, moves, observations,
@@ -35,9 +36,15 @@ eight shared observations and ``step`` a port, the counts are read
 straight from the two placements, last round's moves dict doubles as the
 set of robots that moved, a round without a sink in which no robot acts
 builds no dict, and a round without a move keeps its placement and
-hands on the cells of the round before.  Only a sink gets ``snapshot()``s, each robot's once
-per phase start.  Every run, with a sink or without, builds the livelock
-key from the robots' fields, so a run without a sink builds no snapshot.
+hands on the cells of the round before.  A round with a sink that
+follows two rounds without a move hands on the observations dict of the
+round before: no count changed over those two rounds and no robot moved
+in the last one, so every robot perceives what it perceived a round
+earlier.  The records of a quiet stretch thus share one dict, which
+sinks treat as read-only.  Only a sink gets ``snapshot()``s, each
+robot's once per phase start.  Every run, with a sink or without, builds
+the livelock key from the robots' fields, so a run without a sink builds
+no snapshot.
 The wake schedule is filled from ``_WAKE_INDEXES``, and a move commit
 adjusts the counts of the nodes its movers leave and enter.  ``observe``
 and ``step`` are looked up as module globals at every call, and
@@ -192,8 +199,13 @@ class Engine:
         }
         self.placement = Placement(self.n, {label: node for label, node in scenario.robots})
         self.prev_placement = self.placement
-        # last round's moves, label -> port: the robots that moved
+        # last round's moves, label -> port: the robots that moved; and the
+        # moves of the round before it
         self.moved_last: dict[int, int] = {}
+        self.moved_before_last: dict[int, int] = {}
+        # last round's observations, handed to the sink; None until a
+        # round with a sink has run
+        self.observations: dict[int, Observation] | None = None
         self.global_round = 0
         self.phase = 1
         self.round_in_phase = 1
@@ -247,7 +259,8 @@ class Engine:
         robots, labels, ruleset, n = self.robots, self.labels, self.ruleset, self.n
         sink = self.sink
         placement, prev_placement = self.placement, self.prev_placement
-        moved_last = self.moved_last
+        moved_last, moved_before_last = self.moved_last, self.moved_before_last
+        observations = self.observations
         phase, rip, global_round = self.phase, self.round_in_phase, self.global_round
         schedule = self.wake_schedule
         moves_made = 0
@@ -275,11 +288,14 @@ class Engine:
                         if port is not None:
                             moves[label] = port
                 else:
-                    observations: dict[int, Observation] = {}
-                    for label in labels:
-                        node = by_robot[label]
-                        observations[label] = observe(
-                            counts[node], prev_counts.get(node, 0), label in moved_last)
+                    # after two rounds without a move, a round perceives
+                    # what the round before it perceived
+                    if moved_last or moved_before_last or observations is None:
+                        observations = {}
+                        for label in labels:
+                            node = by_robot[label]
+                            observations[label] = observe(
+                                counts[node], prev_counts.get(node, 0), label in moved_last)
                     for label in woken:
                         port = step(robots[label], observations[label], rip, ruleset)
                         if port is not None:
@@ -300,7 +316,8 @@ class Engine:
                     (label, by_robot[label], move_target(n, by_robot[label], port), port)
                     for label, port in sorted(moves.items())) if moves else (),
                     observations, cells)
-            prev_placement, placement, moved_last = placement, new_placement, moves
+            prev_placement, placement = placement, new_placement
+            moved_before_last, moved_last = moved_last, moves
             global_round += 1
             if rip == ROUNDS_PER_PHASE:
                 for label in labels:
@@ -310,7 +327,8 @@ class Engine:
             else:
                 rip += 1
         self.placement, self.prev_placement = placement, prev_placement
-        self.moved_last = moved_last
+        self.moved_last, self.moved_before_last = moved_last, moved_before_last
+        self.observations = observations
         self.phase, self.round_in_phase, self.global_round = phase, rip, global_round
         return moves_made
 

@@ -15,27 +15,32 @@ active-disperse (repair 4), and ``engine.run``'s livelock proof rests on
 that.
 
 ``step`` is the one place that decides and writes a robot's state within
-a round, and ``PARTICIPATION``, keyed by the status and leader flag, is
-the one place that decides in which rounds it does: a leader in
-``LEADER_ROUNDS`` (staying where its status has no rule), an idle robot
-never, anyone else in the rounds its status has a rule for.  A robot
-that sits out a round perceives it but keeps nothing: ``step`` returns
-STAY and changes no field.  A robot that takes part first latches the
-two bits that repaired rules read later, a decrease in round 7 (merge
-follow) and an increase in rounds 10-12 (retreat), then runs its rule,
-then counts a move of a dispersal status in ``net_disp``.  Every robot
-that reads a latch takes part in the rounds that set it: the non-leader
-active-merge robots read ``decrease_at_7`` in round 8 and take part in
-round 7, and the non-leader active-disperse and passive robots read
-``increase_in_10_12`` in round 12 and take part in rounds 10-12.
+a round.  ``PARTICIPATION``, keyed by the status and leader flag, is the
+table of the rounds in which a robot may move, which the trace checker
+judges moves by: a leader in ``LEADER_ROUNDS``, an idle robot never,
+anyone else in the rounds its status has a rule for.  ``step`` acts in
+those of them that its status has a rule cell for, and in no other round:
+there it returns STAY and changes no field.  A robot that acts first
+latches the two bits that repaired rules read later, a decrease in round
+7 (merge follow) and an increase in rounds 10-12 (retreat), then runs its
+rule, then counts a move of a dispersal status in ``net_disp``.  Every
+robot that reads a latch acts in the rounds that set it: the non-leader
+active-merge robots read ``decrease_at_7`` in round 8 and act in round 7,
+and the non-leader active-disperse and passive robots read
+``increase_in_10_12`` in round 12 and act in rounds 10-12.  A leader
+round with no rule cell (6, 7 and 9-11 of an election, 9-11 of a merge)
+could at most set a latch, and no leader ever reads one: the reading
+cells lie outside ``LEADER_ROUNDS`` and no rule clears ``leader``.  The
+latches are cleared at every phase boundary and appear in no snapshot,
+livelock key or trace, so such a round is not run.
 
-``wake_rounds`` is the same table in the form the engine runs: the
+``wake_rounds`` is the same set of cells in the form the engine runs: the
 rounds of a phase in which ``step`` may act on a robot, given its status
-and leader flag at the phase start.  It adds the leader rounds for
-leader election only, because that leader flag can turn on in round 1
-or 5 of an election phase; status and every other flag the gate reads
-are fixed within a phase, so in every other round ``step`` is a no-op
-and the engine skips the call.
+and leader flag at the phase start.  For leader election it adds the
+leader's cell, round 5, because that leader flag can turn on in round 1;
+status and every other flag the dispatch reads are fixed within a phase,
+so in every other round ``step`` is a no-op and the engine skips the
+call.
 
 ``step`` mutates the passed RobotState in place and returns a port, the
 one the robot moves through, or None to stay: ``MOVE_ZERO``, ``MOVE_ONE``
@@ -352,11 +357,6 @@ RULES: dict[Status, dict[int, Rule]] = {
 }
 
 
-def _no_op(state: RobotState, obs: Observation) -> int | None:
-    """A leader round with no rule for the leader's status."""
-    return STAY
-
-
 # -- the four repairs of the repaired ruleset ---------------------------------
 # Each replaces a rule cell of RULES; 1, 3 and 4 are a guard in front of the
 # literal rule they amend.
@@ -430,9 +430,9 @@ EFFECTIVE_PARTICIPATION: dict[Status, frozenset[int]] = {
     status: frozenset(rules) for status, rules in RULES.items()
 }
 
-# The rounds in which a robot takes part, by (status, leader flag): a
-# leader takes part in its own rounds, anyone else by status, and an idle
-# robot never.
+# The rounds in which a robot may move, by (status, leader flag): a leader
+# in its own rounds, anyone else by status, and an idle robot never.  The
+# trace checker judges each move by it (participates).
 PARTICIPATION: dict[tuple[Status, bool], frozenset[int]] = {
     (status, leader): frozenset() if status is Status.IDLE
     else LEADER_ROUNDS if leader else rounds
@@ -440,19 +440,25 @@ PARTICIPATION: dict[tuple[Status, bool], frozenset[int]] = {
     for leader in (False, True)
 }
 
-_WAKE_ROUNDS = {
-    (status, leader): rounds | LEADER_ROUNDS if status is Status.LEADER_ELECTION else rounds
+# The rule step runs, by (ruleset, status, leader flag) and then round:
+# the rounds of PARTICIPATION that the status has a rule cell for, each
+# with the ruleset's rule.  A leader round without a cell is left out: its
+# only effect was a latch, which only non-leader rules read.
+_DISPATCH: dict[tuple[Ruleset, Status, bool], dict[int, Rule]] = {
+    (ruleset, status, leader): {
+        rip: overlay.get((status, rip), rule) for rip, rule in RULES[status].items()
+        if rip in rounds}
+    for ruleset, overlay in OVERLAYS.items()
     for (status, leader), rounds in PARTICIPATION.items()
 }
 
-# The rule step runs, by (ruleset, status, leader flag) and then round:
-# exactly the rounds of PARTICIPATION, each with the ruleset's rule for the
-# status or, in a leader round the status has no rule for, the no-op.
-_DISPATCH: dict[tuple[Ruleset, Status, bool], dict[int, Rule]] = {
-    (ruleset, status, leader): {
-        rip: overlay.get((status, rip), RULES[status].get(rip, _no_op)) for rip in rounds}
-    for ruleset, overlay in OVERLAYS.items()
-    for (status, leader), rounds in PARTICIPATION.items()
+# The rounds of _DISPATCH's cells, the same under every ruleset since a
+# repair never adds a cell; leader election also takes the leader's
+# cells, because its leader flag can turn on in round 1.
+_WAKE_ROUNDS: dict[tuple[Status, bool], frozenset[int]] = {
+    (status, leader): frozenset(_DISPATCH[Ruleset.LITERAL, status, leader]).union(
+        _DISPATCH[Ruleset.LITERAL, status, True] if status is Status.LEADER_ELECTION else ())
+    for status, leader in PARTICIPATION
 }
 
 
@@ -470,8 +476,8 @@ def participates(state: RobotState | StateSnapshot, round_in_phase: int) -> bool
 def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Ruleset) -> int | None:
     """Decide one robot's move for this round: the port it moves through,
     or None to stay; mutates ``state``."""
-    # the gate of participates() and the rule lookup in one: step runs once
-    # per woken robot-round
+    # the robot's rule cell for this round, if it acts in it: one lookup per
+    # woken robot-round
     rule = _DISPATCH[ruleset, state.status, state.leader].get(round_in_phase)
     if rule is None:
         return STAY

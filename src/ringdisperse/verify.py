@@ -20,7 +20,7 @@ from .perception import observe
 from .protocol import participates
 from .ring import PORT_ONE, PORT_ZERO, move_target, occupancy_cells, succ
 from .robots import LEGAL_TRANSITIONS, Status, max_label_bits
-from .scenario import Scenario, make_scenario
+from .scenario import Scenario
 
 _POST_MERGE = {Status.ACTIVE_DISPERSE, Status.PASSIVE, Status.WAIT, Status.JUMP}
 _ACTIVE_SIDE = {Status.ACTIVE_DISPERSE, Status.WAIT, Status.JUMP}
@@ -564,6 +564,9 @@ def enumerate_scenarios(n_max: int, k_max: int, l_max: int):
     The nodes tuple is in label order and labels are distinct, so a
     placement is the lexicographic minimum of its rotations iff its first
     robot is on node 0: every other rotation starts on a node above 0.
+    Each scenario is valid by construction, so it is built without
+    ``make_scenario``'s checks and its warning for a label bound below
+    the robot count, which the ``search`` command gives once instead.
     """
     # with no robot or no label the space is empty at every ring size, and
     # the guard's partial sums would never grow past it
@@ -580,7 +583,7 @@ def enumerate_scenarios(n_max: int, k_max: int, l_max: int):
         for k in range(1, min(k_max, n - 1) + 1):
             for label_set in itertools.combinations(range(l_max + 1), k):
                 for rest in itertools.product(range(n), repeat=k - 1):
-                    yield make_scenario(n, l_max, tuple(zip(label_set, (0,) + rest)))
+                    yield Scenario(n, l_max, tuple(zip(label_set, (0,) + rest)))
 
 
 def evaluate_scenario(
@@ -684,7 +687,9 @@ def minimize_scenario(scenario: Scenario, ruleset, expected: RunResult) -> Scena
     """Greedy shrink: drop robots, then splice out empty nodes, as long as
     the failure reproduces.  The result reproduces it: a shrunk scenario
     did when it was accepted (runs are deterministic), and an unshrunk
-    one is run once more."""
+    one is run once more.  A shrink of a valid scenario is valid, so the
+    candidates are built without ``make_scenario``, as
+    ``enumerate_scenarios`` builds its scenarios."""
 
     def reproduces(candidate: Scenario) -> bool:
         return run(candidate, ruleset, record_rounds=False).result is expected
@@ -696,7 +701,7 @@ def minimize_scenario(scenario: Scenario, ruleset, expected: RunResult) -> Scena
         if current.k > 1:
             for label in current.labels():
                 robots = tuple(r for r in current.robots if r[0] != label)
-                candidate = make_scenario(current.n, current.max_label, robots)
+                candidate = Scenario(current.n, current.max_label, robots)
                 if reproduces(candidate):
                     current = candidate
                     changed = True
@@ -710,7 +715,7 @@ def minimize_scenario(scenario: Scenario, ruleset, expected: RunResult) -> Scena
                     (label, node if node < gap else node - 1)
                     for label, node in current.robots
                 )
-                candidate = make_scenario(current.n - 1, current.max_label, robots)
+                candidate = Scenario(current.n - 1, current.max_label, robots)
                 if reproduces(candidate):
                     current = candidate
                     changed = True

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -781,6 +782,63 @@ def test_unwritable_output_path_exits_input(chain_scenario, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "search"])
+def test_bad_output_path_is_caught_before_the_work(chain_scenario, tmp_path, capsys,
+                                                   monkeypatch, command):
+    # the path is tried first: no run starts and no report is printed
+    import ringdisperse.cli as cli_module
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before the output path was tried")
+
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    work, path, argv = {
+        "run": ("run", blocker / "trace.jsonl",
+                ["run", "--scenario", str(chain_scenario), "--trace"]),
+        "sweep": ("run_sweep", tmp_path / "missing" / "sweep.csv",
+                  ["sweep", "--vary", "k", "--from", "2", "--to", "3", "--seeds", "1",
+                   "--n", "8", "--out"]),
+        "search": ("exhaustive_search", blocker / "findings",
+                   ["search", "--n-max", "4", "--k-max", "2", "--l-max", "3", "--out-dir"]),
+    }[command]
+    monkeypatch.setattr(cli_module, work, no_work)
+    assert main(argv + [str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
+def test_output_path_try_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # a sweep that fails after the try leaves no file that the try made, and
+    # an existing file as it was
+    monkeypatch.setenv("RINGDISPERSE_WORKERS", "abc")
+    argv = ["sweep", "--vary", "k", "--from", "2", "--to", "3", "--seeds", "1", "--n", "8",
+            "--out"]
+    made = tmp_path / "made.csv"
+    assert main(argv + [str(made)]) == 4
+    assert not made.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    assert main(argv + [str(kept)]) == 4
+    assert kept.read_text() == "old\n"
+
+
+def test_search_with_labels_below_robots_warns_once(capsys):
+    # the literal rules fail on ring 4 with three robots and labels 0..2,
+    # so both the enumeration and the minimization build k > L scenarios
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["search", "--n-max", "4", "--k-max", "3", "--l-max", "2",
+                     "--ruleset", "literal"])
+    captured = capsys.readouterr()
+    assert code == 0 and "no failures" not in captured.out
+    assert captured.err == ("warning: --l-max 2 is below the robot count 3 of some "
+                            "scenarios; the protocol assumes L >= k\n")
+    assert main(["search", "--n-max", "4", "--k-max", "3", "--l-max", "3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_search_writes_report_and_findings(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Executor tests: frozen hand-derived oracles, verdicts, determinism."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from ringdisperse.engine import (
     run,
     zero_test_stable,
 )
+from ringdisperse.perception import observe
 from ringdisperse.protocol import Ruleset, participates
 from ringdisperse.robots import RobotState, Status
 from ringdisperse.scenario import gen_chain, make_scenario
@@ -256,6 +258,47 @@ def test_wake_schedule_matches_stepping_every_robot(sample_647, ruleset, monkeyp
         assert oracle.final_placement == outcome.final_placement, scenario
         assert oracle.trace.records == outcome.trace.records, scenario
         assert oracle.trace.phase_snapshots == outcome.trace.phase_snapshots, scenario
+
+
+def assert_observations_fresh_and_shared(scenario, records):
+    """Each record's observations equal what ``observe`` gives from the
+    placements replayed from the moves, and a record holds the very dict
+    of the record before it exactly when neither of the two rounds before
+    it moved a robot (no round precedes round 0).  Returns the number of
+    records that share."""
+    position = dict(scenario.robots)
+    counts = prev_counts = Counter(position.values())
+    moved = set()
+    shared = 0
+    for index, record in enumerate(records):
+        assert record.observations == {
+            label: observe(counts[node], prev_counts[node], label in moved)
+            for label, node in position.items()}, (scenario, index)
+        quiet = index > 0 and not any(r.moves for r in records[max(0, index - 2):index])
+        held = index > 0 and record.observations is records[index - 1].observations
+        assert held == quiet, (scenario, index)
+        shared += quiet
+        for label, _, to, _ in record.moves:
+            position[label] = to
+        prev_counts, counts = counts, Counter(position.values())
+        moved = {label for label, _, _, _ in record.moves}
+    return shared
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_quiet_rounds_hand_on_the_observations_of_the_round_before(sample_647, ruleset):
+    shared = 0
+    for scenario in sample_647:
+        records = run(scenario, ruleset).trace.records
+        shared += assert_observations_fresh_and_shared(scenario, records)
+        # step_round carries the moves of the last two rounds and the last
+        # observations from one call to the next, as run_phase does
+        engine = Engine(scenario, ruleset)
+        for _ in records:
+            engine.step_round()
+        assert engine.trace.records == records, scenario
+        assert_observations_fresh_and_shared(scenario, engine.trace.records)
+    assert shared > 0
 
 
 @pytest.mark.parametrize("ruleset", list(Ruleset))

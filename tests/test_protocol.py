@@ -140,17 +140,36 @@ def test_participation_conflicts_are_every_difference_from_the_paper():
     assert differences == set(PARTICIPATION_CONFLICTS)
 
 
-def test_wake_table_is_the_participation_table():
+def test_wake_table_is_the_rule_cells():
+    # PARTICIPATION stays the checker's "may move" table: a leader in its
+    # own rounds, anyone else by status, an idle robot never
     assert PARTICIPATION[Status.IDLE, False] == PARTICIPATION[Status.IDLE, True] == frozenset()
     for status in Status:
-        for leader in (False, True):
-            rounds = PARTICIPATION[status, leader]
-            if status is not Status.IDLE:
-                assert rounds == (LEADER_ROUNDS if leader else EFFECTIVE_PARTICIPATION[status])
-            # the leader flag turns on mid-phase in rounds 1 and 5 of an election
-            if status is Status.LEADER_ELECTION:
-                rounds |= LEADER_ROUNDS
-            assert wake_rounds(status, leader) == rounds, (status, leader)
+        if status is not Status.IDLE:
+            assert PARTICIPATION[status, False] == EFFECTIVE_PARTICIPATION[status]
+            assert PARTICIPATION[status, True] == LEADER_ROUNDS
+    # the engine wakes a robot only in the rounds a rule of its status acts
+    # in; an electing non-leader also in the leader's round 5, which it
+    # wakes in anyway, since its leader flag can turn on in round 1
+    expected = {
+        (Status.LEADER_ELECTION, False): {1, 2, 3, 4, 5},
+        (Status.LEADER_ELECTION, True): {5},
+        (Status.ACTIVE_MERGE, False): {6, 7, 8},
+        (Status.ACTIVE_MERGE, True): {6, 7},
+        (Status.ACTIVE_DISPERSE, False): {9, 10, 11, 12, 13, 14, 15, 17, 18, 19},
+        (Status.ACTIVE_DISPERSE, True): {9, 10, 11},
+        (Status.PASSIVE, False): {9, 10, 11, 12, 15, 16, 17, 19},
+        (Status.PASSIVE, True): {9, 10, 11},
+        (Status.WAIT, False): {17},
+        (Status.WAIT, True): set(),
+        (Status.JUMP, False): {14, 17},
+        (Status.JUMP, True): set(),
+        (Status.IDLE, False): set(),
+        (Status.IDLE, True): set(),
+    }
+    assert set(expected) == set(itertools.product(Status, (False, True)))
+    for (status, leader), rounds in expected.items():
+        assert wake_rounds(status, leader) == rounds, (status, leader)
 
 
 def test_repairs_replace_cells_of_the_literal_rules():
@@ -165,13 +184,28 @@ def test_repairs_replace_cells_of_the_literal_rules():
 
 
 def test_rulesets_dispatch_differ_in_the_repaired_cells_only():
+    # each ruleset dispatches exactly the participation rounds its status
+    # has a rule cell for
     differences = set()
     for (status, leader), rounds in PARTICIPATION.items():
         literal = _DISPATCH[Ruleset.LITERAL, status, leader]
         repaired = _DISPATCH[Ruleset.REPAIRED, status, leader]
-        assert set(literal) == set(repaired) == rounds, (status, leader)
-        differences |= {(status, rip) for rip in rounds if literal[rip] is not repaired[rip]}
+        assert set(literal) == set(repaired) == rounds & RULES[status].keys(), (status, leader)
+        differences |= {(status, rip) for rip in literal if literal[rip] is not repaired[rip]}
     assert differences == set(REPAIRS)
+
+
+# the cells whose rules read a latch: repair 1 reads decrease_at_7 and
+# repair 2 increase_in_10_12
+LATCH_READERS = {(Status.ACTIVE_MERGE, 8), (Status.ACTIVE_DISPERSE, 12), (Status.PASSIVE, 12)}
+
+
+def test_latch_reading_cells_lie_outside_the_leader_rounds():
+    # so a leader never reads a latch, and the leader rounds without a rule
+    # cell, which the engine skips, set nothing a rule reads
+    for status, rip in LATCH_READERS:
+        assert rip in RULES[status] and rip not in LEADER_ROUNDS, (status, rip)
+        assert rip not in wake_rounds(status, True), (status, rip)
 
 
 def test_ruleset_hashes_by_identity_and_survives_pickle():
@@ -269,6 +303,38 @@ def test_round_1_reads_neither_increase_nor_decrease(fields):
                             1, ruleset)
                     for increase, decrease in itertools.product((False, True), repeat=2)]
         assert all(outcome == outcomes[0] for outcome in outcomes), (status, leader, ruleset)
+
+
+@settings(max_examples=20, deadline=None)
+@given(phase_fields())
+def test_only_the_latch_reading_cells_read_a_latch(fields):
+    # step moves and writes alike whatever the latches hold, except in the
+    # cells of LATCH_READERS under the repaired rules
+    readers = {ruleset: set() for ruleset in Ruleset}
+    for status, leader, rip, ruleset, observation in itertools.product(
+            Status, (False, True), range(1, ROUNDS_PER_PHASE + 1), Ruleset, OBSERVATIONS):
+        outcomes = []
+        for latched in (False, True):
+            state = RobotState(status=status, leader=leader, **{
+                **fields, "decrease_at_7": latched, "increase_in_10_12": latched})
+            port = step(state, observation, rip, ruleset)
+            outcomes.append((port, dataclasses.replace(
+                state, decrease_at_7=False, increase_in_10_12=False)))
+        if outcomes[0] != outcomes[1]:
+            readers[ruleset].add((status, rip))
+    assert readers == {Ruleset.LITERAL: set(), Ruleset.REPAIRED: LATCH_READERS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(phase_fields())
+def test_step_never_turns_a_leader_off(fields):
+    # a leader keeps its flag for the rest of the run, so it never runs a
+    # latch-reading cell, and its wake rounds hold for the whole phase
+    for status, rip, ruleset, observation in itertools.product(
+            Status, range(1, ROUNDS_PER_PHASE + 1), Ruleset, OBSERVATIONS):
+        state = RobotState(status=status, leader=True, **fields)
+        step(state, observation, rip, ruleset)
+        assert state.leader, (status, rip, ruleset, observation)
 
 
 def test_all_zero_bits_leaves_group_still():

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -172,6 +173,22 @@ def test_enumeration_counts_and_canonicalization():
         assert all(
             nodes <= tuple((v + r) % s.n for v in nodes) for r in range(s.n)
         )
+
+
+def test_enumerated_and_minimized_scenarios_are_valid_and_silent():
+    # both build Scenarios without make_scenario: each must be what
+    # make_scenario makes of it, and neither warns for L below k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scenarios = list(enumerate_scenarios(4, 3, 2))
+        failures = [s for s in scenarios if not run(s, Ruleset.LITERAL).dispersed]
+        minimized = [minimize_scenario(s, Ruleset.LITERAL, run(s, Ruleset.LITERAL).result)
+                     for s in failures]
+    assert any(s.k > s.max_label for s in minimized)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for s in scenarios + minimized:
+            assert make_scenario(s.n, s.max_label, s.robots) == s
 
 
 def test_enumeration_guard():
