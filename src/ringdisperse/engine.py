@@ -41,10 +41,12 @@ follows two rounds without a move hands on the observations dict of the
 round before: no count changed over those two rounds and no robot moved
 in the last one, so every robot perceives what it perceived a round
 earlier.  The records of a quiet stretch thus share one dict, which
-sinks treat as read-only.  Only a sink gets ``snapshot()``s, each
-robot's once per phase start.  Every run, with a sink or without, builds
-the livelock key from the robots' fields, so a run without a sink builds
-no snapshot.
+sinks treat as read-only.  A round without a sink that follows a round
+without a move calls no ``observe``: no count changed and no robot
+moved, so each woken robot perceives only whether it is alone.  Only a
+sink gets ``snapshot()``s, each robot's once per phase start.  Every
+run, with a sink or without, builds the livelock key from the robots'
+fields, so a run without a sink builds no snapshot.
 The wake schedule is filled from ``_WAKE_INDEXES``, and a move commit
 adjusts the counts of the nodes its movers leave and enter.  ``observe``
 and ``step`` are looked up as module globals at every call, and
@@ -58,7 +60,7 @@ import enum
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .perception import Observation, observe
+from .perception import OBSERVATIONS, Observation, observe
 from .protocol import READS_NET_DISP, Ruleset, step, wake_rounds
 from .ring import Placement, move_target
 from .robots import RobotState, StateSnapshot, Status, apply_pending_status, max_label_bits
@@ -145,6 +147,9 @@ class RunOutcome:
     phases_used: int
     final_placement: Placement
     trace: Trace
+    # a livelock's proven cycle (a, b): phase start a repeats at phase start
+    # b, the one the run ends on; None for any other verdict
+    cycle: tuple[int, int] | None = None
 
     @property
     def dispersed(self) -> bool:
@@ -279,7 +284,15 @@ class Engine:
                 # a robot's node may have been empty a round earlier
                 prev_counts = prev_placement.counts
                 moves: dict[int, int] = {}
-                if sink is None:
+                if sink is None and not moved_last:
+                    # after a round without a move no count changed and no
+                    # robot moved last, so each robot perceives only alone
+                    for label in woken:
+                        port = step(robots[label], OBSERVATIONS[4 if counts[by_robot[label]] == 1
+                                                                else 0], rip, ruleset)
+                        if port is not None:
+                            moves[label] = port
+                elif sink is None:
                     for label in woken:
                         node = by_robot[label]
                         port = step(robots[label], observe(
@@ -405,13 +418,15 @@ def run(
 
     Every earlier phase start is kept with its ``net_disp`` vector, and
     the test runs against each one with the same key, so an exact repeat
-    is never missed.  A run that reaches ``max_phases`` (by default
+    is never missed.  A livelock's ``RunOutcome.cycle`` is (a, b) for the
+    earliest such a.  A run that reaches ``max_phases`` (by default
     ``phase_budget``) without a proven cycle is budget-exceeded.
     """
     engine = Engine(scenario, ruleset, record_rounds=record_rounds, sink=sink)
     if max_phases is None:
         max_phases = phase_budget(engine.max_size, scenario.k)
     abstract, disp = engine.snapshot_key()
+    cycle = None
     # key modulo net_disp -> the (phase, net_disp vector) of each phase start with it
     seen: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {abstract: [(engine.phase, disp)]}
 
@@ -423,7 +438,9 @@ def run(
             break
         abstract, disp = engine.snapshot_key()
         earlier = seen.setdefault(abstract, [])
-        if any(_repeats_forever(engine, a, disp_a, disp) for a, disp_a in earlier):
+        cycle = next(((a, engine.phase) for a, disp_a in earlier
+                      if _repeats_forever(engine, a, disp_a, disp)), None)
+        if cycle is not None:
             result = RunResult.LIVELOCK
             break
         earlier.append((engine.phase, disp))
@@ -441,4 +458,5 @@ def run(
         phases_used=finished,
         final_placement=engine.placement,
         trace=engine.trace,
+        cycle=cycle,
     )

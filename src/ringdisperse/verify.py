@@ -8,6 +8,7 @@ crashes: the harness exists to surface them.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import itertools
 import math
@@ -622,14 +623,51 @@ def worker_count() -> int:
         raise ValueError(f"RINGDISPERSE_WORKERS must be an integer, not {env!r}") from None
 
 
+# the pool map_jobs keeps, per process id: (worker count, pool).  A forked
+# child inherits its parent's entry under the parent's id and leaves it be.
+_pools: dict[int, tuple] = {}
+
+
+def _pool(workers: int):
+    """This process's pool of ``workers`` workers, built on first use; a
+    pool of another size is closed first."""
+    kept = _pools.get(os.getpid())
+    if kept is not None and kept[0] == workers:
+        return kept[1]
+    _close_pool()
+    pool = Pool(workers)
+    _pools[os.getpid()] = (workers, pool)
+    return pool
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Terminate and join this process's kept pool, if it has one.  Runs at
+    exit, while the interpreter can still tear the pool down."""
+    kept = _pools.pop(os.getpid(), None)
+    if kept is not None:
+        kept[1].terminate()
+        kept[1].join()
+
+
 def map_jobs(fn, jobs: list, workers: int | None, chunksize: int, serial_max: int) -> list:
     """``[fn(job) for job in jobs]`` across a pool of ``workers`` (default
-    ``worker_count()``), or in this process for one worker or few jobs."""
+    ``worker_count()``), or in this process for one worker or few jobs.
+
+    The pool is kept for later calls with the same worker count, so its
+    workers are forked once per process and worker count: a module patched
+    after they were forked stays unpatched in them.  A call that raises,
+    in a job or while waiting, closes the pool, and the next call builds a
+    new one."""
     if workers is None:
         workers = worker_count()
     if workers > 1 and len(jobs) > serial_max:
-        with Pool(workers) as pool:
+        pool = _pool(workers)
+        try:
             return pool.map(fn, jobs, chunksize=chunksize)
+        except BaseException:
+            _close_pool()
+            raise
     return [fn(job) for job in jobs]
 
 

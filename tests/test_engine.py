@@ -18,7 +18,7 @@ from ringdisperse.engine import (
     zero_test_stable,
 )
 from ringdisperse.perception import observe
-from ringdisperse.protocol import Ruleset, participates
+from ringdisperse.protocol import Ruleset, participates, step
 from ringdisperse.robots import RobotState, Status
 from ringdisperse.scenario import gen_chain, make_scenario
 from ringdisperse.verify import TraceCheck, enumerate_scenarios
@@ -313,6 +313,54 @@ def test_unrecorded_run_keeps_no_trace_and_the_same_verdict(sample_647, ruleset)
         assert unrecorded.rounds_used == recorded.rounds_used, scenario
         assert unrecorded.phases_used == recorded.phases_used, scenario
         assert unrecorded.final_placement == recorded.final_placement, scenario
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_step_sees_the_same_rounds_with_and_without_a_sink(sample_647, ruleset, monkeypatch):
+    # a run without a sink perceives its quiet rounds without observe; step
+    # must get the same robots, rounds and observations as with a sink
+    calls = []
+
+    def recorded_step(state, observation, rip, rules):
+        calls.append((state.label, rip, observation))
+        return step(state, observation, rip, rules)
+
+    monkeypatch.setattr(engine_module, "step", recorded_step)
+    for scenario in sample_647:
+        run(scenario, ruleset)
+        with_sink = calls[:]
+        calls.clear()
+        run(scenario, ruleset, record_rounds=False)
+        assert calls == with_sink, scenario
+        calls.clear()
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_a_livelock_carries_the_cycle_it_proved(sample_647, ruleset):
+    livelocks = cut = 0
+    for scenario in sample_647:
+        outcome = run(scenario, ruleset)
+        if outcome.result is not RunResult.LIVELOCK:
+            assert outcome.cycle is None, scenario
+            continue
+        livelocks += 1
+        a, b = outcome.cycle
+        assert 1 <= a < b == outcome.phases_used + 1, scenario
+        start, end = outcome.trace.snapshot_for(a), outcome.trace.snapshot_for(b)
+        first = scenario.labels()[0]
+        shift = end.nodes[first] - start.nodes[first]
+        assert end.nodes == {label: (node + shift) % scenario.n
+                             for label, node in start.nodes.items()}, scenario
+        assert ({label: state._replace(net_disp=0) for label, state in end.states.items()}
+                == {label: state._replace(net_disp=0)
+                    for label, state in start.states.items()}), scenario
+        if b > 2:
+            # cut before the cycle closes: budget-exceeded, and no cycle
+            short = run(scenario, ruleset, max_phases=b - 2, record_rounds=False)
+            assert short.result is RunResult.BUDGET_EXCEEDED, scenario
+            assert short.cycle is None, scenario
+            cut += 1
+    assert livelocks > 0 and cut > 0
 
 
 @pytest.mark.parametrize("mode, ruleset, max_phases, result, phases", [

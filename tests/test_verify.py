@@ -4,11 +4,15 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import multiprocessing.pool
 import os
 import random
+import subprocess
+import sys
 import time
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -480,3 +484,120 @@ def test_worker_count_rejects_a_non_integer(monkeypatch, value):
 def test_map_jobs_keeps_input_order(workers):
     jobs = list(range(-5, 5))
     assert map_jobs(abs, jobs, workers, chunksize=3, serial_max=4) == [abs(j) for j in jobs]
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """``verify.Pool`` replaced by real pools that log ("built" or
+    "terminated", worker count, pool); every test starts and ends with no
+    kept pool."""
+    import ringdisperse.verify as verify_module
+
+    log = []
+
+    class LoggedPool(multiprocessing.pool.Pool):
+        def __init__(self, processes):
+            super().__init__(processes)
+            log.append(("built", processes, self))
+
+        def terminate(self):
+            log.append(("terminated", self._processes, self))
+            super().terminate()
+
+    verify_module._close_pool()
+    monkeypatch.setattr(verify_module, "Pool", LoggedPool)
+    yield log
+    for _, pool in verify_module._pools.values():
+        pool.terminate()
+        pool.join()
+    verify_module._pools.clear()
+
+
+def absolute_unless_zero(job: int) -> int:
+    if job == 0:
+        raise ValueError("job 0 fails")
+    return abs(job)
+
+
+POOL_JOBS = list(range(-20, 20))
+
+
+def pooled(fn=abs, workers=2):
+    return map_jobs(fn, POOL_JOBS, workers, chunksize=3, serial_max=4)
+
+
+def test_map_jobs_keeps_one_pool_across_calls(pool_log):
+    assert pooled() == pooled() == [abs(j) for j in POOL_JOBS]
+    assert [(event, workers) for event, workers, _ in pool_log] == [("built", 2)]
+
+
+def test_map_jobs_replaces_the_pool_for_another_worker_count(pool_log):
+    pooled(workers=2)
+    assert pooled(workers=3) == [abs(j) for j in POOL_JOBS]
+    assert [(event, workers) for event, workers, _ in pool_log] == [
+        ("built", 2), ("terminated", 2), ("built", 3)]
+    assert pool_log[1][2] is pool_log[0][2]
+
+
+def test_map_jobs_raises_a_job_error_and_works_on(pool_log):
+    pooled()
+    with pytest.raises(ValueError, match="job 0 fails"):
+        pooled(absolute_unless_zero)
+    assert pooled() == [abs(j) for j in POOL_JOBS]
+    # the pool that raised is dropped, and the next call builds its own
+    assert [(event, workers) for event, workers, _ in pool_log] == [
+        ("built", 2), ("terminated", 2), ("built", 2)]
+
+
+def test_map_jobs_leaves_the_pool_of_another_process_alone(pool_log, monkeypatch):
+    import ringdisperse.verify as verify_module
+
+    parent = os.getpid()
+
+    class ChildOs:
+        """``os`` as a forked child of this process sees it."""
+
+        def getpid(self):
+            return parent + 1
+
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+    pooled()
+    monkeypatch.setattr(verify_module, "os", ChildOs())
+    assert pooled() == [abs(j) for j in POOL_JOBS]
+    monkeypatch.setattr(verify_module, "os", os)
+    assert pooled() == [abs(j) for j in POOL_JOBS]
+    # the child built its own pool and terminated neither; back in the
+    # parent, the parent's pool serves again
+    assert [(event, workers) for event, workers, _ in pool_log] == [
+        ("built", 2), ("built", 2)]
+    assert pool_log[0][2] is not pool_log[1][2]
+
+
+CLEAN_EXIT = """
+import os
+from ringdisperse.verify import map_jobs
+
+def worker_pid(job):
+    return os.getpid()
+
+pids = set()
+for _ in range(2):
+    pids.update(map_jobs(worker_pid, list(range(40)), 2, chunksize=1, serial_max=4))
+print(*sorted(pids))
+"""
+
+
+def test_kept_pool_ends_with_the_process():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", CLEAN_EXIT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2, "two calls, one pool of two workers"
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
