@@ -14,22 +14,21 @@ size.  The ``obs`` key appears only under --verbose, and each of its
 entries is exactly three JSON booleans.  ``write_trace`` formats each row
 directly rather than through ``json.dumps``; the rows are byte-identical
 to v2 rows written with ``json.dumps(row, separators=(",", ":"))``, so
-the format is unchanged.  ``read_trace`` decodes the text after a row's
-counters once per distinct text in the file (quiet rounds repeat it)
-and hands any other line to ``json.loads``, so the rows and the
-messages are the ones ``json.loads`` gives.  Rows with equal text after
-the counters share their values, so
-callers treat the rows as read-only; ``_round_records`` converts a
-shared value once.  ``verify`` checks the
-header against the scenario and the row count, that its ruleset and
-result are names of a ruleset and a verdict, and that the rows bear the
-result out, then feeds the rows to the
-one trace walk, ``verify.check_trace``.  Trace files carry no robot
-statuses, so from a file the walk runs its replay only; participation,
-idle immobility and the invariants are checked in memory.  A violation
-prints as ``[kind] phase P round R: ...``; a malformed row, a line that is
-not UTF-8, and any file in another format (the dense-occupancy v1
-included) are invalid input.
+the format is unchanged.  ``read_trace`` reads the rows back as the
+RoundRecords the run recorded, decoding the text after a row's counters
+once per distinct text in the file (quiet rounds repeat it) and handing
+any other line to ``json.loads``, so the records and the messages are
+the ones ``json.loads`` and one record check give.  ``verify`` checks
+the header against the scenario and the row count, that its ruleset and
+result are names of a ruleset and a verdict, that its rounds is an
+integer and the rows whole phases, and that the rows bear the result
+out, then feeds the records to the one trace walk,
+``verify.check_trace``.  Trace files carry no robot statuses, so from a
+file the walk runs its replay only; participation, idle immobility and
+the invariants are checked in memory.  A violation prints as ``[kind]
+phase P round R: ...``; a malformed row, a line that is not UTF-8, and
+any file in another format (the dense-occupancy v1 included) are
+invalid input.
 
 ``run --trace``, ``sweep --out`` and ``search --out-dir`` try their
 output path before any run, so a bad path costs no work.
@@ -139,22 +138,27 @@ _row_start = re.compile(r'\{"round":(0|[1-9][0-9]{0,17}),"phase":(0|[1-9][0-9]{0
                         r'"rip":(0|[1-9][0-9]{0,17}),(?=")').match
 
 
-def read_trace(path) -> tuple[dict, list[dict]]:
-    """The header and rows of a trace file, blank lines skipped; ValueError
-    names the header, or the row (numbered from 1), that is not UTF-8 or
-    not JSON, a value nested past the recursion limit or a number past
-    ``int()``'s digit limit included.
+# the keys of a row's counters, which a body read on its own must not hold
+_COUNTERS = {"round", "phase", "rip"}
+# what a malformed row raises in _fields and _record
+_MALFORMED = (KeyError, TypeError, ValueError)
+
+
+def read_trace(path) -> tuple[dict, list[RoundRecord]]:
+    """The header and the RoundRecords of a trace file, blank lines
+    skipped; ValueError names the header, or the row (numbered from 1),
+    that is not UTF-8, not JSON (a value nested past the recursion limit
+    or a number past ``int()``'s digit limit included) or malformed (see
+    ``_record``).  The first bad line in file order is the one named.
 
     A row that starts as ``write_trace`` starts one has its counters read
     from that start, and the rest of the line, its body, decoded as
-    ``"{" + body`` once per distinct body text in the file: rows of quiet
-    rounds repeat the previous row's body.  The row is the counters
-    updated with the body's fields, as ``json.loads`` builds it, duplicate
-    keys and key order included.  Rows with equal bodies share the body's
-    values, so callers must treat the rows as read-only.  A blank line is
-    skipped, and any other line, or one whose body ``json.loads`` rejects,
-    goes to ``json.loads`` whole, so the rows and every message are the
-    ones it gives."""
+    ``"{" + body`` and converted once per distinct body text in the file:
+    rows of quiet rounds repeat the previous row's body, and rows with
+    equal bodies share its moves, observations and occupancy.  Any other
+    line, a body ``json.loads`` rejects, a malformed body and a body that
+    repeats a counter key go to ``json.loads`` whole and then to
+    ``_record``, so every record and message is the one that gives."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = (line for line in fh if line.strip())
@@ -168,9 +172,8 @@ def read_trace(path) -> tuple[dict, list[dict]]:
             fmt = header.get("format") if isinstance(header, dict) else None
             if fmt != TRACE_FORMAT:
                 raise ValueError(f"unsupported trace format {fmt!r}")
-            rows = []
-            index = 0
-            bodies: dict[str, dict] = {}  # body text -> its decoded fields
+            records: list[RoundRecord] = []
+            bodies: dict[str, tuple] = {}  # body text -> (moves, observations, occupancy)
             for line in fh:  # the lines after the header
                 start = _row_start(line)
                 if start is not None:
@@ -178,24 +181,24 @@ def read_trace(path) -> tuple[dict, list[dict]]:
                     fields = bodies.get(body)
                     if fields is None:
                         try:
-                            fields = bodies[body] = json.loads("{" + body)
-                        except (ValueError, RecursionError):  # the whole line is judged below
+                            decoded = json.loads("{" + body)
+                            if not decoded.keys() & _COUNTERS:
+                                fields = bodies[body] = _fields(decoded)
+                        except (RecursionError, *_MALFORMED):  # the whole line is judged below
                             pass
                     if fields is not None:
                         round_, phase, rip = start.groups()
-                        index += 1
-                        rows.append({"round": int(round_), "phase": int(phase),
-                                     "rip": int(rip), **fields})
+                        records.append(RoundRecord(int(round_), int(phase), int(rip), *fields))
                         continue
                 if not line.strip():
                     continue
                 try:
                     row = json.loads(line)
                 except (ValueError, RecursionError) as exc:
-                    raise ValueError(f"trace row {index + 1} is not JSON: {exc}") from None
-                index += 1
-                rows.append(row)
-            return header, rows
+                    raise ValueError(
+                        f"trace row {len(records) + 1} is not JSON: {exc}") from None
+                records.append(_record(row, len(records) + 1))
+            return header, records
     except UnicodeDecodeError:
         raise ValueError(_not_utf8(path)) from None
 
@@ -208,89 +211,70 @@ def _label(key: str) -> int:
     return label
 
 
-def _round_records(rows):
-    """Trace rows as RoundRecords, converted one at a time so that the
-    replay holds no second copy of the rows; ValueError on a malformed row.
+def _fields(row: dict) -> tuple:
+    """The moves, observations and occupancy of a decoded row, as a
+    RoundRecord holds them; one of ``_MALFORMED`` if they are malformed.
 
-    ``moves`` and ``occ`` must be lists and ``obs``, when present, a dict
-    keyed by canonical decimal labels whose entries are exactly three
-    booleans, read as the shared Observations.  A label no robot has is
-    left to the replay, which reports it.
-
-    A ``moves``, ``occ`` or ``obs`` value that is the very object the
-    previous row carried, as rows with equal bodies share them (see
-    ``read_trace``), is not converted again: its record shares the
-    previous record's value.  The test is by identity, never by value,
-    since JSON ``1`` equals ``true``; so every value a row brings is
-    checked."""
-    labels: dict[str, int] = {}  # obs key -> label, checked once per key
-    # a fresh object: no value a row holds is it, None ("obs": null) included
-    absent = object()
-    # the previous row's values and their conversions; a failed check ends
-    # the walk, so a value is taken as checked once it is converted
-    last_moves = last_occ = last_obs = absent
-    moves_t = cells_t = observations = None
-    for index, row in enumerate(rows, start=1):
-        try:
-            moves, occ = row["moves"], row["occ"]
-            if type(moves) is not list or type(occ) is not list:
-                raise TypeError("moves or occ is not a list")
-            counters = (row["round"], row["phase"], row["rip"])
-            new_moves = new_cells = ()  # the values to check
-            if moves is not last_moves:
-                moves_t = new_moves = tuple([(label, frm, to, port)
-                                             for label, frm, to, port in moves])
-                last_moves = moves
-            if occ is not last_occ:
-                cells_t = new_cells = tuple([(node, count) for node, count in occ])
-                last_occ = occ
-            for values in (counters, *new_moves, *new_cells):
-                for value in values:
-                    if type(value) is not int:
-                        raise TypeError(f"{values} are not all integers")
-            obs = row.get("obs", absent)
-            if obs is absent:
-                observations, last_obs = None, absent
-            elif obs is not last_obs:
-                if type(obs) is not dict:
-                    raise TypeError("obs is not an object")
-                observations = {}
-                for key, bits in obs.items():
-                    label = labels.get(key)
-                    if label is None:
-                        label = labels[key] = _label(key)
-                    if type(bits) is not list or len(bits) != 3:
-                        raise TypeError(f"{bits!r} is not three booleans")
-                    alone, increase, decrease = bits
-                    if type(alone) is not bool or type(increase) is not bool or (
-                            type(decrease) is not bool):
-                        raise TypeError(f"{bits!r} is not three booleans")
-                    observations[label] = OBSERVATIONS[alone << 2 | increase << 1 | decrease]
-                last_obs = obs
-            record = RoundRecord(*counters, moves_t, observations, cells_t)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"trace row {index} is malformed: {exc!r}") from exc
-        yield record
+    ``moves`` and ``occ`` must be lists of integer 4-tuples and pairs, and
+    ``obs``, when present, an object keyed by canonical decimal labels
+    whose entries are exactly three booleans, read as the shared
+    Observations.  A label no robot has is left to the replay, which
+    reports it."""
+    moves, occ = row["moves"], row["occ"]
+    if type(moves) is not list or type(occ) is not list:
+        raise TypeError("moves or occ is not a list")
+    moves = tuple([(label, frm, to, port) for label, frm, to, port in moves])
+    cells = tuple([(node, count) for node, count in occ])
+    for values in (*moves, *cells):
+        for value in values:
+            if type(value) is not int:
+                raise TypeError(f"{values} are not all integers")
+    if "obs" not in row:
+        return moves, None, cells
+    obs = row["obs"]
+    if type(obs) is not dict:
+        raise TypeError("obs is not an object")
+    observations = {}
+    for key, bits in obs.items():
+        if type(bits) is not list or len(bits) != 3 or any(type(bit) is not bool for bit in bits):
+            raise TypeError(f"{bits!r} is not three booleans")
+        alone, increase, decrease = bits
+        observations[_label(key)] = OBSERVATIONS[alone << 2 | increase << 1 | decrease]
+    return moves, observations, cells
 
 
-def _ends_dispersed(rows: list[dict]) -> bool:
-    """Whether well-formed rows end as a dispersed run ends.  ``engine.run``
-    tests for dispersal after each phase and before any other verdict, so
-    a run is dispersed exactly when its last phase, the last 19 rows, moved
+def _record(row, index: int) -> RoundRecord:
+    """Row ``index`` of a trace file, as ``json.loads`` decodes its line,
+    as the RoundRecord it records: an object whose ``round``, ``phase``
+    and ``rip`` are integers and whose other fields ``_fields`` takes.
+    ValueError, naming the row, on anything else."""
+    try:
+        counters = (row["round"], row["phase"], row["rip"])
+        if any(type(value) is not int for value in counters):
+            raise TypeError(f"{counters} are not all integers")
+        return RoundRecord(*counters, *_fields(row))
+    except _MALFORMED as exc:
+        raise ValueError(f"trace row {index} is malformed: {exc!r}") from None
+
+
+def _ends_dispersed(records: list[RoundRecord]) -> bool:
+    """Whether records end as a dispersed run ends.  ``engine.run`` tests
+    for dispersal after each phase and before any other verdict, so a run
+    is dispersed exactly when its last phase, the last 19 records, moved
     no robot and left every robot on a node of its own."""
-    tail = rows[-ROUNDS_PER_PHASE:]
-    return (len(tail) == ROUNDS_PER_PHASE and not any(row["moves"] for row in tail)
-            and all(count == 1 for _, count in tail[-1]["occ"]))
+    tail = records[-ROUNDS_PER_PHASE:]
+    return (len(tail) == ROUNDS_PER_PHASE and not any(record.moves for record in tail)
+            and all(count == 1 for _, count in tail[-1].occupancy))
 
 
-def verify_trace_file(header: dict, rows: list[dict], scenario: Scenario) -> list[str]:
+def verify_trace_file(header: dict, records: list[RoundRecord], scenario: Scenario) -> list[str]:
     """Check the header against the scenario and the row count, its
-    ruleset and result against their names, and its result against the
-    rows (see ``_ends_dispersed``), then walk the rows with
+    ruleset and result against their names, its rounds for an integer,
+    the row count for whole phases, and its result against the records
+    (see ``_ends_dispersed``), then walk the records with
     ``verify.check_trace``.  Without phase-start statuses, which trace
     files do not carry, the walk runs the replay only.  The ruleset is
-    not checked against the rows: that takes a run of the scenario.
-    Raises ValueError on a malformed row."""
+    not checked against the records: that takes a run of the scenario."""
     problems: list[str] = []
     if header.get("scenario") != _scenario_json(scenario):
         problems.append("trace header scenario differs from the scenario file")
@@ -298,14 +282,18 @@ def verify_trace_file(header: dict, rows: list[dict], scenario: Scenario) -> lis
         names = [member.value for member in kind]
         if header.get(key) not in names:
             problems.append(f"trace header {key} {header.get(key)!r} is not one of {names}")
-    if header.get("rounds") != len(rows):
-        problems.append(
-            f"trace header records {header.get('rounds')} rounds, file has {len(rows)} rows"
-        )
-    violations = check_trace(scenario, _round_records(rows))
+    rounds = header.get("rounds")
+    if type(rounds) is not int:
+        problems.append(f"trace header rounds {rounds!r} is not an integer")
+    elif rounds != len(records):
+        problems.append(f"trace header records {rounds} rounds, file has {len(records)} rows")
+    if not records or len(records) % ROUNDS_PER_PHASE:
+        problems.append(f"trace has {len(records)} rows, not a positive multiple of "
+                        f"{ROUNDS_PER_PHASE}: a run ends on a phase boundary")
+    violations = check_trace(scenario, records)
     result = header.get("result")
     if result in [member.value for member in RunResult]:
-        dispersed = _ends_dispersed(rows)
+        dispersed = _ends_dispersed(records)
         if dispersed != (result == RunResult.DISPERSED.value):
             problems.append(
                 f"trace header result {result!r} does not match the rows, which "
@@ -459,11 +447,11 @@ def _cmd_verify(args) -> int:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        header, rows = read_trace(args.trace)
-        problems = verify_trace_file(header, rows, scenario)
+        header, records = read_trace(args.trace)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    problems = verify_trace_file(header, records, scenario)
     for problem in problems:
         print(f"violation: {problem}")
     print(f"{len(problems)} violations")

@@ -596,7 +596,7 @@ def evaluate_scenario(
     """Run ``scenario`` with a ``TraceCheck`` fed round by round, unless
     neither kind is asked for; no trace is kept."""
     check = TraceCheck(scenario) if validate or invariants else None
-    outcome = run(scenario, ruleset, sink=check)
+    outcome = run(scenario, ruleset, record_rounds=False, sink=check)
     violations = check.finish(outcome.result) if check is not None else []
     validation = [v for v in violations if validate and v.kind in REPLAY_KINDS]
     kinds = tuple(sorted({v.kind for v in violations if invariants and v.kind not in REPLAY_KINDS}))

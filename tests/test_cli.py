@@ -12,7 +12,7 @@ import pytest
 
 from ringdisperse.cli import (
     TRACE_FORMAT,
-    _round_records,
+    _record,
     _scenario_json,
     main,
     read_trace,
@@ -195,8 +195,8 @@ def test_file_and_memory_report_the_same_violations(rooted_scenario, tmp_path, i
     write_trace(outcome, trace_path, verbose=True)
     lines = trace_path.read_text().splitlines()
     trace_path.write_text("\n".join(in_file(lines)) + "\n")
-    header, rows = read_trace(trace_path)
-    from_file = verify_trace_file(header, rows, scenario)
+    header, records = read_trace(trace_path)
+    from_file = verify_trace_file(header, records, scenario)
     trace = dataclasses.replace(outcome.trace, records=in_memory(outcome.trace.records))
     from_memory = [str(v) for v in validate_trace(trace, scenario)]
     assert from_file
@@ -407,8 +407,8 @@ def test_quiet_round_observation_mismatch_is_reported_per_robot(rooted_scenario,
     lines, records = _tamper_quiet_round(trace_path.read_text().splitlines(),
                                          outcome.trace.records, tamper)
     trace_path.write_text("\n".join(lines) + "\n")
-    header, rows = read_trace(trace_path)
-    from_file = verify_trace_file(header, rows, scenario)
+    header, records = read_trace(trace_path)
+    from_file = verify_trace_file(header, records, scenario)
     trace = dataclasses.replace(outcome.trace, records=records)
     from_memory = [str(v) for v in validate_trace(trace, scenario)]
     assert from_file == from_memory == expected
@@ -417,8 +417,7 @@ def test_quiet_round_observation_mismatch_is_reported_per_robot(rooted_scenario,
 def test_read_observations_are_the_shared_values(rooted_scenario, tmp_path):
     trace_path = tmp_path / "trace.jsonl"
     main(["run", "--scenario", str(rooted_scenario), "--trace", str(trace_path), "--verbose"])
-    _, rows = read_trace(trace_path)
-    observations = [obs for record in _round_records(rows)
+    observations = [obs for record in read_trace(trace_path)[1]
                     for obs in record.observations.values()]
     assert observations
     assert all(any(obs is shared for shared in OBSERVATIONS) for obs in observations)
@@ -440,26 +439,31 @@ def _read_or_message(path):
 
 
 def _json_loads_or_message(path):
-    """The rows ``json.loads`` makes of the file's lines after the header,
-    blank lines skipped, or the message ``read_trace`` must give."""
-    rows = []
+    """The records that ``json.loads`` and the reader's record check make
+    of the file's lines after the header, one line at a time, blank lines
+    skipped, or the message ``read_trace`` must give."""
+    records = []
     for line in path.read_text().splitlines(keepends=True)[1:]:
         if not line.strip():
             continue
         try:
-            rows.append(json.loads(line))
+            row = json.loads(line)
         except (ValueError, RecursionError) as exc:
-            return f"trace row {len(rows) + 1} is not JSON: {exc}"
-    return rows
+            return f"trace row {len(records) + 1} is not JSON: {exc}"
+        try:
+            records.append(_record(row, len(records) + 1))
+        except ValueError as exc:
+            return str(exc)
+    return records
 
 
-def _same_json(got, expected):
-    """Equal rows, each with equal values and key order, true/false not
-    read as 1/0; compared row by row, so a failure shows one row."""
+def _same_records(got, expected):
+    """Equal records, true/false not read as 1/0; compared record by
+    record, so a failure shows one record."""
     assert type(got) is list and len(got) == len(expected)
-    for index, (row, want) in enumerate(zip(got, expected), start=1):
-        assert (index, json.dumps(row)) == (index, json.dumps(want))
-        assert row == want
+    for index, (record, want) in enumerate(zip(got, expected), start=1):
+        assert (index, repr(record)) == (index, repr(want))
+        assert record == want
 
 
 @pytest.mark.parametrize("verbose", [False, True], ids=["plain", "verbose"])
@@ -468,12 +472,26 @@ def _same_json(got, expected):
 def test_read_trace_rows_equal_json_loads(tmp_path, scenario, verbose):
     path = tmp_path / "trace.jsonl"
     write_trace(run(scenario), path, verbose)
-    rows = read_trace(path)[1]
-    _same_json(rows, _json_loads_or_message(path))
+    records = read_trace(path)[1]
+    _same_records(records, _json_loads_or_message(path))
     # quiet rounds repeat a body, and rows with equal bodies share its values
     bodies = [_body(line) for line in path.read_text().splitlines()[1:]]
     assert len(set(bodies)) < len(bodies) // 2
-    assert len({id(row["occ"]) for row in rows}) == len(set(bodies))
+    assert len({id(record.occupancy) for record in records}) == len(set(bodies))
+
+
+@pytest.mark.parametrize("scenario", [
+    _CRITERION_8_CHAIN, gen_single_source(10**4, 8, 1023, seed=7)], ids=["chain", "ring-10^4"])
+def test_read_trace_gives_back_the_recorded_rounds(tmp_path, scenario):
+    outcome = run(scenario)
+    path = tmp_path / "trace.jsonl"
+    write_trace(outcome, path, verbose=True)
+    header, records = read_trace(path)
+    assert header["rounds"] == len(records)
+    _same_records(records, outcome.trace.records)
+    write_trace(outcome, path)
+    _same_records(read_trace(path)[1], [dataclasses.replace(record, observations=None)
+                                        for record in outcome.trace.records])
 
 
 # a quiet row of the criterion-8 chain, the same body as the row before it
@@ -515,7 +533,8 @@ _QUIET = ('{"round":7,"phase":1,"rip":8,"moves":[],"occ":[[0,2],[1,2]],"obs":{'
         "bad-number-in-body"])
 def test_read_trace_matches_json_loads_on_crafted_rows(tmp_path, line):
     # the crafted row follows two rows with its body, so a decoded body is
-    # at hand; each must read as json.loads reads it, or fail with its message
+    # at hand; each must read as json.loads and the record check read it,
+    # or fail with their message
     path = tmp_path / "trace.jsonl"
     write_trace(run(_CRITERION_8_CHAIN), path, verbose=True)
     lines = path.read_text().splitlines()
@@ -527,7 +546,7 @@ def test_read_trace_matches_json_loads_on_crafted_rows(tmp_path, line):
     if type(expected) is str:
         assert got == expected
     else:
-        _same_json(got, expected)
+        _same_records(got, expected)
 
 
 def _verify_exits_input(tmp_path, capsys, lines, row):
@@ -588,6 +607,58 @@ def test_verify_rejects_obs_null_after_a_verbose_row(tmp_path, capsys):
     _verify_exits_input(tmp_path, capsys, lines, 9)
 
 
+def test_verify_names_the_first_bad_row_in_file_order(tmp_path, capsys):
+    # a malformed row is reported while the file is read, before a later
+    # row that is not JSON
+    lines = _trace_lines(tmp_path)
+    lines[3] = lines[3].replace("false", "0", 1)
+    lines[9] = lines[9][:-1]
+    _verify_exits_input(tmp_path, capsys, lines, 3)
+
+
+def _verify_livelock_prints(tmp_path, capsys, rows, rounds):
+    """``verify``'s exit code and output on the first ``rows`` rows of the
+    criterion-8 chain's literal trace, a livelock of 76 rows, with the
+    header's ``rounds`` set to ``rounds``; cut short, the rows still do not
+    end dispersed, so the header's result holds."""
+    path = tmp_path / "trace.jsonl"
+    write_trace(run(_CRITERION_8_CHAIN, Ruleset.LITERAL), path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + 4 * 19
+    header = json.loads(lines[0])
+    assert header["result"] == "livelock"
+    header["rounds"] = rounds
+    path.write_text("\n".join([json.dumps(header), *lines[1:1 + rows]]) + "\n")
+    scenario_path = tmp_path / "chain.scn"
+    scenario_path.write_text(render_scenario(_CRITERION_8_CHAIN))
+    capsys.readouterr()
+    code = main(["verify", "--trace", str(path), "--scenario", str(scenario_path)])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rows", [0, 1, 18, 25, 75, 57])
+def test_verify_reports_rows_that_are_not_whole_phases(tmp_path, capsys, rows):
+    # every run ends on a phase boundary, so only whole phases verify clean
+    code, out = _verify_livelock_prints(tmp_path, capsys, rows, rows)
+    if rows and rows % 19 == 0:
+        assert (code, out) == (0, "0 violations\n")
+    else:
+        assert code == 1
+        assert out == (f"violation: trace has {rows} rows, not a positive multiple of 19: "
+                       f"a run ends on a phase boundary\n1 violations\n")
+
+
+@pytest.mark.parametrize("rounds", [True, 1.0, 76.0, "76", None, [76]],
+                         ids=["true", "float-1", "float-76", "string", "null", "list"])
+@pytest.mark.parametrize("rows", [1, 76])
+def test_verify_reports_header_rounds_that_are_not_an_integer(tmp_path, capsys, rounds, rows):
+    # JSON true and 1.0 equal 1, so a count check alone takes them
+    code, out = _verify_livelock_prints(tmp_path, capsys, rows, rounds)
+    assert code == 1
+    assert out.startswith(f"violation: trace header rounds {rounds!r} is not an integer\n")
+    assert out.endswith(f"{1 if rows == 76 else 2} violations\n"), out
+
+
 def test_tampered_row_inside_a_run_of_quiet_rows_is_reported(tmp_path):
     # the rows before and after the tampered one share one decoded body
     scenario = _CRITERION_8_CHAIN
@@ -605,8 +676,8 @@ def test_tampered_row_inside_a_run_of_quiet_rows_is_reported(tmp_path):
                   for label, seen in sorted(flipped.items())}
     lines[r + 1] = json.dumps(row, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
-    header, rows = read_trace(path)
-    from_file = verify_trace_file(header, rows, scenario)
+    header, read = read_trace(path)
+    from_file = verify_trace_file(header, read, scenario)
     records = records[:r] + [dataclasses.replace(records[r], observations=flipped)] + \
         records[r + 1:]
     trace = dataclasses.replace(outcome.trace, records=records)
@@ -624,10 +695,10 @@ def _traced_file_size(n, tmp_path):
     assert validate_trace(outcome.trace, scenario) == []
     path = tmp_path / f"ring-{n}.jsonl"
     write_trace(outcome, path, verbose=True)
-    header, rows = read_trace(path)
-    assert len(rows) == outcome.rounds_used
-    assert all(len(row["occ"]) <= scenario.k for row in rows)
-    assert verify_trace_file(header, rows, scenario) == []
+    header, records = read_trace(path)
+    assert len(records) == outcome.rounds_used
+    assert all(len(record.occupancy) <= scenario.k for record in records)
+    assert verify_trace_file(header, records, scenario) == []
     return path.stat().st_size
 
 

@@ -18,7 +18,7 @@ from ringdisperse.engine import (
     zero_test_stable,
 )
 from ringdisperse.perception import observe
-from ringdisperse.protocol import Ruleset, participates, step
+from ringdisperse.protocol import Ruleset, participates, step, wake_rounds
 from ringdisperse.robots import RobotState, Status
 from ringdisperse.scenario import gen_chain, make_scenario
 from ringdisperse.verify import TraceCheck, enumerate_scenarios
@@ -580,17 +580,18 @@ def latch_window(seen, from_round, to_round, flag):
 def assert_latches_match_window(engine, rounds):
     """Step ``engine`` and check every robot's latches after every round.
     A latch keeps what the robot perceived in the rounds of its window that
-    it takes part in; for the robots that read it, the non-leader merging
-    robots and the non-leader active-disperse and passive robots, that is
-    the whole window.  Returns how many (reader, round) pairs had each
-    latch set."""
+    ``step`` acts on it in, its ``wake_rounds``; for the robots that read
+    it, the non-leader merging robots and the non-leader active-disperse
+    and passive robots, that is the whole window.  Returns how many
+    (reader, round) pairs had each latch set."""
     decreases = increases = 0
     for _ in range(rounds):
         engine.step_round()
         phase_records = [r for r in engine.trace.records if r.phase == engine.phase]
         for label, state in engine.robots.items():
             seen = [(r.round_in_phase, r.observations[label]) for r in phase_records]
-            taken = [(rip, obs) for rip, obs in seen if participates(state, rip)]
+            woken = wake_rounds(state.status, state.leader)
+            taken = [(rip, obs) for rip, obs in seen if rip in woken]
             assert state.decrease_at_7 == latch_window(taken, 7, 7, "decrease")
             assert state.increase_in_10_12 == latch_window(taken, 10, 12, "increase")
             if state.leader:
@@ -608,6 +609,20 @@ def assert_latches_match_window(engine, rounds):
 @given(small_engines(record_rounds=True), st.integers(min_value=1, max_value=6 * ROUNDS_PER_PHASE))
 def test_latches_equal_the_observation_window(engine, rounds):
     assert_latches_match_window(engine, rounds)
+
+
+def test_latches_skip_the_leader_rounds_without_a_rule_cell():
+    # a leader in active-disperse has no rule cell in round 7, so step
+    # skips it there: in round 83, round 7 of phase 5, robot 1 leads,
+    # perceives a decrease and latches none, though it participates
+    engine = Engine(make_scenario(5, 7, [(0, 0), (1, 0), (3, 4), (5, 4)]), Ruleset.REPAIRED)
+    assert_latches_match_window(engine, 83)
+    last, robot = engine.trace.records[-1], engine.robots[1]
+    assert (last.phase, last.round_in_phase, last.observations[1].decrease) == (5, 7, True)
+    assert (robot.status, robot.leader, robot.decrease_at_7) == (
+        Status.ACTIVE_DISPERSE, True, False)
+    assert participates(robot, 7) and 7 not in wake_rounds(robot.status, robot.leader)
+    assert_latches_match_window(engine, 6 * ROUNDS_PER_PHASE - 83)
 
 
 @pytest.mark.parametrize("ruleset", list(Ruleset))

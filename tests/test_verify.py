@@ -408,6 +408,21 @@ def test_evaluate_scenario_builds_no_round_record(monkeypatch):
         assert [evaluate_scenario(s, ruleset) for s in sample] == expected[ruleset]
 
 
+def test_evaluate_scenario_without_checks_records_no_round(monkeypatch):
+    rounds = []
+    monkeypatch.setattr(engine_module.Trace, "round",
+                        lambda self, *args: rounds.append(args[0]))
+    sample = list(enumerate_scenarios(6, 4, 7))[::500]
+    run(sample[0], Ruleset.REPAIRED)
+    assert rounds, "a recorded run records its rounds"
+    rounds.clear()
+    for ruleset in Ruleset:
+        for outcome in evaluate_many(sample, ruleset, validate=False, invariants=False,
+                                     workers=1):
+            assert outcome.rounds_used > 0
+    assert rounds == []
+
+
 def test_tiny_search_all_disperse():
     report = exhaustive_search(4, 2, 3, Ruleset.REPAIRED, workers=1)
     assert report.total > 0
@@ -576,16 +591,12 @@ def test_map_jobs_leaves_the_pool_of_another_process_alone(pool_log, monkeypatch
 
 
 CLEAN_EXIT = """
-import os
+import multiprocessing
 from ringdisperse.verify import map_jobs
 
-def worker_pid(job):
-    return os.getpid()
-
-pids = set()
 for _ in range(2):
-    pids.update(map_jobs(worker_pid, list(range(40)), 2, chunksize=1, serial_max=4))
-print(*sorted(pids))
+    map_jobs(abs, list(range(40)), 2, chunksize=1, serial_max=4)
+    print(*sorted(child.pid for child in multiprocessing.active_children()))
 """
 
 
@@ -596,8 +607,10 @@ def test_kept_pool_ends_with_the_process():
     done = subprocess.run([sys.executable, "-c", CLEAN_EXIT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
-    pids = [int(pid) for pid in done.stdout.split()]
-    assert len(pids) == 2, "two calls, one pool of two workers"
+    after_first, after_second = done.stdout.splitlines()
+    assert after_first == after_second, "both calls, one pool"
+    pids = [int(pid) for pid in after_first.split()]
+    assert len(pids) == 2, "a pool of two workers"
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
