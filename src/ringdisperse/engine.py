@@ -5,10 +5,11 @@ a sink.
 The engine schedules, observes, commits and hands on; ``protocol.step``
 decides and writes every robot's state.  At round 1 of every phase the
 engine reads each robot's status and leader flag and builds a wake
-schedule from ``protocol.wake_rounds``: per round of the phase, the
-robots ``step`` may act on.  ``step`` returns the port a robot moves
-through, or None to stay; a skipped call is one that would have returned
-None and changed nothing.
+schedule from ``protocol.wake_rounds`` and ``protocol.on_change_rounds``:
+per round of the phase, the robots ``step`` may act on, and apart from
+them those it acts on only when they perceive a change.  ``step`` returns
+the port a robot moves through, or None to stay; a skipped call is one
+that would have returned None and changed nothing.
 
 There is one round body, ``Engine._run_rounds``: ``run_phase`` runs it
 over the 19 rounds of a phase and ``step_round`` over one round.  It
@@ -43,14 +44,19 @@ in the last one, so every robot perceives what it perceived a round
 earlier.  The records of a quiet stretch thus share one dict, which
 sinks treat as read-only.  A round without a sink that follows a round
 without a move calls no ``observe``: no count changed and no robot
-moved, so each woken robot perceives only whether it is alone.  Only a
+moved, so each woken robot perceives only whether it is alone.  The
+robots woken only on a change are stepped by the same two rules with a
+sink and without one, so ``step`` sees the same calls either way: after
+a round without a move nobody perceives a change and none of them is
+stepped, and in any other round one is stepped only if it stayed and its
+node's count changed, the two change bits of its observation.  Only a
 sink gets ``snapshot()``s, each robot's once per phase start.  Every
 run, with a sink or without, builds the livelock key from the robots'
-fields, so a run without a sink builds no snapshot.
-The wake schedule is filled from ``_WAKE_INDEXES``, and a move commit
-adjusts the counts of the nodes its movers leave and enter.  ``observe``
-and ``step`` are looked up as module globals at every call, and
-``apply_moves`` and ``occupancy_vector`` called as methods, so that a
+fields, so a run without a sink builds no snapshot.  The wake schedule
+is filled from ``_WAKE_INDEXES``, one slot table per ruleset, and a move
+commit adjusts the counts of the nodes its movers leave and enter.
+``observe`` and ``step`` are looked up as module globals at every call,
+and ``apply_moves`` and ``occupancy_vector`` called as methods, so that a
 wrapper set on this module or on ``Placement`` sees every call.
 """
 
@@ -61,7 +67,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .perception import OBSERVATIONS, Observation, observe
-from .protocol import READS_NET_DISP, Ruleset, step, wake_rounds
+from .protocol import READS_NET_DISP, Ruleset, on_change_rounds, step, wake_rounds
 from .ring import Placement, move_target
 from .robots import RobotState, StateSnapshot, Status, apply_pending_status, max_label_bits
 from .scenario import Scenario
@@ -71,11 +77,27 @@ ROUNDS_PER_PHASE = 19
 # StateSnapshot holds but net_disp, its last field, and net_disp apart
 _ABSTRACT_STATE = attrgetter(*StateSnapshot._fields[:-1])
 _NET_DISP = attrgetter(StateSnapshot._fields[-1])
-# wake_rounds as the engine runs it: per (status, leader flag) at a phase
-# start, the 0-based indexes of the rounds in which step may act
-_WAKE_INDEXES: dict[tuple[Status, bool], tuple[int, ...]] = {
-    (status, leader): tuple(sorted(rip - 1 for rip in wake_rounds(status, leader)))
-    for status in Status for leader in (False, True)
+# The rounds with a cell that acts only on a perceived change, under some
+# ruleset; each has a second list in the wake schedule
+_CHANGE_ROUNDS = sorted(set().union(*(
+    on_change_rounds(status, leader, ruleset)
+    for ruleset in Ruleset for status in Status for leader in (False, True))))
+# per round index, the slot of the round's on-change list, or None
+_CHANGE_SLOTS: tuple[int | None, ...] = tuple(
+    ROUNDS_PER_PHASE + _CHANGE_ROUNDS.index(rip) if rip in _CHANGE_ROUNDS else None
+    for rip in range(1, ROUNDS_PER_PHASE + 1))
+_SLOTS = range(ROUNDS_PER_PHASE + len(_CHANGE_ROUNDS))
+# wake_rounds as the engine runs it: per ruleset and (status, leader flag)
+# at a phase start, the slots of the wake schedule the robot goes in.  Slot
+# i < ROUNDS_PER_PHASE lists the robots stepped in round i + 1;
+# _CHANGE_SLOTS[i] those stepped in it only when they perceive a change.
+_WAKE_INDEXES: dict[Ruleset, dict[tuple[Status, bool], tuple[int, ...]]] = {
+    ruleset: {
+        (status, leader): tuple(sorted(
+            _CHANGE_SLOTS[rip - 1] if rip in on_change_rounds(status, leader, ruleset)
+            else rip - 1 for rip in wake_rounds(status, leader)))
+        for status in Status for leader in (False, True)}
+    for ruleset in Ruleset
 }
 # the moves of a round without a sink in which no robot acts; never written
 _NOTHING: dict = {}
@@ -217,7 +239,8 @@ class Engine:
         # per finished phase, each robot's net_disp entering round 13, the
         # one round whose rule can read it (in labels order)
         self.net_disp_at_13: list[tuple[int, ...]] = []
-        # per round of the current phase, the labels to step; built at round 1
+        # the wake schedule of the current phase, by slot (_WAKE_INDEXES);
+        # built at round 1
         self.wake_schedule: list[list[int]] = []
         self.trace = Trace(scenario, ruleset)
         self.sink = sink if sink is not None else self.trace if record_rounds else None
@@ -247,13 +270,13 @@ class Engine:
                  tuple(map(_ABSTRACT_STATE, states))), tuple(map(_NET_DISP, states)))
 
     def _build_wake_schedule(self) -> list[list[int]]:
-        """Per round of the phase now starting, the labels ``step`` may act
-        on, in labels order."""
-        schedule: list[list[int]] = [[] for _ in range(ROUNDS_PER_PHASE)]
-        robots = self.robots
+        """Per slot of ``_WAKE_INDEXES``, the labels of the phase now
+        starting that go in it, in labels order."""
+        schedule: list[list[int]] = [[] for _ in _SLOTS]
+        robots, indexes = self.robots, _WAKE_INDEXES[self.ruleset]
         for label in self.labels:
             state = robots[label]
-            for index in _WAKE_INDEXES[state.status, state.leader]:
+            for index in indexes[state.status, state.leader]:
                 schedule[index].append(label)
         return schedule
 
@@ -278,15 +301,19 @@ class Engine:
             elif rip == 13:
                 self.net_disp_at_13.append(tuple(robots[label].net_disp for label in labels))
             woken = schedule[rip - 1]
-            if woken or sink is not None:
+            # after a round without a move no count changed and no robot
+            # moved last, so nobody perceives a change and the robots stepped
+            # only on one sit the round out
+            slot = _CHANGE_SLOTS[rip - 1]
+            on_change = schedule[slot] if moved_last and slot is not None else ()
+            if woken or on_change or sink is not None:
                 by_robot = placement.by_robot
                 counts = placement.counts
                 # a robot's node may have been empty a round earlier
                 prev_counts = prev_placement.counts
                 moves: dict[int, int] = {}
                 if sink is None and not moved_last:
-                    # after a round without a move no count changed and no
-                    # robot moved last, so each robot perceives only alone
+                    # each robot perceives only whether it is alone
                     for label in woken:
                         port = step(robots[label], OBSERVATIONS[4 if counts[by_robot[label]] == 1
                                                                 else 0], rip, ruleset)
@@ -300,6 +327,16 @@ class Engine:
                             rip, ruleset)
                         if port is not None:
                             moves[label] = port
+                    # a robot perceives a change if it stayed and its
+                    # node's count changed
+                    for label in on_change:
+                        node = by_robot[label]
+                        count, previous = counts[node], prev_counts.get(node, 0)
+                        if count != previous and label not in moved_last:
+                            port = step(robots[label], observe(count, previous, False),
+                                        rip, ruleset)
+                            if port is not None:
+                                moves[label] = port
                 else:
                     # after two rounds without a move, a round perceives
                     # what the round before it perceived
@@ -313,6 +350,12 @@ class Engine:
                         port = step(robots[label], observations[label], rip, ruleset)
                         if port is not None:
                             moves[label] = port
+                    for label in on_change:
+                        observation = observations[label]
+                        if observation.increase or observation.decrease:
+                            port = step(robots[label], observation, rip, ruleset)
+                            if port is not None:
+                                moves[label] = port
             else:  # no sink and nobody acts: no move
                 moves = _NOTHING
 

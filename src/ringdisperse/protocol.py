@@ -40,7 +40,13 @@ and leader flag at the phase start.  For leader election it adds the
 leader's cell, round 5, because that leader flag can turn on in round 1;
 status and every other flag the dispatch reads are fixed within a phase,
 so in every other round ``step`` is a no-op and the engine skips the
-call.
+call.  ``on_change_rounds`` names, per ruleset, the wake rounds whose cells
+act only on a perceived change: given neither an increase nor a decrease,
+``step`` returns STAY there and changes no field, the latches included.
+Their rules read only a change bit (``_CHANGE_RULES``), or are a leader's
+rules (``_LEADER_RULES``) in a non-leader's cell, which acts at most
+through a latch that ``step`` sets only on a change.  The engine steps a
+robot in those rounds only when it perceives a change.
 
 ``step`` mutates the passed RobotState in place and returns a port, the
 one the robot moves through, or None to stay: ``MOVE_ZERO``, ``MOVE_ONE``
@@ -462,11 +468,46 @@ _WAKE_ROUNDS: dict[tuple[Status, bool], frozenset[int]] = {
 }
 
 
+# The rules that act only on a perceived change: given neither an increase
+# nor a decrease, each returns STAY and writes nothing.
+_CHANGE_RULES = frozenset({_inform_split, _retreat_on_leader_arrival, _announce_split,
+                           _hear_arrival, _hear_retirement})
+# The rules that act only for a leader.  In a non-leader's cell such a rule
+# acts at most through the latch step sets, and step sets one only on a change.
+_LEADER_RULES = frozenset({_merge_sweep_out, _merge_sweep_end,
+                           _probe_ahead, _probe_onward, _probe_back})
+
+
+def _acts_only_on_change(rule: Rule | None, leader: bool) -> bool:
+    return rule is None or rule in _CHANGE_RULES or (not leader and rule in _LEADER_RULES)
+
+
+# The wake rounds whose every cell acts only on a perceived change, by
+# (ruleset, status, leader flag at the phase start); for leader election
+# also the leader's cells, because its leader flag can turn on in round 1.
+# Under the literal rules that takes in round 12 of active-disperse and
+# passive, whose repair reads the latch.
+_ON_CHANGE_ROUNDS: dict[tuple[Ruleset, Status, bool], frozenset[int]] = {
+    (ruleset, status, leader): frozenset(
+        rip for rip in _WAKE_ROUNDS[status, leader]
+        if all(_acts_only_on_change(_DISPATCH[ruleset, status, held].get(rip), held)
+               for held in ((leader, True) if status is Status.LEADER_ELECTION else (leader,))))
+    for ruleset in Ruleset for status, leader in PARTICIPATION
+}
+
+
 def wake_rounds(status: Status, leader: bool) -> frozenset[int]:
     """The rounds of a phase in which ``step`` may act on a robot that
     starts the phase with this status and leader flag (see the module
     docstring); in every other round ``step`` is a no-op for it."""
     return _WAKE_ROUNDS[status, leader]
+
+
+def on_change_rounds(status: Status, leader: bool, ruleset: Ruleset) -> frozenset[int]:
+    """The rounds of ``wake_rounds(status, leader)`` in which ``step``
+    acts on the robot only if it perceives an increase or a decrease;
+    given neither, ``step`` returns STAY there and changes no field."""
+    return _ON_CHANGE_ROUNDS[ruleset, status, leader]
 
 
 def participates(state: RobotState | StateSnapshot, round_in_phase: int) -> bool:

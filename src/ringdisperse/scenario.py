@@ -34,10 +34,14 @@ class Scenario:
         return tuple(label for label, _ in self.robots)
 
 
-def make_scenario(n: int, max_label: int, robots) -> Scenario:
-    """Validate and normalize; raises ScenarioError naming the broken rule."""
+def _check_ring_size(n: int) -> None:
     if n < MIN_RING_SIZE:
         raise ScenarioError(f"ring size {n} too small: n >= {MIN_RING_SIZE} required")
+
+
+def make_scenario(n: int, max_label: int, robots) -> Scenario:
+    """Validate and normalize; raises ScenarioError naming the broken rule."""
+    _check_ring_size(n)
     if max_label < 0:
         raise ScenarioError("maxlabel must be non-negative")
     robots = tuple(sorted((int(label), int(node)) for label, node in robots))
@@ -110,10 +114,17 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(text)
 
 
-def gen_single_source(n: int, k: int, max_label: int, seed: int) -> Scenario:
-    """All k robots on node 0 with distinct random labels from [0, L]."""
+def _check_label_draw(k: int, max_label: int) -> None:
+    """Raise ScenarioError unless k >= 1 distinct labels fit in [0, L]."""
+    if k < 1:
+        raise ScenarioError("at least one robot required")
     if k > max_label + 1:
         raise ScenarioError(f"cannot draw {k} distinct labels from [0, {max_label}]")
+
+
+def gen_single_source(n: int, k: int, max_label: int, seed: int) -> Scenario:
+    """All k robots on node 0 with distinct random labels from [0, L]."""
+    _check_label_draw(k, max_label)
     rng = random.Random(seed)
     labels = rng.sample(range(max_label + 1), k)
     return make_scenario(n, max_label, [(label, 0) for label in labels])
@@ -121,8 +132,8 @@ def gen_single_source(n: int, k: int, max_label: int, seed: int) -> Scenario:
 
 def gen_multi_source(n: int, k: int, max_label: int, max_groups: int, seed: int) -> Scenario:
     """Random multiplicity nodes: group count, sizes and gaps are sampled."""
-    if k > max_label + 1:
-        raise ScenarioError(f"cannot draw {k} distinct labels from [0, {max_label}]")
+    _check_ring_size(n)
+    _check_label_draw(k, max_label)
     if max_groups < 1:
         raise ScenarioError("max_groups must be at least 1")
     rng = random.Random(seed)

@@ -789,6 +789,18 @@ def test_sweep_infeasible_rows_recorded_not_fatal(tmp_path):
     assert any("dispersed" in line for line in lines)
 
 
+def test_sweep_robot_counts_below_one_are_error_rows(capsys):
+    code = main(["sweep", "--vary", "k", "--from", "-1", "--to", "2",
+                 "--n", "10", "--maxlabel", "15", "--seeds", "1"])
+    assert code == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:5]
+    assert rows[:2] == ["10,-1,15,0,repaired,error:at least one robot required,0,0",
+                        "10,0,15,0,repaired,error:at least one robot required,0,0"]
+    assert [row.split(",")[5] for row in rows[2:]] == ["dispersed", "dispersed"]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("step", [0, -1])
 def test_sweep_rejects_step_below_one(tmp_path, capsys, step):
     out = tmp_path / "sweep.csv"

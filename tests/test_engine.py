@@ -20,7 +20,7 @@ from ringdisperse.engine import (
 from ringdisperse.perception import observe
 from ringdisperse.protocol import Ruleset, participates, step, wake_rounds
 from ringdisperse.robots import RobotState, Status
-from ringdisperse.scenario import gen_chain, make_scenario
+from ringdisperse.scenario import gen_chain, gen_single_source, make_scenario
 from ringdisperse.verify import TraceCheck, enumerate_scenarios
 
 
@@ -235,13 +235,19 @@ def trajectory(scenario, ruleset, record_rounds, rounds):
     return states
 
 
-# every robot woken in every round, whatever its status and leader flag
-WAKE_EVERYONE = {key: tuple(range(ROUNDS_PER_PHASE)) for key in engine_module._WAKE_INDEXES}
+# every robot woken in every round, whatever its status and leader flag,
+# and so stepped also where its cell acts only on a perceived change and it
+# perceives none
+WAKE_EVERYONE = {ruleset: {key: tuple(range(ROUNDS_PER_PHASE)) for key in indexes}
+                 for ruleset, indexes in engine_module._WAKE_INDEXES.items()}
 
 
 @pytest.mark.parametrize("ruleset", list(Ruleset))
 def test_wake_schedule_matches_stepping_every_robot(sample_647, ruleset, monkeypatch):
-    for scenario in sample_647:
+    # the (6,4,7) sample has k <= 4; large k is where most steps of the
+    # change-triggered cells are skipped
+    single_source = [gen_single_source(26, k, 1023, seed=k) for k in (8, 16, 24)]
+    for scenario in sample_647 + single_source:
         outcome = run(scenario, ruleset)
         rounds = outcome.rounds_used
         recorded = trajectory(scenario, ruleset, True, rounds)

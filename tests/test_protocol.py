@@ -24,6 +24,7 @@ from ringdisperse.protocol import (
     REPAIRS,
     RULES,
     Ruleset,
+    on_change_rounds,
     step,
     wake_rounds,
 )
@@ -263,6 +264,47 @@ def test_step_is_a_no_op_outside_the_wake_rounds(fields):
             assert port is None, (status, now_leader, rip)
             # dataclass equality compares every field, the latches included
             assert state == before, (status, now_leader, rip, observation)
+
+
+def test_on_change_rounds_are_the_change_triggered_cells():
+    # a non-leader's cells that read only a change bit, and its cells of
+    # the leader's rules, which act on it only through a latch; under the
+    # literal rules also round 12, whose repair reads the latch
+    both = {
+        (Status.LEADER_ELECTION, False): {2},
+        (Status.ACTIVE_MERGE, False): {6, 7},
+        (Status.ACTIVE_DISPERSE, False): {9, 10, 11, 14},
+        (Status.PASSIVE, False): {9, 10, 11, 15, 19},
+    }
+    literal_only = {(Status.ACTIVE_DISPERSE, False): {12}, (Status.PASSIVE, False): {12}}
+    for status, leader in itertools.product(Status, (False, True)):
+        rounds = both.get((status, leader), set())
+        assert on_change_rounds(status, leader, Ruleset.REPAIRED) == rounds, (status, leader)
+        assert on_change_rounds(status, leader, Ruleset.LITERAL) == rounds | literal_only.get(
+            (status, leader), set()), (status, leader)
+        assert on_change_rounds(status, leader, Ruleset.LITERAL) <= wake_rounds(status, leader)
+
+
+@settings(max_examples=60, deadline=None)
+@given(phase_fields())
+def test_step_is_a_no_op_without_a_change_in_the_on_change_rounds(fields):
+    # the engine steps a robot in its on_change_rounds only when it
+    # perceives an increase or a decrease, so on either observation with
+    # neither step must stay and leave the state alone
+    quiet = [observation for observation in OBSERVATIONS
+             if not observation.increase and not observation.decrease]
+    assert len(quiet) == 2
+    for status, leader, ruleset in itertools.product(Status, (False, True), Ruleset):
+        # an election phase can turn the leader flag on mid-phase
+        held = {leader, True} if status is Status.LEADER_ELECTION else {leader}
+        for now_leader, rip, observation in itertools.product(
+                held, on_change_rounds(status, leader, ruleset), quiet):
+            state = RobotState(status=status, leader=now_leader, **fields)
+            before = dataclasses.replace(state)
+            assert step(state, observation, rip, ruleset) is None, (
+                status, now_leader, rip, ruleset, observation)
+            # dataclass equality compares every field, the latches included
+            assert state == before, (status, now_leader, rip, ruleset, observation)
 
 
 def stepped(fields, status, leader, observation, rip, ruleset):

@@ -89,6 +89,23 @@ def test_gen_single_source_infeasible():
         gen_single_source(8, 4, 1, seed=0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_gen_single_source_needs_a_robot(k):
+    with pytest.raises(ScenarioError, match="at least one robot"):
+        gen_single_source(10, k, 15, seed=0)
+
+
+@pytest.mark.parametrize("n, k, max_groups, match", [
+    (5, 0, 2, "at least one robot"),
+    (5, -1, 2, "at least one robot"),
+    (1, 1, 1, "ring size 1 too small"),
+    (2, 1, 1, "ring size 2 too small"),
+])
+def test_gen_multi_source_rejects_with_a_scenario_error(n, k, max_groups, match):
+    with pytest.raises(ScenarioError, match=match):
+        gen_multi_source(n, k, 7, max_groups, seed=1)
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_gen_multi_source_always_valid(seed):
     s = gen_multi_source(9, 5, 15, max_groups=5, seed=seed)
