@@ -31,7 +31,8 @@ any file in another format (the dense-occupancy v1 included) are
 invalid input.
 
 ``run --trace``, ``sweep --out`` and ``search --out-dir`` try their
-output path before any run, so a bad path costs no work.
+output path before any run, so a bad path costs no work.  A label bound
+below the robot count is said once on stderr as ``warning: ...``.
 
 Exit codes: 0 dispersed / no violations, 2 livelock (a proven cycle),
 3 budget exceeded (no proven cycle within the phase budget), 4 invalid
@@ -41,9 +42,11 @@ input, 1 verification violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 from .engine import ROUNDS_PER_PHASE, RoundRecord, RunOutcome, RunResult, phase_budget, run
@@ -324,12 +327,24 @@ def _try_output(path, directory: bool = False) -> bool:
     return True
 
 
+@contextlib.contextmanager
+def _warnings_on_stderr():
+    """Say each distinct warning raised inside once on stderr as
+    ``warning: <message>``, in place of Python's line with a source path."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for message in dict.fromkeys(str(warning.message) for warning in caught):
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     if args.max_phases is not None and args.max_phases < 1:
         print(f"error: --max-phases must be at least 1, not {args.max_phases}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        scenario = load_scenario(args.scenario)
+        with _warnings_on_stderr():
+            scenario = load_scenario(args.scenario)
     except (OSError, ScenarioError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -387,6 +402,12 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:  # a malformed RINGDISPERSE_WORKERS
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    # one of L and k varies, so at most one (L, k) of the run rows has L < k
+    for max_label, k in dict.fromkeys((row.max_label, row.k) for row in rows
+                                      if row.max_label < row.k
+                                      and not row.outcome.startswith("error:")):
+        print(f"warning: maxlabel {max_label} below robot count {k}; "
+              f"the protocol assumes L >= k", file=sys.stderr)
     csv_text = rows_to_csv(rows)
     if args.out:
         try:
@@ -442,7 +463,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        with _warnings_on_stderr():
+            scenario = load_scenario(args.scenario)
     except (OSError, ScenarioError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_INPUT

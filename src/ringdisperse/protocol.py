@@ -36,17 +36,19 @@ livelock key or trace, so such a round is not run.
 
 ``wake_rounds`` is the same set of cells in the form the engine runs: the
 rounds of a phase in which ``step`` may act on a robot, given its status
-and leader flag at the phase start.  For leader election it adds the
-leader's cell, round 5, because that leader flag can turn on in round 1;
-status and every other flag the dispatch reads are fixed within a phase,
-so in every other round ``step`` is a no-op and the engine skips the
-call.  ``on_change_rounds`` names, per ruleset, the wake rounds whose cells
-act only on a perceived change: given neither an increase nor a decrease,
-``step`` returns STAY there and changes no field, the latches included.
-Their rules read only a change bit (``_CHANGE_RULES``), or are a leader's
-rules (``_LEADER_RULES``) in a non-leader's cell, which acts at most
-through a latch that ``step`` sets only on a change.  The engine steps a
-robot in those rounds only when it perceives a change.
+and leader flag at the phase start.  The leader flag of an election can
+turn on in round 1, and that needs no extra round: a leader's cells are
+the non-leader's cells that lie in ``LEADER_ROUNDS``, so the leader's
+round 5 is already a non-leader's wake round.  Status and every other
+flag the dispatch reads are fixed within a phase, so in every other round
+``step`` is a no-op and the engine skips the call.  ``on_change_rounds``
+names, per ruleset, the wake rounds whose cells act only on a perceived
+change: given neither an increase nor a decrease, ``step`` returns STAY
+there and changes no field, the latches included.  Their rules read only
+a change bit (``_CHANGE_RULES``), or are a leader's rules
+(``_LEADER_RULES``) in a non-leader's cell, which acts at most through a
+latch that ``step`` sets only on a change.  The engine steps a robot in
+those rounds only when it perceives a change.
 
 ``step`` mutates the passed RobotState in place and returns a port, the
 one the robot moves through, or None to stay: ``MOVE_ZERO``, ``MOVE_ONE``
@@ -459,11 +461,11 @@ _DISPATCH: dict[tuple[Ruleset, Status, bool], dict[int, Rule]] = {
 }
 
 # The rounds of _DISPATCH's cells, the same under every ruleset since a
-# repair never adds a cell; leader election also takes the leader's
-# cells, because its leader flag can turn on in round 1.
+# repair never adds a cell.  A leader's cells are the non-leader's cells in
+# LEADER_ROUNDS, so an election whose leader flag turns on in round 1
+# wakes in the leader's rounds already.
 _WAKE_ROUNDS: dict[tuple[Status, bool], frozenset[int]] = {
-    (status, leader): frozenset(_DISPATCH[Ruleset.LITERAL, status, leader]).union(
-        _DISPATCH[Ruleset.LITERAL, status, True] if status is Status.LEADER_ELECTION else ())
+    (status, leader): frozenset(_DISPATCH[Ruleset.LITERAL, status, leader])
     for status, leader in PARTICIPATION
 }
 

@@ -4,6 +4,12 @@ The invariant suite is scoped tightly to each lemma's premise so that a
 reported violation points at a genuine protocol gap rather than an
 over-broad assertion.  Violations found by the search are findings, not
 crashes: the harness exists to surface them.
+
+``TraceCheck`` keeps one record per phase start, ``(phase, nodes, states,
+statuses, electing)``, by phase and as the last one, and one state per
+robot pair for invariant (e).  ``minimize_scenario`` is one loop over
+``_shrinks``, the candidates one shrink smaller than a scenario in the
+order they are tried; a new kind of shrink is a new candidate there.
 """
 
 from __future__ import annotations
@@ -20,13 +26,14 @@ from .engine import ROUNDS_PER_PHASE, RunResult, Trace, phase_budget, run
 from .perception import observe
 from .protocol import participates
 from .ring import PORT_ONE, PORT_ZERO, move_target, occupancy_cells, succ
-from .robots import LEGAL_TRANSITIONS, Status, max_label_bits
+from .robots import DISPERSAL_STATUSES, LEGAL_TRANSITIONS, Status, max_label_bits
 from .scenario import Scenario
 
-_POST_MERGE = {Status.ACTIVE_DISPERSE, Status.PASSIVE, Status.WAIT, Status.JUMP}
 _ACTIVE_SIDE = {Status.ACTIVE_DISPERSE, Status.WAIT, Status.JUMP}
 _ONLY_PASSIVE = {Status.PASSIVE}
-_TRACKED = _POST_MERGE | {Status.IDLE}  # (e) tracks a pair from here on
+_TRACKED = DISPERSAL_STATUSES | {Status.IDLE}  # (e) tracks a pair from here on
+# (e) the states of a tracked pair until its violation replaces them
+_TOGETHER, _APART = "together", "apart"
 # the members the walk tests for, bound once: reading a member through its
 # class costs an attribute lookup each time
 _LEADER_ELECTION, _ACTIVE_MERGE, _ACTIVE_DISPERSE, _IDLE = (
@@ -115,8 +122,12 @@ class TraceCheck:
     tallies from which ``finish`` reports (e), (f), (h) and the record
     count.  One pass over the robots groups them, keeps the (f) tallies
     and checks (g) and net displacement; the other checks walk the groups.
-    Without snapshots (trace files carry no statuses) only the replay
-    runs.
+    Its record, ``(phase, nodes, states, statuses, electing)``, is kept by
+    phase and as the last one.  For (e) each pair of robots has one state:
+    not yet tracked, then together or apart (distinguished) once both are
+    post-merge or idle, and at the first phase start where an apart pair
+    shares node and status again its violation, which it keeps.  Without
+    snapshots (trace files carry no statuses) only the replay runs.
     """
 
     def __init__(self, scenario: Scenario):
@@ -144,21 +155,20 @@ class TraceCheck:
         self.expected_round = self.rounds = 0
         self.colocated: list | None = None  # (b) at the current placement and phase
         self.colocated_phase = None
-        # per phase: (states, the electing or merging robots if they span
-        # two chains, else []), and who retreated in its round 12
+        # each phase start's record, (phase, nodes, states, statuses, the
+        # electing or merging robots if they span two chains, else []), by
+        # phase and the last one; and who retreated in each phase's round 12
         self.phases: dict[int, tuple] = {}
+        self.last: tuple | None = None
         self.retreated: dict[int, set[int]] = {}
         self.snapshots = 0
-        self.last = None
-        self.last_status: dict[int, Status] = {}
         self.merged_at: list[int | None] = [None] * len(self.chains)
         self.ever_leader: set[int] = set()
-        # (e) the pairs not yet distinguished, None until both robots are
-        # post-merge and then False, and the distinguished pairs; a pair
-        # leaves both at its first violation
-        self.open_pairs = dict.fromkeys(itertools.combinations(labels, 2))
-        self.apart_pairs: set[tuple[int, int]] = set()
-        self.pair_violations: dict[tuple[int, int], Violation] = {}
+        # (e) each pair's state: None until both robots are post-merge or
+        # idle, then _TOGETHER or _APART, and its violation at the first
+        # phase start where an _APART pair shares node and status again
+        self.pairs: dict[tuple[int, int], str | Violation | None] = dict.fromkeys(
+            itertools.combinations(labels, 2))
         # (f) per robot, phase starts per status after its first active-disperse one
         self.after_disperse: dict[int, dict[Status, int]] = {}
 
@@ -201,7 +211,7 @@ class TraceCheck:
         if moves:
             moving = set()
             applied = False
-            states = info[0] if info else {}
+            states = info[2] if info else {}
             for label, frm, to, port in moves:
                 if label in moving:
                     at(phase, global_round, "move-legality", "duplicate move entry", (label,))
@@ -250,10 +260,10 @@ class TraceCheck:
                nodes=tuple(node for node, _, _ in diff))
 
         # (b) no cross-chain co-location while electing or merging
-        if info and info[1]:
+        if info and info[4]:
             if self.colocated is None or self.colocated_phase is not info:
                 at_node: dict[int, list[int]] = {}
-                for label in info[1]:
+                for label in info[4]:
                     at_node.setdefault(position[label], []).append(label)
                 self.colocated = [(node, group) for node, group in at_node.items()
                                   if len({self.chain_of[label] for label in group}) > 1]
@@ -293,8 +303,7 @@ class TraceCheck:
         transitions: list[Violation] = []
         last = self.last
         if last is not None:
-            last_phase, last_nodes, last_states = last
-            last_status = self.last_status
+            last_phase, last_nodes, last_states, last_status, _ = last
             retreated = self.retreated.get(last_phase, ())
         for label in labels:
             state = states[label]
@@ -326,8 +335,7 @@ class TraceCheck:
                                                  (), f"moved {delta} nodes net in one phase"))
         if len(electing) < 2 or len({chain_of[label] for label in electing}) < 2:
             electing = []
-        self.phases[phase] = (states, electing)
-        self.last, self.last_status = (phase, nodes, states), status
+        self.phases[phase] = self.last = (phase, nodes, states, status, electing)
 
         # (a) unique leader per chain whose back group started with >1 robot
         if self.snapshots == self.max_size:  # start of phase max_size + 1
@@ -373,7 +381,7 @@ class TraceCheck:
                           <= merged_chains):
                 s1 = {status[label] for label in group}
                 s2 = {status[label] for label in other}
-                if (s1 | s2) <= _POST_MERGE:
+                if (s1 | s2) <= DISPERSAL_STATUSES:
                     first = s1 <= _ACTIVE_SIDE and s2 == _ONLY_PASSIVE
                     second = s2 <= _ACTIVE_SIDE and s1 == _ONLY_PASSIVE
                     if first == second:
@@ -394,27 +402,18 @@ class TraceCheck:
         # (e) distinguishedness is monotone once both robots are post-merge:
         # a distinguished pair that shares its node and status again is a
         # violation
-        apart = self.apart_pairs
-        if apart:
-            for node, group in at_node.items():
-                if len(group) > 1:
-                    for pair in itertools.combinations(group, 2):
-                        if pair in apart and status[pair[0]] is status[pair[1]]:
-                            apart.remove(pair)
-                            self.pair_violations[pair] = Violation(
-                                "distinguished-pair", phase, None, pair, (node,),
-                                "previously distinguished robots share node and status again")
-        open_pairs = self.open_pairs
-        for pair, tracked in list(open_pairs.items()):
+        pairs = self.pairs
+        for pair, state in pairs.items():
             r1, r2 = pair
             st1, st2 = status[r1], status[r2]
-            if tracked is None and (st1 not in _TRACKED or st2 not in _TRACKED):
-                continue
-            if nodes[r1] != nodes[r2] or st1 is not st2:
-                del open_pairs[pair]
-                apart.add(pair)
-            else:
-                open_pairs[pair] = False
+            together = st1 is st2 and nodes[r1] == nodes[r2]
+            if state is _APART:
+                if together:
+                    pairs[pair] = Violation(
+                        "distinguished-pair", phase, None, pair, (nodes[r1],),
+                        "previously distinguished robots share node and status again")
+            elif state is _TOGETHER or (state is None and st1 in _TRACKED and st2 in _TRACKED):
+                pairs[pair] = _TOGETHER if together else _APART
 
     def finish(self, result: RunResult | None = None) -> list[Violation]:
         """Every violation found; after snapshots, with the record count,
@@ -427,8 +426,8 @@ class TraceCheck:
             out.append(Violation("round-counter", detail=f"{self.rounds} records for "
                                  f"{self.snapshots} phase snapshots; expected {expected_rounds}"))
         # (e) leaves out every leader: the leader revisits nodes by design
-        out.extend(violation for pair, violation in sorted(self.pair_violations.items())
-                   if not self.ever_leader.intersection(pair))
+        out.extend(state for pair, state in sorted(self.pairs.items())
+                   if isinstance(state, Violation) and not self.ever_leader.intersection(pair))
         for label, tally in sorted(self.after_disperse.items()):
             for status, bound, kind in (
                 (Status.WAIT, self.k, "wait-budget"),
@@ -721,43 +720,34 @@ def _search_job(scenario: Scenario, ruleset, minimize: bool) -> tuple:
     return outcome, minimize_scenario(scenario, ruleset, outcome.result)
 
 
-def minimize_scenario(scenario: Scenario, ruleset, expected: RunResult) -> Scenario:
-    """Greedy shrink: drop robots, then splice out empty nodes, as long as
-    the failure reproduces.  The result reproduces it: a shrunk scenario
-    did when it was accepted (runs are deterministic), and an unshrunk
-    one is run once more.  A shrink of a valid scenario is valid, so the
-    candidates are built without ``make_scenario``, as
+def _shrinks(scenario: Scenario):
+    """The scenarios one shrink smaller than ``scenario``, in the order the
+    minimizer tries them: each robot dropped, in label order, then each
+    empty node spliced out, lowest first.  A shrink of a valid scenario is
+    valid, so each is built without ``make_scenario``, as
     ``enumerate_scenarios`` builds its scenarios."""
+    n, max_label, robots = scenario.n, scenario.max_label, scenario.robots
+    if scenario.k > 1:
+        for label in scenario.labels():
+            yield Scenario(n, max_label, tuple(r for r in robots if r[0] != label))
+    if n > 3 and scenario.k < n - 1:
+        for gap in sorted(set(range(n)) - {node for _, node in robots}):
+            yield Scenario(n - 1, max_label, tuple(
+                (label, node if node < gap else node - 1) for label, node in robots))
+
+
+def minimize_scenario(scenario: Scenario, ruleset, expected: RunResult) -> Scenario:
+    """Greedy shrink: take the first of ``_shrinks`` that reproduces the
+    failure, as long as one does.  The result reproduces it: a shrunk
+    scenario did when it was taken (runs are deterministic), and an
+    unshrunk one is run once more."""
 
     def reproduces(candidate: Scenario) -> bool:
         return run(candidate, ruleset, record_rounds=False).result is expected
 
     current = scenario
-    changed = True
-    while changed:
-        changed = False
-        if current.k > 1:
-            for label in current.labels():
-                robots = tuple(r for r in current.robots if r[0] != label)
-                candidate = Scenario(current.n, current.max_label, robots)
-                if reproduces(candidate):
-                    current = candidate
-                    changed = True
-                    break
-        if changed:
-            continue
-        occupied = {node for _, node in current.robots}
-        if current.n > 3 and current.k < current.n - 1:
-            for gap in sorted(set(range(current.n)) - occupied):
-                robots = tuple(
-                    (label, node if node < gap else node - 1)
-                    for label, node in current.robots
-                )
-                candidate = Scenario(current.n - 1, current.max_label, robots)
-                if reproduces(candidate):
-                    current = candidate
-                    changed = True
-                    break
+    while (shrunk := next(filter(reproduces, _shrinks(current)), None)) is not None:
+        current = shrunk
     if current is scenario and not reproduces(current):
         raise AssertionError("minimized scenario fails to reproduce the outcome")
     return current

@@ -924,6 +924,42 @@ def test_search_with_labels_below_robots_warns_once(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_and_verify_with_labels_below_robots_warn_once(tmp_path, capsys, monkeypatch,
+                                                           workers):
+    monkeypatch.setenv("RINGDISPERSE_WORKERS", workers)
+    scenario = tmp_path / "low.scn"
+    scenario.write_text("ring 6\nmaxlabel 2\nrobot 0 0\nrobot 1 0\nrobot 2 0\n")
+    trace = tmp_path / "low.jsonl"
+    said = "warning: maxlabel 2 below robot count 3; the protocol assumes L >= k\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--scenario", str(scenario), "--trace", str(trace)])
+        captured = capsys.readouterr()
+        assert captured.err == said
+        assert captured.out.startswith(("dispersed:", "livelock:", "budget-exceeded:"))
+        assert code in (0, 2, 3) and trace.exists()
+        assert main(["verify", "--scenario", str(scenario), "--trace", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("0 violations\n", said)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_with_labels_below_robots_warns_once(capsys, monkeypatch, workers):
+    # 20 runs, past the serial cutoff, so two workers build the rows in a pool
+    monkeypatch.setenv("RINGDISPERSE_WORKERS", workers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", "--vary", "L", "--from", "2", "--to", "3", "--n", "8",
+                     "--k", "4", "--seeds", "10"])
+    captured = capsys.readouterr()
+    assert code == 0
+    outcomes = [row.split(",")[5] for row in captured.out.splitlines()[1:21]]
+    assert all(outcome.startswith("error:cannot draw 4") for outcome in outcomes[:10])
+    assert all(outcome in ("dispersed", "livelock") for outcome in outcomes[10:])
+    assert captured.err == "warning: maxlabel 3 below robot count 4; the protocol assumes L >= k\n"
+
+
 def test_search_writes_report_and_findings(tmp_path, capsys):
     out_dir = tmp_path / "findings"
     code = main(["search", "--n-max", "4", "--k-max", "2", "--l-max", "3",

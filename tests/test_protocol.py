@@ -150,8 +150,8 @@ def test_wake_table_is_the_rule_cells():
             assert PARTICIPATION[status, False] == EFFECTIVE_PARTICIPATION[status]
             assert PARTICIPATION[status, True] == LEADER_ROUNDS
     # the engine wakes a robot only in the rounds a rule of its status acts
-    # in; an electing non-leader also in the leader's round 5, which it
-    # wakes in anyway, since its leader flag can turn on in round 1
+    # in; an electing non-leader's leader flag can turn on in round 1, and
+    # the leader's round 5 is a non-leader's cell too
     expected = {
         (Status.LEADER_ELECTION, False): {1, 2, 3, 4, 5},
         (Status.LEADER_ELECTION, True): {5},
@@ -171,6 +171,17 @@ def test_wake_table_is_the_rule_cells():
     assert set(expected) == set(itertools.product(Status, (False, True)))
     for (status, leader), rounds in expected.items():
         assert wake_rounds(status, leader) == rounds, (status, leader)
+
+
+def test_leader_cells_are_the_non_leader_cells_in_the_leader_rounds():
+    # so the wake rounds of a non-leader cover those of a leader, which an
+    # election whose leader flag turns on in round 1 relies on
+    for ruleset, status in itertools.product(Ruleset, Status):
+        leader = _DISPATCH[ruleset, status, True]
+        plain = _DISPATCH[ruleset, status, False]
+        assert leader.keys() == plain.keys() & LEADER_ROUNDS, (ruleset, status)
+        assert all(leader[rip] is plain[rip] for rip in leader), (ruleset, status)
+        assert wake_rounds(status, True) <= wake_rounds(status, False), status
 
 
 def test_repairs_replace_cells_of_the_literal_rules():

@@ -168,6 +168,54 @@ def test_singleton_front_group_elects_twice():
     assert "unique-leader" in kinds
 
 
+@pytest.fixture(scope="module")
+def dispersal_trace():
+    # robot 2 leads from phase 3; robots 0 and 4 never lead, are post-merge
+    # from phase 5 on, and are apart from phase 10 on
+    scenario = gen_single_source(8, 3, 7, seed=1)
+    assert scenario.robots == ((0, 0), (2, 0), (4, 0))
+    outcome = run(scenario, Ruleset.REPAIRED)
+    assert outcome.result is RunResult.DISPERSED
+    assert len(outcome.trace.phase_snapshots) == 12
+    return scenario, outcome.trace
+
+
+def pairs_met(scenario, trace, pair, phases):
+    """The distinguished-pair violations of ``trace`` with the second robot
+    of ``pair`` moved onto the first one's node and status at the start of
+    each of ``phases``."""
+    first, second = pair
+    snapshots = []
+    for snap in trace.phase_snapshots:
+        if snap.phase in phases:
+            nodes, states = dict(snap.nodes), dict(snap.states)
+            nodes[second] = nodes[first]
+            states[second] = states[second]._replace(status=states[first].status)
+            snap = dataclasses.replace(snap, nodes=nodes, states=states)
+        snapshots.append(snap)
+    found = check_trace(scenario, trace.records, snapshots, trace.result)
+    return [v for v in found if v.kind == "distinguished-pair"]
+
+
+def test_distinguished_pair_that_meets_again_is_one_violation(dispersal_trace):
+    scenario, trace = dispersal_trace
+    assert pairs_met(scenario, trace, (0, 4), ()) == []
+    met = pairs_met(scenario, trace, (0, 4), {12})
+    assert [(v.phase, v.robots, v.nodes) for v in met] == [(12, (0, 4), (0,))]
+    assert str(met[0]) == ("[distinguished-pair] phase 12: previously distinguished robots "
+                           "share node and status again")
+    twice = pairs_met(scenario, trace, (0, 4), {11, 12})
+    assert [(v.phase, v.robots, v.nodes) for v in twice] == [(11, (0, 4), (0,))]
+
+
+def test_distinguished_pair_with_a_leader_is_no_violation(dispersal_trace):
+    scenario, trace = dispersal_trace
+    assert all(not snap.states[0].leader for snap in trace.phase_snapshots)
+    assert trace.phase_snapshots[-1].states[2].leader
+    assert pairs_met(scenario, trace, (0, 2), {12}) == []
+    assert pairs_met(scenario, trace, (0, 2), {11, 12}) == []
+
+
 def test_enumeration_counts_and_canonicalization():
     scenarios = list(enumerate_scenarios(4, 2, 1))
     # every scenario is its own rotation-canonical representative
@@ -468,6 +516,31 @@ def test_minimizer_runs_the_returned_scenario_once(monkeypatch):
     assert minimized != scenario
     assert ran.count(minimized) == 1
     assert run(minimized, Ruleset.LITERAL, record_rounds=False).result is result
+
+
+@pytest.mark.parametrize("ruleset, failures, runs, pinned", [
+    (Ruleset.REPAIRED, 88, 592,
+     "d833b5d76bb30da0adceec7544073041acf9813f52c7eb2224473f23c5d0f762"),
+    (Ruleset.LITERAL, 244, 2178,
+     "294a8f849ad09c9556f5d477d8b473abd948b974a5bb84433d555e990dcd5ea5"),
+], ids=["repaired", "literal"])
+def test_minimized_643_search_is_pinned(monkeypatch, ruleset, failures, runs, pinned):
+    # sha256 of the rendered report, which names every minimized scenario,
+    # and the reproduce runs the minimizer takes: each run past the one
+    # that judges a scenario
+    import ringdisperse.verify as verify_module
+
+    calls = []
+
+    def counted_run(*args, **kwargs):
+        calls.append(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "run", counted_run)
+    report = exhaustive_search(6, 4, 3, ruleset, workers=1)
+    assert (report.total, len(report.failures)) == (773, failures)
+    assert len(calls) - report.total == runs
+    assert hashlib.sha256(report.render().encode()).hexdigest() == pinned
 
 
 def test_minimizer_raises_when_the_outcome_does_not_reproduce():

@@ -1,0 +1,117 @@
+"""Hash the outputs a refactor must keep byte for byte, at two commits, and compare them.
+
+Run from the repository root:
+
+    python3 tools/output_digests.py --parent HEAD~1 --change HEAD
+
+Both commits are exported with ``git archive`` (``bench_pairs.export``), and
+each side computes its digests in a fresh interpreter from its own
+``src``.  The outputs, each under both rulesets:
+
+- the rendered ``exhaustive_search`` report of the (n <= 6, k <= 4, L = 7)
+  space, minimized failures included
+- every ``ScenarioOutcome`` of that space from ``evaluate_many``, with
+  checks and without
+- the ``write_trace`` bytes, plain and ``--verbose``, of the chain of
+  acceptance criterion 8 (ring 7, robots 1@0 2@0 3@1 4@1) and of
+  ``gen_single_source(10**4, 8, 1023, seed=7)``
+
+and ``rows_to_csv`` of the k axis of acceptance criterion 4 (n = 26,
+L = 1023, k = 2..24, 20 seeds, repaired).  One line per output gives its
+sha256 on each side; the exit status is 1 if any output differs.  The
+pools use two workers, and a side takes a few minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import export, git
+
+# run in each exported tree; prints {output name: sha256} as one JSON line
+DIGESTS = r'''
+import hashlib, json, os, tempfile
+from ringdisperse.cli import write_trace
+from ringdisperse.engine import run
+from ringdisperse.protocol import Ruleset
+from ringdisperse.scenario import gen_single_source, make_scenario
+from ringdisperse.sweep import SweepSpec, rows_to_csv, run_sweep
+from ringdisperse.verify import enumerate_scenarios, evaluate_many, exhaustive_search
+
+def sha(data):
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+space = list(enumerate_scenarios(6, 4, 7))
+traced = {
+    "chain": make_scenario(7, 7, [(1, 0), (2, 0), (3, 1), (4, 1)]),
+    "ring-10^4": gen_single_source(10**4, 8, 1023, seed=7),
+}
+digests = {}
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "trace.jsonl")
+    for ruleset in Ruleset:
+        name = ruleset.value
+        digests[f"search-647-{name}"] = sha(exhaustive_search(6, 4, 7, ruleset, workers=2).render())
+        for checked in (True, False):
+            outcomes = evaluate_many(space, ruleset, validate=checked, invariants=checked,
+                                     workers=2)
+            kind = "checked" if checked else "unchecked"
+            digests[f"outcomes-647-{kind}-{name}"] = sha(repr(outcomes))
+        for label, scenario in traced.items():
+            outcome = run(scenario, ruleset)
+            for verbose in (False, True):
+                write_trace(outcome, path, verbose=verbose)
+                with open(path, "rb") as fh:
+                    form = "verbose" if verbose else "plain"
+                    digests[f"trace-{label}-{form}-{name}"] = sha(fh.read())
+spec = SweepSpec(vary="k", points=tuple(range(2, 25)), n=26, k=0, max_label=2**10 - 1,
+                 seeds=20, ruleset=Ruleset.REPAIRED)
+digests["sweep-k-axis-repaired"] = sha(rows_to_csv(run_sweep(spec, workers=2)))
+print(json.dumps(digests))
+'''
+
+
+def digests(tree: Path) -> dict[str, str]:
+    """The output digests of the exported tree at ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run([sys.executable, "-c", DIGESTS], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"{tree.name}: digest run failed (exit {done.returncode})")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--change", required=True, help="git revision of the change")
+    args = parser.parse_args(argv)
+    commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    work = Path(tempfile.mkdtemp(prefix="output-digests-"))
+    try:
+        sides = {}
+        for side, commit in commits.items():
+            print(f"{side} {commit[:12]}: computing", file=sys.stderr, flush=True)
+            sides[side] = digests(export(commit, work / side))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    parent, change = sides["parent"], sides["change"]
+    differ = 0
+    for name in sorted(parent.keys() | change.keys()):
+        left, right = parent.get(name, "-"), change.get(name, "-")
+        differ += left != right
+        print(f"{name}: parent {left} change {right} "
+              f"{'equal' if left == right else 'DIFFERENT'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
