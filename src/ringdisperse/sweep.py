@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .engine import run
 from .protocol import Ruleset
@@ -46,12 +46,6 @@ class SweepRow:
     rounds: float  # integral for run rows; fractional for per-point means
     phases: float
 
-    def as_csv(self) -> str:
-        return (
-            f"{self.n},{self.k},{self.max_label},{self.seed},"
-            f"{self.ruleset},{self.outcome},{self.rounds},{self.phases}"
-        )
-
 
 def _sweep_worker(params: tuple[int, int, int, int], ruleset: Ruleset) -> SweepRow:
     n, k, max_label, seed = params
@@ -78,9 +72,17 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(row.as_csv() for row in rows)
-    return "\n".join(lines) + "\n"
+    """The rows under a CSV_COLUMNS header; a field holding a comma, such as
+    an error row's message, is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(
+        (row.n, row.k, row.max_label, row.seed, row.ruleset, row.outcome,
+         row.rounds, row.phases)
+        for row in rows
+    )
+    return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,10 @@ def fit_rounds(
         ]
     if len(usable) < len(features) + 1:
         raise ValueError("not enough dispersed rows to fit")
+    # numpy is loaded only here, so importing the package and every command
+    # but a fitting ``sweep`` start without it
+    import numpy as np
+
     columns = {
         "max_size": lambda row: max_label_bits(row.max_label),
         "k": lambda row: row.k,

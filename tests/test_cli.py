@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -801,6 +802,19 @@ def test_sweep_robot_counts_below_one_are_error_rows(capsys):
     assert captured.err == ""
 
 
+def test_sweep_quotes_an_error_message_that_holds_a_comma(capsys):
+    code = main(["sweep", "--vary", "L", "--from", "2", "--to", "3", "--n", "8",
+                 "--k", "4", "--seeds", "2"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()[:5]
+    rows = list(csv.reader(lines))
+    assert [len(row) for row in rows] == [8] * 5
+    message = "error:cannot draw 4 distinct labels from [0, 2]"
+    assert [row[5] for row in rows[1:]] == [message, message, "dispersed", "dispersed"]
+    # a row without a comma in any field is written as it always was
+    assert lines[3:] == [",".join(row) for row in rows[3:]]
+
+
 @pytest.mark.parametrize("step", [0, -1])
 def test_sweep_rejects_step_below_one(tmp_path, capsys, step):
     out = tmp_path / "sweep.csv"
@@ -954,7 +968,7 @@ def test_sweep_with_labels_below_robots_warns_once(capsys, monkeypatch, workers)
                      "--k", "4", "--seeds", "10"])
     captured = capsys.readouterr()
     assert code == 0
-    outcomes = [row.split(",")[5] for row in captured.out.splitlines()[1:21]]
+    outcomes = [row[5] for row in csv.reader(captured.out.splitlines()[1:21])]
     assert all(outcome.startswith("error:cannot draw 4") for outcome in outcomes[:10])
     assert all(outcome in ("dispersed", "livelock") for outcome in outcomes[10:])
     assert captured.err == "warning: maxlabel 3 below robot count 4; the protocol assumes L >= k\n"

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every name the package exports exists.
+every name the package exports exists, and numpy is loaded only by the
+sweep fit.
 
 Built on ``ast`` alone, so it needs no linter.  ``__init__.py``
 re-exports by design and is skipped, as is any import line marked
@@ -7,11 +8,16 @@ re-exports by design and is skipped, as is any import line marked
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import ringdisperse
+from ringdisperse.robots import max_label_bits
+from ringdisperse.sweep import SweepRow, fit_rounds
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ringdisperse"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -49,3 +55,48 @@ def test_unused_import_is_reported():
 def test_every_export_resolves():
     assert len(set(ringdisperse.__all__)) == len(ringdisperse.__all__)
     assert [name for name in ringdisperse.__all__ if not hasattr(ringdisperse, name)] == []
+
+
+# each step prints whether numpy is loaded after it, then its last line of
+# output; the fit prints the repr of its LinearFit
+NUMPY_ON_DEMAND = """
+import contextlib, io, sys
+import ringdisperse, ringdisperse.cli, ringdisperse.sweep, ringdisperse.verify
+from ringdisperse.sweep import SweepRow, fit_rounds
+
+def step(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = ringdisperse.cli.main(argv)
+    print("numpy" in sys.modules, code, out.getvalue().splitlines()[-1])
+
+print("numpy" in sys.modules)
+step(["run", "--scenario", sys.argv[1]])
+step(["sweep", "--vary", "L", "--from", "2", "--to", "2", "--n", "8", "--k", "4",
+      "--seeds", "1"])
+fit = fit_rounds(ROWS)
+print("numpy" in sys.modules, repr(fit))
+"""
+
+
+def test_numpy_is_loaded_only_by_the_fit(tmp_path):
+    # rounds = 19 * max_size + 3 * k + 5 exactly, over 12 dispersed rows
+    rows = [SweepRow(26, k, max_label, 0, "repaired", "dispersed",
+                     19 * max_label_bits(max_label) + 3 * k + 5, 1)
+            for k in range(2, 6) for max_label in (7, 15, 31)]
+    fit = fit_rounds(rows)
+    assert fit.coefficients == pytest.approx((19.0, 3.0, 5.0))
+    assert fit.r_squared == pytest.approx(1.0)
+    scenario = tmp_path / "six.scn"
+    scenario.write_text("ring 6\nmaxlabel 7\nrobot 1 0\nrobot 2 0\nrobot 3 0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    script = NUMPY_ON_DEMAND.replace("ROWS", repr(rows))
+    done = subprocess.run([sys.executable, "-c", script, str(scenario)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    imported, ran, swept, fitted = done.stdout.splitlines()
+    assert imported == "False"
+    assert ran.startswith("False 0 final placement: ")
+    assert swept == "False 0 no fit: not enough dispersed rows"
+    assert fitted == f"True {fit!r}", "the same fit, bit for bit"
