@@ -20,7 +20,7 @@ class ScenarioError(Exception):
     """A scenario file or generator argument violates the model limits."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     n: int
     max_label: int

@@ -68,7 +68,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
     A row whose label bound L is below its robot count k is run without
     ``make_scenario``'s warning; the ``sweep`` command says it once."""
     worker = functools.partial(_sweep_worker, ruleset=spec.ruleset)
-    return map_jobs(worker, list(spec.parameters()), workers, chunksize=8, serial_max=16)
+    return list(map_jobs(worker, spec.parameters(), workers, chunksize=8, serial_max=16))
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

@@ -10,6 +10,9 @@ statuses, electing)``, by phase and as the last one, and one state per
 robot pair for invariant (e).  ``minimize_scenario`` is one loop over
 ``_shrinks``, the candidates one shrink smaller than a scenario in the
 order they are tried; a new kind of shrink is a new candidate there.
+``map_jobs`` streams any iterable of jobs through one kept pool, in job
+order, and ``exhaustive_search`` folds each result into its report as it
+arrives.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 from .engine import ROUNDS_PER_PHASE, RunResult, Trace, phase_budget, run
 from .perception import observe
@@ -493,7 +495,7 @@ def check_invariants(trace: Trace) -> list[Violation]:
 # exhaustive small-instance search
 
 
-@dataclass
+@dataclass(slots=True)
 class ScenarioOutcome:
     scenario: Scenario
     result: RunResult
@@ -567,6 +569,9 @@ def enumerate_scenarios(n_max: int, k_max: int, l_max: int):
     Each scenario is valid by construction, so it is built without
     ``make_scenario``'s checks and its warning for a label bound below
     the robot count, which the ``search`` command gives once instead.
+    The (label, node) pairs are built once per label set and ring size,
+    one list per label indexed by node, and every scenario of the group
+    holds those pair objects; the first robot's node 0 is its only pair.
     """
     # with no robot or no label the space is empty at every ring size, and
     # the guard's partial sums would never grow past it
@@ -581,9 +586,11 @@ def enumerate_scenarios(n_max: int, k_max: int, l_max: int):
         )
     for n in range(3, n_max + 1):
         for k in range(1, min(k_max, n - 1) + 1):
-            for label_set in itertools.combinations(range(l_max + 1), k):
-                for rest in itertools.product(range(n), repeat=k - 1):
-                    yield Scenario(n, l_max, tuple(zip(label_set, (0,) + rest)))
+            for first, *others in itertools.combinations(range(l_max + 1), k):
+                head = ((first, 0),)
+                rows = [[(label, node) for node in range(n)] for label in others]
+                for rest in itertools.product(*rows):
+                    yield Scenario(n, l_max, head + rest)
 
 
 def evaluate_scenario(
@@ -627,6 +634,14 @@ def worker_count() -> int:
 _pools: dict[int, tuple] = {}
 
 
+def Pool(processes: int):
+    """A ``multiprocessing.Pool``; the module is loaded with the first pool,
+    so a command that builds none never loads it."""
+    import multiprocessing
+
+    return multiprocessing.Pool(processes)
+
+
 def _pool(workers: int):
     """This process's pool of ``workers`` workers, built on first use; a
     pool of another size is closed first."""
@@ -649,25 +664,33 @@ def _close_pool() -> None:
         kept[1].join()
 
 
-def map_jobs(fn, jobs: list, workers: int | None, chunksize: int, serial_max: int) -> list:
-    """``[fn(job) for job in jobs]`` across a pool of ``workers`` (default
-    ``worker_count()``), or in this process for one worker or few jobs.
+def map_jobs(fn, jobs, workers: int | None, chunksize: int, serial_max: int):
+    """``fn(job)`` for each of the iterable ``jobs``, yielded in job order,
+    across a pool of ``workers`` (default ``worker_count()``), or in this
+    process for one worker or at most ``serial_max`` jobs.  Jobs are pulled
+    as they are needed: the first ``serial_max + 1`` to choose, the rest as
+    the pool or the caller takes them, so neither the jobs nor the results
+    are held as a list.
 
     The pool is kept for later calls with the same worker count, so its
     workers are forked once per process and worker count: a module patched
-    after they were forked stays unpatched in them.  A call that raises,
-    in a job or while waiting, closes the pool, and the next call builds a
-    new one."""
+    after they were forked stays unpatched in them.  An iteration that
+    raises, in a job, in the caller or while waiting, or that the caller
+    leaves before the end, closes the pool, and the next call builds a new
+    one."""
     if workers is None:
         workers = worker_count()
-    if workers > 1 and len(jobs) > serial_max:
+    jobs = iter(jobs)
+    head = list(itertools.islice(jobs, serial_max + 1)) if workers > 1 else []
+    if len(head) > serial_max:
         pool = _pool(workers)
         try:
-            return pool.map(fn, jobs, chunksize=chunksize)
-        except BaseException:
+            yield from pool.imap(fn, itertools.chain(head, jobs), chunksize)
+        except BaseException:  # GeneratorExit too: the caller left early
             _close_pool()
             raise
-    return [fn(job) for job in jobs]
+    else:
+        yield from map(fn, itertools.chain(head, jobs))
 
 
 def evaluate_many(
@@ -680,7 +703,7 @@ def evaluate_many(
     """Evaluate scenarios across a worker pool, results in input order."""
     evaluate = functools.partial(
         evaluate_scenario, ruleset=ruleset, validate=validate, invariants=invariants)
-    return map_jobs(evaluate, list(scenarios), workers, chunksize=64, serial_max=64)
+    return list(map_jobs(evaluate, scenarios, workers, chunksize=64, serial_max=64))
 
 
 def exhaustive_search(
@@ -693,12 +716,14 @@ def exhaustive_search(
 ) -> SearchReport:
     """Run every small instance; tally outcomes and minimize failures.
     Each failure is minimized in the worker that judged it, in the one
-    pool of the search."""
+    pool of the search.  The scenarios stream from ``enumerate_scenarios``
+    through the pool, and each result is folded into the report as it
+    arrives, so the search holds the tallies and the failures, not the
+    space."""
     report = SearchReport(n_max, k_max, l_max, ruleset.value)
     job = functools.partial(_search_job, ruleset=ruleset, minimize=minimize)
-    results = map_jobs(job, list(enumerate_scenarios(n_max, k_max, l_max)), workers,
-                       chunksize=64, serial_max=64)
-    for outcome, minimized in results:
+    for outcome, minimized in map_jobs(job, enumerate_scenarios(n_max, k_max, l_max),
+                                       workers, chunksize=64, serial_max=64):
         report.total += 1
         key = outcome.result.value
         report.tallies[key] = report.tallies.get(key, 0) + 1

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every name the package exports exists, and numpy is loaded only by the
-sweep fit.
+every name the package exports exists, numpy is loaded only by the sweep
+fit, and multiprocessing only with a worker pool.
 
 Built on ``ast`` alone, so it needs no linter.  ``__init__.py``
 re-exports by design and is skipped, as is any import line marked
@@ -57,8 +57,8 @@ def test_every_export_resolves():
     assert [name for name in ringdisperse.__all__ if not hasattr(ringdisperse, name)] == []
 
 
-# each step prints whether numpy is loaded after it, then its last line of
-# output; the fit prints the repr of its LinearFit
+# each step prints whether numpy and multiprocessing are loaded after it,
+# then its last line of output; the fit prints the repr of its LinearFit
 NUMPY_ON_DEMAND = """
 import contextlib, io, sys
 import ringdisperse, ringdisperse.cli, ringdisperse.sweep, ringdisperse.verify
@@ -68,9 +68,10 @@ def step(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = ringdisperse.cli.main(argv)
-    print("numpy" in sys.modules, code, out.getvalue().splitlines()[-1])
+    print("numpy" in sys.modules, "multiprocessing" in sys.modules, code,
+          out.getvalue().splitlines()[-1])
 
-print("numpy" in sys.modules)
+print("numpy" in sys.modules, "multiprocessing" in sys.modules)
 step(["run", "--scenario", sys.argv[1]])
 step(["sweep", "--vary", "L", "--from", "2", "--to", "2", "--n", "8", "--k", "4",
       "--seeds", "1"])
@@ -96,7 +97,7 @@ def test_numpy_is_loaded_only_by_the_fit(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     imported, ran, swept, fitted = done.stdout.splitlines()
-    assert imported == "False"
-    assert ran.startswith("False 0 final placement: ")
-    assert swept == "False 0 no fit: not enough dispersed rows"
+    assert imported == "False False"
+    assert ran.startswith("False False 0 final placement: ")
+    assert swept == "False False 0 no fit: not enough dispersed rows"
     assert fitted == f"True {fit!r}", "the same fit, bit for bit"

@@ -1,15 +1,18 @@
 """Validator, invariant suite, search and shrinking."""
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
 import math
 import multiprocessing.pool
 import os
+import pickle
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -21,7 +24,7 @@ from ringdisperse.engine import RoundRecord, RunResult, run
 from ringdisperse.perception import Observation
 from ringdisperse.protocol import Ruleset, wake_rounds
 from ringdisperse.robots import Status
-from ringdisperse.scenario import gen_chain, gen_single_source, make_scenario
+from ringdisperse.scenario import Scenario, gen_chain, gen_single_source, make_scenario
 from ringdisperse.verify import (
     REPLAY_KINDS,
     TraceCheck,
@@ -271,6 +274,53 @@ def test_enumeration_is_the_rotation_canonical_filter():
         if _rotation_canonical(nodes, n)
     ]
     assert [(s.n, s.robots) for s in enumerate_scenarios(5, 3, 3)] == expected
+
+
+def test_enumeration_is_the_naive_zip_sequence():
+    naive = [
+        Scenario(n, 4, tuple(zip(labels, (0,) + rest)))
+        for n in range(3, 6)
+        for k in range(1, min(3, n - 1) + 1)
+        for labels in itertools.combinations(range(5), k)
+        for rest in itertools.product(range(n), repeat=k - 1)
+    ]
+    assert list(enumerate_scenarios(5, 3, 4)) == naive
+
+
+def test_enumeration_shares_the_pairs_of_a_label_set_and_ring_size():
+    groups: dict[tuple, dict] = {}
+    for scenario in enumerate_scenarios(5, 3, 4):
+        held = groups.setdefault((scenario.n, scenario.labels()), {})
+        for pair in scenario.robots:
+            assert held.setdefault(pair, pair) is pair, (scenario, pair)
+    # one group's pairs: its first label on node 0, every other label on every node
+    assert len(groups[5, (0, 2, 3)]) == 1 + 5 + 5
+
+
+def test_enumerated_space_fits_in_a_few_megabytes():
+    tracemalloc.start()
+    try:
+        space = list(enumerate_scenarios(6, 4, 7))
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(space) == 28_718
+    assert size < 6_000_000
+
+
+def test_scenario_and_outcome_pickle_replace_and_hold_no_dict():
+    scenario = make_scenario(6, 7, [(1, 0), (2, 0), (3, 2)])
+    outcome = evaluate_scenario(scenario, Ruleset.REPAIRED)
+    for value in (scenario, outcome):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and copy is not value
+        assert not hasattr(value, "__dict__")
+    assert hash(pickle.loads(pickle.dumps(scenario))) == hash(scenario)
+    assert type(outcome).__hash__ is None, "an outcome is mutable, so unhashable"
+    assert dataclasses.replace(scenario, n=7) == make_scenario(7, 7, scenario.robots)
+    assert dataclasses.replace(outcome, rounds_used=0).rounds_used == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.n = 7
 
 
 def test_enumeration_count_647():
@@ -571,7 +621,7 @@ def test_worker_count_rejects_a_non_integer(monkeypatch, value):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_map_jobs_keeps_input_order(workers):
     jobs = list(range(-5, 5))
-    assert map_jobs(abs, jobs, workers, chunksize=3, serial_max=4) == [abs(j) for j in jobs]
+    assert list(map_jobs(abs, jobs, workers, chunksize=3, serial_max=4)) == [abs(j) for j in jobs]
 
 
 @pytest.fixture
@@ -611,7 +661,7 @@ POOL_JOBS = list(range(-20, 20))
 
 
 def pooled(fn=abs, workers=2):
-    return map_jobs(fn, POOL_JOBS, workers, chunksize=3, serial_max=4)
+    return list(map_jobs(fn, POOL_JOBS, workers, chunksize=3, serial_max=4))
 
 
 def test_map_jobs_keeps_one_pool_across_calls(pool_log):
@@ -663,12 +713,53 @@ def test_map_jobs_leaves_the_pool_of_another_process_alone(pool_log, monkeypatch
     assert pool_log[0][2] is not pool_log[1][2]
 
 
+def test_map_jobs_pulls_jobs_as_results_are_read():
+    pulled = []
+
+    def jobs():
+        for job in range(1000):
+            pulled.append(job)
+            yield job
+
+    results = map_jobs(abs, jobs(), 1, chunksize=3, serial_max=4)
+    assert list(itertools.islice(results, 10)) == list(range(10))
+    assert len(pulled) <= 15
+
+
+@pytest.mark.parametrize("leave", ["break", "raise"])
+def test_leaving_a_pooled_iteration_closes_the_pool(pool_log, leave):
+    with pytest.raises(KeyError) if leave == "raise" else contextlib.nullcontext():
+        for result in map_jobs(abs, POOL_JOBS, 2, chunksize=3, serial_max=4):
+            if leave == "raise":
+                raise KeyError(result)
+            break
+    assert [(event, workers) for event, workers, _ in pool_log] == [
+        ("built", 2), ("terminated", 2)]
+    assert pooled() == [abs(j) for j in POOL_JOBS]
+    assert [event for event, _, _ in pool_log] == ["built", "terminated", "built"]
+
+
+def test_search_past_the_guard_builds_no_pool(pool_log):
+    with pytest.raises(ValueError, match="guard"):
+        exhaustive_search(12, 8, 255, Ruleset.REPAIRED, workers=2)
+    assert pool_log == []
+
+
+@pytest.mark.parametrize("ruleset", [Ruleset.REPAIRED, Ruleset.LITERAL], ids=lambda r: r.value)
+def test_search_report_is_the_same_on_one_and_two_workers(ruleset):
+    # (4, 3, 3) holds 114 scenarios, past the serial cutoff of 64
+    assert sum(1 for _ in enumerate_scenarios(4, 3, 3)) == 114
+    serial = exhaustive_search(4, 3, 3, ruleset, workers=1)
+    assert serial.total == 114
+    assert exhaustive_search(4, 3, 3, ruleset, workers=2).render() == serial.render()
+
+
 CLEAN_EXIT = """
 import multiprocessing
 from ringdisperse.verify import map_jobs
 
 for _ in range(2):
-    map_jobs(abs, list(range(40)), 2, chunksize=1, serial_max=4)
+    list(map_jobs(abs, list(range(40)), 2, chunksize=1, serial_max=4))
     print(*sorted(child.pid for child in multiprocessing.active_children()))
 """
 
