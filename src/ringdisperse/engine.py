@@ -5,9 +5,9 @@ a sink.
 The engine schedules, observes, commits and hands on; ``protocol.step``
 decides and writes every robot's state.  At round 1 of every phase the
 engine reads each robot's status and leader flag and builds a wake
-schedule from ``protocol.wake_rounds`` and ``protocol.on_change_rounds``:
-per round of the phase, the robots ``step`` may act on, and apart from
-them those it acts on only when they perceive a change.  ``step`` returns
+schedule from the ruleset's ``wake`` table: per round of the phase, the
+robots ``step`` may act on, and apart from them those it acts on only
+when they perceive a change.  ``step`` returns
 the port a robot moves through, or None to stay; a skipped call is one
 that would have returned None and changed nothing.
 
@@ -52,9 +52,8 @@ stepped, and in any other round one is stepped only if it stayed and its
 node's count changed, the two change bits of its observation.  Only a
 sink gets ``snapshot()``s, each robot's once per phase start.  Every
 run, with a sink or without, builds the livelock key from the robots'
-fields, so a run without a sink builds no snapshot.  The wake schedule
-is filled from ``_WAKE_INDEXES``, one slot table per ruleset, and a move
-commit adjusts the counts of the nodes its movers leave and enter.
+fields, so a run without a sink builds no snapshot.  A move commit adjusts
+the counts of the nodes its movers leave and enter.
 ``observe`` and ``step`` are looked up as module globals at every call,
 and ``apply_moves`` and ``occupancy_vector`` called as methods, so that a
 wrapper set on this module or on ``Placement`` sees every call.
@@ -67,9 +66,9 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .perception import OBSERVATIONS, Observation, observe
-from .protocol import READS_NET_DISP, Ruleset, on_change_rounds, step, wake_rounds
+from .protocol import Ruleset, step
 from .ring import Placement, move_target
-from .robots import RobotState, StateSnapshot, Status, apply_pending_status, max_label_bits
+from .robots import RobotState, StateSnapshot, apply_pending_status, max_label_bits
 from .scenario import Scenario
 
 ROUNDS_PER_PHASE = 19
@@ -77,28 +76,6 @@ ROUNDS_PER_PHASE = 19
 # StateSnapshot holds but net_disp, its last field, and net_disp apart
 _ABSTRACT_STATE = attrgetter(*StateSnapshot._fields[:-1])
 _NET_DISP = attrgetter(StateSnapshot._fields[-1])
-# The rounds with a cell that acts only on a perceived change, under some
-# ruleset; each has a second list in the wake schedule
-_CHANGE_ROUNDS = sorted(set().union(*(
-    on_change_rounds(status, leader, ruleset)
-    for ruleset in Ruleset for status in Status for leader in (False, True))))
-# per round index, the slot of the round's on-change list, or None
-_CHANGE_SLOTS: tuple[int | None, ...] = tuple(
-    ROUNDS_PER_PHASE + _CHANGE_ROUNDS.index(rip) if rip in _CHANGE_ROUNDS else None
-    for rip in range(1, ROUNDS_PER_PHASE + 1))
-_SLOTS = range(ROUNDS_PER_PHASE + len(_CHANGE_ROUNDS))
-# wake_rounds as the engine runs it: per ruleset and (status, leader flag)
-# at a phase start, the slots of the wake schedule the robot goes in.  Slot
-# i < ROUNDS_PER_PHASE lists the robots stepped in round i + 1;
-# _CHANGE_SLOTS[i] those stepped in it only when they perceive a change.
-_WAKE_INDEXES: dict[Ruleset, dict[tuple[Status, bool], tuple[int, ...]]] = {
-    ruleset: {
-        (status, leader): tuple(sorted(
-            _CHANGE_SLOTS[rip - 1] if rip in on_change_rounds(status, leader, ruleset)
-            else rip - 1 for rip in wake_rounds(status, leader)))
-        for status in Status for leader in (False, True)}
-    for ruleset in Ruleset
-}
 # the moves of a round without a sink in which no robot acts; never written
 _NOTHING: dict = {}
 
@@ -239,9 +216,9 @@ class Engine:
         # per finished phase, each robot's net_disp entering round 13, the
         # one round whose rule can read it (in labels order)
         self.net_disp_at_13: list[tuple[int, ...]] = []
-        # the wake schedule of the current phase, by slot (_WAKE_INDEXES);
+        # the wake schedule of the current phase (_build_wake_schedule);
         # built at round 1
-        self.wake_schedule: list[list[int]] = []
+        self.wake_schedule: tuple[list[list[int]], list[list[int]]] = ([], [])
         self.trace = Trace(scenario, ruleset)
         self.sink = sink if sink is not None else self.trace if record_rounds else None
 
@@ -269,16 +246,21 @@ class Engine:
         return ((tuple([(by_robot[label] - origin) % n for label in labels]),
                  tuple(map(_ABSTRACT_STATE, states))), tuple(map(_NET_DISP, states)))
 
-    def _build_wake_schedule(self) -> list[list[int]]:
-        """Per slot of ``_WAKE_INDEXES``, the labels of the phase now
-        starting that go in it, in labels order."""
-        schedule: list[list[int]] = [[] for _ in _SLOTS]
-        robots, indexes = self.robots, _WAKE_INDEXES[self.ruleset]
-        for label in self.labels:
-            state = robots[label]
-            for index in indexes[state.status, state.leader]:
-                schedule[index].append(label)
-        return schedule
+    def _build_wake_schedule(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per round of the phase now starting, the labels ``ruleset.wake``
+        steps in it always and those it steps only on a perceived change,
+        in labels order; index 0 is unused."""
+        woken: list[list[int]] = [[] for _ in range(ROUNDS_PER_PHASE + 1)]
+        on_change: list[list[int]] = [[] for _ in range(ROUNDS_PER_PHASE + 1)]
+        wake = self.ruleset.wake
+        # self.robots is keyed in labels order
+        for label, state in self.robots.items():
+            always, changed = wake[state.status, state.leader]
+            for rip in always:
+                woken[rip].append(label)
+            for rip in changed:
+                on_change[rip].append(label)
+        return woken, on_change
 
     def _run_rounds(self, count: int) -> int:
         """The round body: run ``count`` synchronous rounds from the current
@@ -290,22 +272,22 @@ class Engine:
         moved_last, moved_before_last = self.moved_last, self.moved_before_last
         observations = self.observations
         phase, rip, global_round = self.phase, self.round_in_phase, self.global_round
-        schedule = self.wake_schedule
+        woken_by_round, on_change_by_round = self.wake_schedule
         moves_made = 0
         cells = None  # the occupancy cells of the current placement, once computed
         for _ in range(count):
             if rip == 1:
                 if sink is not None:
                     self._hand_on_phase_start(phase, placement)
-                schedule = self.wake_schedule = self._build_wake_schedule()
+                self.wake_schedule = woken_by_round, on_change_by_round = (
+                    self._build_wake_schedule())
             elif rip == 13:
                 self.net_disp_at_13.append(tuple(robots[label].net_disp for label in labels))
-            woken = schedule[rip - 1]
+            woken = woken_by_round[rip]
             # after a round without a move no count changed and no robot
             # moved last, so nobody perceives a change and the robots stepped
             # only on one sit the round out
-            slot = _CHANGE_SLOTS[rip - 1]
-            on_change = schedule[slot] if moved_last and slot is not None else ()
+            on_change = on_change_by_round[rip] if moved_last else ()
             if woken or on_change or sink is not None:
                 by_robot = placement.by_robot
                 counts = placement.counts
@@ -402,7 +384,7 @@ def _repeats_forever(
 ) -> bool:
     """Whether phases [a, b) repeat forever, given equal keys modulo
     ``net_disp`` at phase starts a and b; b is the engine's current phase."""
-    if engine.ruleset not in READS_NET_DISP:
+    if not engine.ruleset.reads_net_disp:
         return True
     deltas = [(i, after - before)
               for i, (before, after) in enumerate(zip(disp_a, disp_b)) if after != before]
@@ -437,7 +419,7 @@ def run(
     state of a translating cycle never repeats.  Suppose phase starts a
     and b (a < b) have equal keys.  The rules see no node identities and
     read ``net_disp`` in one place only, ``net_disp == 0`` in round 13 of
-    active-disperse under a ruleset in ``protocol.READS_NET_DISP`` (the
+    active-disperse under a ruleset whose ``reads_net_disp`` is set (the
     repaired rules, repair 4).  So as long as that test
     reads the same, phases b, b+1, ... replay phases a, a+1, ... with the
     placement rotated: the same statuses, moves and perceptions.  Each
@@ -448,7 +430,7 @@ def run(
     [a, b) is 0 and no j >= 1 gives v + j*delta == 0
     (``zero_test_stable``).  A run that repeats forever never passes a
     quiet, all-distinct phase, since no phase of [a, b) was one.  The
-    rules of a ruleset outside ``READS_NET_DISP`` (the literal rules)
+    rules of a ruleset without ``reads_net_disp`` (the literal rules)
     never read ``net_disp``, so under them every repeat is a cycle.  An
     exact repeat (every delta 0) is always one.
 

@@ -5,14 +5,16 @@ literal rule a robot runs in that round given its status at the phase
 start: the one copy of the per-round rules, from which the participation
 tables are derived.  A status change decided mid-phase is held in
 ``pending_status`` and committed only at the phase boundary.  A ruleset
-is data, not a branch in a rule: ``RULES`` with the cells of its overlay
-(``OVERLAYS``) replaced.  The literal ruleset replaces none; the repaired
-one replaces the five cells of ``REPAIRS``, which fix four flag-timing
-defects.  A repair replaces a cell and never adds one, so both rulesets
-share one participation schedule.  ``READS_NET_DISP`` names the rulesets
-whose rules read ``net_disp``: only the repaired one does, in round 13 of
-active-disperse (repair 4), and ``engine.run``'s livelock proof rests on
-that.
+is data, not a branch in a rule: a ``Ruleset`` member is ``RULES`` with the
+cells of its ``overlay`` replaced, and carries the tables derived from
+those cells.  The literal ruleset replaces none; the repaired one replaces
+the five cells of ``REPAIRS``, which fix four flag-timing defects.  A
+repair replaces a cell and never adds one, so both rulesets share one
+participation schedule.  A member's ``reads_net_disp`` says whether its
+rules read ``net_disp``; a rule counts as a reader unless it is known not
+to be one (every literal rule and repairs 1-3).  Only the repaired ruleset
+reads it, in round 13 of active-disperse (repair 4), and ``engine.run``'s
+livelock proof rests on that.
 
 ``step`` is the one place that decides and writes a robot's state within
 a round.  ``PARTICIPATION``, keyed by the status and leader flag, is the
@@ -41,14 +43,16 @@ turn on in round 1, and that needs no extra round: a leader's cells are
 the non-leader's cells that lie in ``LEADER_ROUNDS``, so the leader's
 round 5 is already a non-leader's wake round.  Status and every other
 flag the dispatch reads are fixed within a phase, so in every other round
-``step`` is a no-op and the engine skips the call.  ``on_change_rounds``
-names, per ruleset, the wake rounds whose cells act only on a perceived
-change: given neither an increase nor a decrease, ``step`` returns STAY
-there and changes no field, the latches included.  Their rules read only
-a change bit (``_CHANGE_RULES``), or are a leader's rules
+``step`` is a no-op and the engine skips the call.  A member's
+``wake[status, leader]`` splits those rounds in two: the rounds the robot
+is always stepped in, and the rounds whose cells act only on a perceived
+change.  Given neither an increase nor a decrease, ``step`` returns STAY
+in the latter and changes no field, the latches included.  Their rules
+read only a change bit (``_CHANGE_RULES``), or are a leader's rules
 (``_LEADER_RULES``) in a non-leader's cell, which acts at most through a
-latch that ``step`` sets only on a change.  The engine steps a robot in
-those rounds only when it perceives a change.
+latch that ``step`` sets only on a change.  Any other rule, a repair
+included, is stepped in every wake round of its cell.  The engine steps a
+robot in the on-change rounds only when it perceives a change.
 
 ``step`` mutates the passed RobotState in place and returns a port, the
 one the robot moves through, or None to stay: ``MOVE_ZERO``, ``MOVE_ONE``
@@ -65,17 +69,6 @@ from typing import Callable
 from .perception import Observation
 from .ring import PORT_ONE, PORT_ZERO
 from .robots import DISPERSAL_STATUSES, RobotState, StateSnapshot, Status, bit_at
-
-
-class Ruleset(enum.Enum):
-    """The literal rules, or those rules with the four repairs (``OVERLAYS``)."""
-
-    LITERAL = "literal"
-    REPAIRED = "repaired"
-
-    # hash by identity, as Status does: step looks the ruleset up on every
-    # woken robot-round
-    __hash__ = object.__hash__
 
 
 # a robot's decision for one round: stay, or the port it moves through
@@ -421,17 +414,6 @@ REPAIRS: dict[tuple[Status, int], Rule] = {
     (Status.ACTIVE_DISPERSE, 13): _arm_only_at_start,
 }
 
-# A ruleset is RULES with the cells of its overlay replaced.
-OVERLAYS: dict[Ruleset, dict[tuple[Status, int], Rule]] = {
-    Ruleset.LITERAL: {},
-    Ruleset.REPAIRED: REPAIRS,
-}
-
-# The rulesets whose rules read net_disp (repair 4, in round 13 of
-# active-disperse); engine.run's livelock proof rests on it.
-READS_NET_DISP: frozenset[Ruleset] = frozenset({Ruleset.REPAIRED})
-
-
 # The rounds each status has a rule for: the paper's table with the
 # PARTICIPATION_CONFLICTS corrected.
 EFFECTIVE_PARTICIPATION: dict[Status, frozenset[int]] = {
@@ -448,25 +430,15 @@ PARTICIPATION: dict[tuple[Status, bool], frozenset[int]] = {
     for leader in (False, True)
 }
 
-# The rule step runs, by (ruleset, status, leader flag) and then round:
-# the rounds of PARTICIPATION that the status has a rule cell for, each
-# with the ruleset's rule.  A leader round without a cell is left out: its
-# only effect was a latch, which only non-leader rules read.
-_DISPATCH: dict[tuple[Ruleset, Status, bool], dict[int, Rule]] = {
-    (ruleset, status, leader): {
-        rip: overlay.get((status, rip), rule) for rip, rule in RULES[status].items()
-        if rip in rounds}
-    for ruleset, overlay in OVERLAYS.items()
-    for (status, leader), rounds in PARTICIPATION.items()
-}
-
-# The rounds of _DISPATCH's cells, the same under every ruleset since a
-# repair never adds a cell.  A leader's cells are the non-leader's cells in
-# LEADER_ROUNDS, so an election whose leader flag turns on in round 1
-# wakes in the leader's rounds already.
+# The rounds of PARTICIPATION that the status has a rule cell for, the same
+# under every ruleset since a repair never adds a cell.  A leader round
+# without a cell is left out: its only effect was a latch, which only
+# non-leader rules read.  A leader's cells are the non-leader's cells in
+# LEADER_ROUNDS, so an election whose leader flag turns on in round 1 wakes
+# in the leader's rounds already.
 _WAKE_ROUNDS: dict[tuple[Status, bool], frozenset[int]] = {
-    (status, leader): frozenset(_DISPATCH[Ruleset.LITERAL, status, leader])
-    for status, leader in PARTICIPATION
+    (status, leader): rounds & EFFECTIVE_PARTICIPATION[status]
+    for (status, leader), rounds in PARTICIPATION.items()
 }
 
 
@@ -478,24 +450,60 @@ _CHANGE_RULES = frozenset({_inform_split, _retreat_on_leader_arrival, _announce_
 # acts at most through the latch step sets, and step sets one only on a change.
 _LEADER_RULES = frozenset({_merge_sweep_out, _merge_sweep_end,
                            _probe_ahead, _probe_onward, _probe_back})
+# The rules known to leave net_disp unread: every literal rule and repairs
+# 1-3.  Any other rule counts as reading it, which can only make engine.run's
+# livelock proof stricter.
+_NET_DISP_UNREAD = frozenset(
+    {rule for rules in RULES.values() for rule in rules.values()}
+    | {_follow_observed_departure, _retreat_on_latched_arrival, _keep_candidacy})
 
 
 def _acts_only_on_change(rule: Rule | None, leader: bool) -> bool:
     return rule is None or rule in _CHANGE_RULES or (not leader and rule in _LEADER_RULES)
 
 
-# The wake rounds whose every cell acts only on a perceived change, by
-# (ruleset, status, leader flag at the phase start); for leader election
-# also the leader's cells, because its leader flag can turn on in round 1.
-# Under the literal rules that takes in round 12 of active-disperse and
-# passive, whose repair reads the latch.
-_ON_CHANGE_ROUNDS: dict[tuple[Ruleset, Status, bool], frozenset[int]] = {
-    (ruleset, status, leader): frozenset(
-        rip for rip in _WAKE_ROUNDS[status, leader]
-        if all(_acts_only_on_change(_DISPATCH[ruleset, status, held].get(rip), held)
-               for held in ((leader, True) if status is Status.LEADER_ELECTION else (leader,))))
-    for ruleset in Ruleset for status, leader in PARTICIPATION
-}
+class Ruleset(enum.Enum):
+    """A ruleset: ``RULES`` with the cells of its ``overlay`` replaced, and
+    the tables derived from its cells once, when the member is built.
+
+    ``dispatch[status, leader]`` maps each of ``wake_rounds(status,
+    leader)`` to the rule ``step`` runs there.  ``wake[status, leader]``
+    splits those rounds, given the status and leader flag at the phase
+    start, into two sorted tuples: the rounds the engine always steps the
+    robot in, and those in which every cell acts only on a perceived change
+    (for leader election also the leader's cells, since its leader flag can
+    turn on in round 1).  ``reads_net_disp`` is true when some cell's rule
+    is not known to leave ``net_disp`` unread; ``engine.run``'s livelock
+    proof rests on it.  A member's value is its name.
+    """
+
+    LITERAL = "literal", {}
+    REPAIRED = "repaired", REPAIRS
+
+    def __new__(cls, name: str, overlay: dict[tuple[Status, int], Rule]):
+        member = object.__new__(cls)
+        member._value_ = name
+        return member
+
+    def __init__(self, name: str, overlay: dict[tuple[Status, int], Rule]):
+        self.overlay = overlay
+        self.dispatch: dict[tuple[Status, bool], dict[int, Rule]] = {
+            (status, leader): {rip: overlay.get((status, rip), RULES[status][rip])
+                               for rip in sorted(rounds)}
+            for (status, leader), rounds in _WAKE_ROUNDS.items()
+        }
+        self.wake: dict[tuple[Status, bool], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        for (status, leader), rounds in _WAKE_ROUNDS.items():
+            held = (leader, True) if status is Status.LEADER_ELECTION else (leader,)
+            on_change = {rip for rip in rounds if all(
+                _acts_only_on_change(self.dispatch[status, now].get(rip), now) for now in held)}
+            self.wake[status, leader] = (tuple(sorted(rounds - on_change)),
+                                         tuple(sorted(on_change)))
+        self.reads_net_disp = any(rule not in _NET_DISP_UNREAD
+                                  for cells in self.dispatch.values() for rule in cells.values())
+
+    # hash by identity, as Status does, not by name
+    __hash__ = object.__hash__
 
 
 def wake_rounds(status: Status, leader: bool) -> frozenset[int]:
@@ -503,13 +511,6 @@ def wake_rounds(status: Status, leader: bool) -> frozenset[int]:
     starts the phase with this status and leader flag (see the module
     docstring); in every other round ``step`` is a no-op for it."""
     return _WAKE_ROUNDS[status, leader]
-
-
-def on_change_rounds(status: Status, leader: bool, ruleset: Ruleset) -> frozenset[int]:
-    """The rounds of ``wake_rounds(status, leader)`` in which ``step``
-    acts on the robot only if it perceives an increase or a decrease;
-    given neither, ``step`` returns STAY there and changes no field."""
-    return _ON_CHANGE_ROUNDS[ruleset, status, leader]
 
 
 def participates(state: RobotState | StateSnapshot, round_in_phase: int) -> bool:
@@ -521,7 +522,7 @@ def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Rule
     or None to stay; mutates ``state``."""
     # the robot's rule cell for this round, if it acts in it: one lookup per
     # woken robot-round
-    rule = _DISPATCH[ruleset, state.status, state.leader].get(round_in_phase)
+    rule = ruleset.dispatch[state.status, state.leader].get(round_in_phase)
     if rule is None:
         return STAY
     # the latches read by repairs 1 and 2; apply_pending_status clears them

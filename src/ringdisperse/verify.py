@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .engine import ROUNDS_PER_PHASE, RunResult, Trace, phase_budget, run
 from .perception import observe
 from .protocol import participates
-from .ring import PORT_ONE, PORT_ZERO, move_target, occupancy_cells, succ
+from .ring import MIN_RING_SIZE, PORT_ONE, PORT_ZERO, move_target, occupancy_cells, succ
 from .robots import DISPERSAL_STATUSES, LEGAL_TRANSITIONS, Status, max_label_bits
 from .scenario import Scenario
 
@@ -552,7 +552,7 @@ def estimate_enumeration(n_max: int, k_max: int, l_max: int) -> int:
     """Raw placements of distinct-label robots before rotation, summed up
     to the first partial sum past ``ENUMERATION_GUARD``."""
     total = 0
-    for n in range(3, n_max + 1):
+    for n in range(MIN_RING_SIZE, n_max + 1):
         for k in range(1, min(k_max, n - 1) + 1):
             total += math.comb(l_max + 1, k) * n**k
             if total > ENUMERATION_GUARD:
@@ -573,8 +573,10 @@ def enumerate_scenarios(n_max: int, k_max: int, l_max: int):
     one list per label indexed by node, and every scenario of the group
     holds those pair objects; the first robot's node 0 is its only pair.
     """
-    # with no robot or no label the space is empty at every ring size, and
-    # the guard's partial sums would never grow past it
+    # with no ring, no robot or no label the space is empty, and the guard's
+    # partial sums would never grow past it
+    if n_max < MIN_RING_SIZE:
+        raise ValueError(f"n_max must be at least {MIN_RING_SIZE}, not {n_max}")
     if k_max < 1 or l_max < 0:
         raise ValueError(f"k_max must be at least 1 and l_max at least 0, "
                          f"not {k_max} and {l_max}")
@@ -584,7 +586,7 @@ def enumerate_scenarios(n_max: int, k_max: int, l_max: int):
             f"enumeration of at least {estimate} configurations exceeds the "
             f"{ENUMERATION_GUARD} guard"
         )
-    for n in range(3, n_max + 1):
+    for n in range(MIN_RING_SIZE, n_max + 1):
         for k in range(1, min(k_max, n - 1) + 1):
             for first, *others in itertools.combinations(range(l_max + 1), k):
                 head = ((first, 0),)

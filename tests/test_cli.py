@@ -840,7 +840,8 @@ def test_sweep_rejects_seeds_below_one(capsys, seeds):
     ["sweep", "--vary", "k", "--from", "2", "--to", "3", "--seeds", "1000000000000"],
     ["search", "--n-max", "1000000000000", "--k-max", "0", "--l-max", "7"],
     ["search", "--n-max", "1000000000000", "--k-max", "4", "--l-max", "-1"],
-], ids=["sweep-to", "sweep-seeds", "search-k-max", "search-l-max"])
+    ["search", "--n-max", "2", "--k-max", "1", "--l-max", "3"],
+], ids=["sweep-to", "sweep-seeds", "search-k-max", "search-l-max", "search-n-max"])
 def test_unbounded_input_exits_input_fast(capsys, argv):
     start = time.process_time()
     assert main(argv) == 4

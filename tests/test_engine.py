@@ -235,11 +235,11 @@ def trajectory(scenario, ruleset, record_rounds, rounds):
     return states
 
 
-# every robot woken in every round, whatever its status and leader flag,
-# and so stepped also where its cell acts only on a perceived change and it
-# perceives none
-WAKE_EVERYONE = {ruleset: {key: tuple(range(ROUNDS_PER_PHASE)) for key in indexes}
-                 for ruleset, indexes in engine_module._WAKE_INDEXES.items()}
+def wake_everyone(ruleset):
+    """A wake table for ``ruleset`` that steps every robot in every round,
+    whatever its status and leader flag, and so also where its cell acts
+    only on a perceived change and it perceives none."""
+    return {key: (tuple(range(1, ROUNDS_PER_PHASE + 1)), ()) for key in ruleset.wake}
 
 
 @pytest.mark.parametrize("ruleset", list(Ruleset))
@@ -253,7 +253,7 @@ def test_wake_schedule_matches_stepping_every_robot(sample_647, ruleset, monkeyp
         recorded = trajectory(scenario, ruleset, True, rounds)
         unrecorded = trajectory(scenario, ruleset, False, rounds)
         with monkeypatch.context() as patch:
-            patch.setattr(engine_module, "_WAKE_INDEXES", WAKE_EVERYONE)
+            patch.setattr(ruleset, "wake", wake_everyone(ruleset))
             everyone = trajectory(scenario, ruleset, True, rounds)
             oracle = run(scenario, ruleset)
         assert len(recorded) == len(unrecorded) == len(everyone) == rounds
@@ -264,6 +264,34 @@ def test_wake_schedule_matches_stepping_every_robot(sample_647, ruleset, monkeyp
         assert oracle.final_placement == outcome.final_placement, scenario
         assert oracle.trace.records == outcome.trace.records, scenario
         assert oracle.trace.phase_snapshots == outcome.trace.phase_snapshots, scenario
+
+
+@st.composite
+def shared_node_scenarios(draw):
+    """Multi-source scenarios with n <= 64, k <= 24 and L <= 1023: distinct
+    labels, start nodes drawn uniformly, and at least one shared node."""
+    n = draw(st.integers(min_value=3, max_value=64))
+    k = draw(st.integers(min_value=2, max_value=min(24, n - 1)))
+    max_label = draw(st.integers(min_value=k, max_value=1023))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=max_label),
+                           min_size=k, max_size=k, unique=True))
+    nodes = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                          min_size=k - 1, max_size=k - 1))
+    nodes.append(nodes[draw(st.integers(min_value=0, max_value=k - 2))])
+    return make_scenario(n, max_label, list(zip(labels, nodes)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shared_node_scenarios())
+def test_wake_schedule_matches_stepping_every_robot_on_drawn_scenarios(scenario):
+    for ruleset in Ruleset:
+        outcome = run(scenario, ruleset)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ruleset, "wake", wake_everyone(ruleset))
+            oracle = run(scenario, ruleset)
+        assert oracle.result is outcome.result, (scenario, ruleset)
+        assert oracle.trace.records == outcome.trace.records, (scenario, ruleset)
+        assert oracle.trace.phase_snapshots == outcome.trace.phase_snapshots, (scenario, ruleset)
 
 
 def assert_observations_fresh_and_shared(scenario, records):

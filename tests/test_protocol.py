@@ -11,20 +11,18 @@ from hypothesis import strategies as st
 from ringdisperse.engine import ROUNDS_PER_PHASE, Engine, PhaseSnapshot
 from ringdisperse.perception import OBSERVATIONS, Observation
 from ringdisperse.protocol import (
-    _DISPATCH,
     EFFECTIVE_PARTICIPATION,
     LEADER_ROUNDS,
-    OVERLAYS,
     PAPER_PARTICIPATION,
     PARTICIPATION,
     PARTICIPATION_CONFLICTS,
     PORT_ONE,
     PORT_ZERO,
-    READS_NET_DISP,
     REPAIRS,
     RULES,
     Ruleset,
-    on_change_rounds,
+    _arm_only_at_start,
+    _NET_DISP_UNREAD,
     step,
     wake_rounds,
 )
@@ -177,8 +175,8 @@ def test_leader_cells_are_the_non_leader_cells_in_the_leader_rounds():
     # so the wake rounds of a non-leader cover those of a leader, which an
     # election whose leader flag turns on in round 1 relies on
     for ruleset, status in itertools.product(Ruleset, Status):
-        leader = _DISPATCH[ruleset, status, True]
-        plain = _DISPATCH[ruleset, status, False]
+        leader = ruleset.dispatch[status, True]
+        plain = ruleset.dispatch[status, False]
         assert leader.keys() == plain.keys() & LEADER_ROUNDS, (ruleset, status)
         assert all(leader[rip] is plain[rip] for rip in leader), (ruleset, status)
         assert wake_rounds(status, True) <= wake_rounds(status, False), status
@@ -187,7 +185,8 @@ def test_leader_cells_are_the_non_leader_cells_in_the_leader_rounds():
 def test_repairs_replace_cells_of_the_literal_rules():
     # a repair never adds a cell, so PARTICIPATION, wake_rounds and the
     # engine's wake indexes, all derived from RULES, hold under both rulesets
-    assert OVERLAYS == {Ruleset.LITERAL: {}, Ruleset.REPAIRED: REPAIRS}
+    assert {ruleset: ruleset.overlay for ruleset in Ruleset} == {
+        Ruleset.LITERAL: {}, Ruleset.REPAIRED: REPAIRS}
     assert set(REPAIRS) == {
         (Status.LEADER_ELECTION, 3), (Status.ACTIVE_MERGE, 8),
         (Status.ACTIVE_DISPERSE, 12), (Status.PASSIVE, 12), (Status.ACTIVE_DISPERSE, 13)}
@@ -200,8 +199,8 @@ def test_rulesets_dispatch_differ_in_the_repaired_cells_only():
     # has a rule cell for
     differences = set()
     for (status, leader), rounds in PARTICIPATION.items():
-        literal = _DISPATCH[Ruleset.LITERAL, status, leader]
-        repaired = _DISPATCH[Ruleset.REPAIRED, status, leader]
+        literal = Ruleset.LITERAL.dispatch[status, leader]
+        repaired = Ruleset.REPAIRED.dispatch[status, leader]
         assert set(literal) == set(repaired) == rounds & RULES[status].keys(), (status, leader)
         differences |= {(status, rip) for rip in literal if literal[rip] is not repaired[rip]}
     assert differences == set(REPAIRS)
@@ -228,6 +227,34 @@ def test_ruleset_hashes_by_identity_and_survives_pickle():
     for ruleset in Ruleset:
         assert restored[ruleset] == ruleset.value
         assert pickle.loads(pickle.dumps(ruleset)) is ruleset
+
+
+def test_ruleset_is_looked_up_by_its_name():
+    # the CLI's --ruleset names and the trace files name a ruleset by value
+    assert [ruleset.value for ruleset in Ruleset] == ["literal", "repaired"]
+    for ruleset in Ruleset:
+        assert Ruleset(ruleset.value) is ruleset
+
+
+def test_ruleset_wake_table_splits_the_wake_rounds_its_dispatch_covers():
+    for ruleset in Ruleset:
+        assert ruleset.wake.keys() == ruleset.dispatch.keys() == PARTICIPATION.keys(), ruleset
+        for status, leader in PARTICIPATION:
+            always, on_change = ruleset.wake[status, leader]
+            key = (ruleset, status, leader)
+            assert list(always) == sorted(always) and list(on_change) == sorted(on_change), key
+            assert not set(always) & set(on_change), key
+            assert set(always) | set(on_change) == wake_rounds(status, leader), key
+            assert ruleset.dispatch[status, leader].keys() == wake_rounds(status, leader), key
+
+
+def test_reads_net_disp_is_derived_from_the_dispatched_rules():
+    # engine.run's livelock proof rests on it: only repair 4 reads net_disp
+    assert Ruleset.LITERAL.reads_net_disp is False
+    assert Ruleset.REPAIRED.reads_net_disp is True
+    readers = {rule for ruleset in Ruleset for cells in ruleset.dispatch.values()
+               for rule in cells.values() if rule not in _NET_DISP_UNREAD}
+    assert readers == {_arm_only_at_start}
 
 
 @st.composite
@@ -290,16 +317,16 @@ def test_on_change_rounds_are_the_change_triggered_cells():
     literal_only = {(Status.ACTIVE_DISPERSE, False): {12}, (Status.PASSIVE, False): {12}}
     for status, leader in itertools.product(Status, (False, True)):
         rounds = both.get((status, leader), set())
-        assert on_change_rounds(status, leader, Ruleset.REPAIRED) == rounds, (status, leader)
-        assert on_change_rounds(status, leader, Ruleset.LITERAL) == rounds | literal_only.get(
-            (status, leader), set()), (status, leader)
-        assert on_change_rounds(status, leader, Ruleset.LITERAL) <= wake_rounds(status, leader)
+        literal = set(Ruleset.LITERAL.wake[status, leader][1])
+        assert set(Ruleset.REPAIRED.wake[status, leader][1]) == rounds, (status, leader)
+        assert literal == rounds | literal_only.get((status, leader), set()), (status, leader)
+        assert literal <= wake_rounds(status, leader)
 
 
 @settings(max_examples=60, deadline=None)
 @given(phase_fields())
 def test_step_is_a_no_op_without_a_change_in_the_on_change_rounds(fields):
-    # the engine steps a robot in its on_change_rounds only when it
+    # the engine steps a robot in its on-change wake rounds only when it
     # perceives an increase or a decrease, so on either observation with
     # neither step must stay and leave the state alone
     quiet = [observation for observation in OBSERVATIONS
@@ -309,7 +336,7 @@ def test_step_is_a_no_op_without_a_change_in_the_on_change_rounds(fields):
         # an election phase can turn the leader flag on mid-phase
         held = {leader, True} if status is Status.LEADER_ELECTION else {leader}
         for now_leader, rip, observation in itertools.product(
-                held, on_change_rounds(status, leader, ruleset), quiet):
+                held, ruleset.wake[status, leader][1], quiet):
             state = RobotState(status=status, leader=now_leader, **fields)
             before = dataclasses.replace(state)
             assert step(state, observation, rip, ruleset) is None, (
@@ -330,11 +357,11 @@ def test_step_reads_net_disp_only_where_its_ruleset_declares(fields, other):
     # the first premise of engine.run's livelock proof: with every other
     # field equal, step moves the same way, writes the same fields and
     # changes net_disp by the same amount whatever net_disp is, except in
-    # round 13 of active-disperse under a ruleset in READS_NET_DISP
+    # round 13 of active-disperse under a ruleset whose reads_net_disp is set
     shifted = {**fields, "net_disp": other}
     for status, leader, rip, ruleset, observation in itertools.product(
             Status, (False, True), range(1, ROUNDS_PER_PHASE + 1), Ruleset, OBSERVATIONS):
-        if status is Status.ACTIVE_DISPERSE and rip == 13 and ruleset in READS_NET_DISP:
+        if status is Status.ACTIVE_DISPERSE and rip == 13 and ruleset.reads_net_disp:
             continue
         port, state = stepped(fields, status, leader, observation, rip, ruleset)
         other_port, other_state = stepped(shifted, status, leader, observation, rip, ruleset)

@@ -259,6 +259,13 @@ def test_enumeration_guard_fails_fast():
     assert time.process_time() - start < 1.0
 
 
+@pytest.mark.parametrize("n_max", [2, 0, -5])
+def test_enumeration_below_the_smallest_ring_is_an_error(n_max):
+    # an empty space would run no scenario and report a clean pass
+    with pytest.raises(ValueError, match="n_max must be at least 3"):
+        next(enumerate_scenarios(n_max, 1, 3))
+
+
 def _rotation_canonical(nodes, n):
     return all(nodes <= tuple((v + r) % n for v in nodes) for r in range(1, n))
 
