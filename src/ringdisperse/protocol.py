@@ -2,57 +2,57 @@
 
 Each phase is 19 synchronous rounds.  ``RULES[status][round]`` is the
 literal rule a robot runs in that round given its status at the phase
-start: the one copy of the per-round rules, from which the participation
-tables are derived.  A status change decided mid-phase is held in
-``pending_status`` and committed only at the phase boundary.  A ruleset
-is data, not a branch in a rule: a ``Ruleset`` member is ``RULES`` with the
-cells of its ``overlay`` replaced, and carries the tables derived from
-those cells.  The literal ruleset replaces none; the repaired one replaces
-the five cells of ``REPAIRS``, which fix four flag-timing defects.  A
-repair replaces a cell and never adds one, so both rulesets share one
-participation schedule.  A member's ``reads_net_disp`` says whether its
-rules read ``net_disp``; a rule counts as a reader unless it is known not
-to be one (every literal rule and repairs 1-3).  Only the repaired ruleset
-reads it, in round 13 of active-disperse (repair 4), and ``engine.run``'s
+start: the one copy of the per-round rules.  A status change decided
+mid-phase is held in ``pending_status`` and committed only at the phase
+boundary.  A ruleset is data, not a branch in a rule: a ``Ruleset`` member
+is ``RULES`` with the cells of its ``overlay`` replaced, and carries the
+tables derived from those cells.  The literal ruleset replaces none; the
+repaired one replaces the five cells of ``REPAIRS``, which fix four
+flag-timing defects.  A member's ``reads_net_disp`` says whether its rules
+read ``net_disp``; a rule counts as a reader unless it is known not to be
+one (every literal rule and repairs 1-3).  Only the repaired ruleset reads
+it, in round 13 of active-disperse (repair 4), and ``engine.run``'s
 livelock proof rests on that.
 
-``step`` is the one place that decides and writes a robot's state within
-a round.  ``PARTICIPATION``, keyed by the status and leader flag, is the
-table of the rounds in which a robot may move, which the trace checker
-judges moves by: a leader in ``LEADER_ROUNDS``, an idle robot never,
-anyone else in the rounds its status has a rule for.  ``step`` acts in
-those of them that its status has a rule cell for, and in no other round:
-there it returns STAY and changes no field.  A robot that acts first
-latches the two bits that repaired rules read later, a decrease in round
-7 (merge follow) and an increase in rounds 10-12 (retreat), then runs its
-rule, then counts a move of a dispersal status in ``net_disp``.  Every
-robot that reads a latch acts in the rounds that set it: the non-leader
-active-merge robots read ``decrease_at_7`` in round 8 and act in round 7,
-and the non-leader active-disperse and passive robots read
-``increase_in_10_12`` in round 12 and act in rounds 10-12.  A leader
-round with no rule cell (6, 7 and 9-11 of an election, 9-11 of a merge)
-could at most set a latch, and no leader ever reads one: the reading
-cells lie outside ``LEADER_ROUNDS`` and no rule clears ``leader``.  The
-latches are cleared at every phase boundary and appear in no snapshot,
-livelock key or trace, so such a round is not run.
+``wake_rounds(status, leader)`` is the one table of the rounds in which a
+robot acts, given its status and leader flag at the phase start: the
+rounds its status has a rule cell for, for a leader only those in
+``LEADER_ROUNDS``, and none for an idle robot.  A repair replaces a cell
+and never adds one, so both rulesets share it.  ``step`` is the one place
+that decides and writes a robot's state within a round; in any other
+round it returns STAY and changes no field, so the engine skips the call,
+and the trace checker judges every move by the same table.  The leader
+flag of an election can turn on in round 1, and that needs no extra
+round: a leader's cells are the non-leader's cells that lie in
+``LEADER_ROUNDS``, so the leader's round 5 is already a non-leader's wake
+round.  Status and every other flag the dispatch reads are fixed within a
+phase.
 
-``wake_rounds`` is the same set of cells in the form the engine runs: the
-rounds of a phase in which ``step`` may act on a robot, given its status
-and leader flag at the phase start.  The leader flag of an election can
-turn on in round 1, and that needs no extra round: a leader's cells are
-the non-leader's cells that lie in ``LEADER_ROUNDS``, so the leader's
-round 5 is already a non-leader's wake round.  Status and every other
-flag the dispatch reads are fixed within a phase, so in every other round
-``step`` is a no-op and the engine skips the call.  A member's
-``wake[status, leader]`` splits those rounds in two: the rounds the robot
-is always stepped in, and the rounds whose cells act only on a perceived
-change.  Given neither an increase nor a decrease, ``step`` returns STAY
-in the latter and changes no field, the latches included.  Their rules
-read only a change bit (``_CHANGE_RULES``), or are a leader's rules
-(``_LEADER_RULES``) in a non-leader's cell, which acts at most through a
-latch that ``step`` sets only on a change.  Any other rule, a repair
-included, is stepped in every wake round of its cell.  The engine steps a
-robot in the on-change rounds only when it perceives a change.
+A robot that acts first latches the two bits that repaired rules read
+later, a decrease in round 7 (merge follow) and an increase in rounds
+10-12 (retreat), then runs its rule, then counts a move of a dispersal
+status in ``net_disp``.  Every robot that reads a latch acts in the rounds
+that set it: the non-leader active-merge robots read ``decrease_at_7`` in
+round 8 and act in round 7, and the non-leader active-disperse and
+passive robots read ``increase_in_10_12`` in round 12 and act in rounds
+10-12.  A leader round with no rule cell (6, 7 and 9-11 of an election, 5
+and 9-11 of a merge, 5-7 of active-disperse) could at most set a latch,
+and no leader ever reads one: the reading cells lie outside
+``LEADER_ROUNDS`` and no rule clears ``leader``.  The latches are cleared
+at every phase boundary and appear in no snapshot, livelock key or trace,
+so such a round is not run, and a leader that moves in it breaks
+participation.
+
+A member's ``wake[status, leader]`` splits the wake rounds in two: the
+rounds the robot is always stepped in, and the rounds whose cells act
+only on a perceived change.  Given neither an increase nor a decrease,
+``step`` returns STAY in the latter and changes no field, the latches
+included.  Their rules read only a change bit (``_CHANGE_RULES``), or are
+a leader's rules (``_LEADER_RULES``) in a non-leader's cell, which acts at
+most through a latch that ``step`` sets only on a change.  Any other rule,
+a repair included, is stepped in every wake round of its cell.  The
+engine steps a robot in the on-change rounds only when it perceives a
+change.
 
 ``step`` mutates the passed RobotState in place and returns a port, the
 one the robot moves through, or None to stay: ``MOVE_ZERO``, ``MOVE_ONE``
@@ -68,7 +68,7 @@ from typing import Callable
 
 from .perception import Observation
 from .ring import PORT_ONE, PORT_ZERO
-from .robots import DISPERSAL_STATUSES, RobotState, StateSnapshot, Status, bit_at
+from .robots import DISPERSAL_STATUSES, RobotState, Status, bit_at
 
 
 # a robot's decision for one round: stay, or the port it moves through
@@ -77,8 +77,8 @@ MOVE_ZERO = PORT_ZERO
 MOVE_ONE = PORT_ONE
 
 # Published participation table (status column x round), kept verbatim as
-# documentation.  Where it contradicts the rules the rules govern; the
-# effective table derived from them carries the corrections.
+# documentation.  Where it contradicts the rules the rules govern, and the
+# wake table derived from them carries the corrections.
 PAPER_PARTICIPATION: dict[Status, frozenset[int]] = {
     Status.LEADER_ELECTION: frozenset({1, 2, 3, 4, 5}),
     Status.ACTIVE_MERGE: frozenset({6, 7, 8}),
@@ -414,31 +414,14 @@ REPAIRS: dict[tuple[Status, int], Rule] = {
     (Status.ACTIVE_DISPERSE, 13): _arm_only_at_start,
 }
 
-# The rounds each status has a rule for: the paper's table with the
-# PARTICIPATION_CONFLICTS corrected.
-EFFECTIVE_PARTICIPATION: dict[Status, frozenset[int]] = {
-    status: frozenset(rules) for status, rules in RULES.items()
-}
-
-# The rounds in which a robot may move, by (status, leader flag): a leader
-# in its own rounds, anyone else by status, and an idle robot never.  The
-# trace checker judges each move by it (participates).
-PARTICIPATION: dict[tuple[Status, bool], frozenset[int]] = {
-    (status, leader): frozenset() if status is Status.IDLE
-    else LEADER_ROUNDS if leader else rounds
-    for status, rounds in EFFECTIVE_PARTICIPATION.items()
-    for leader in (False, True)
-}
-
-# The rounds of PARTICIPATION that the status has a rule cell for, the same
-# under every ruleset since a repair never adds a cell.  A leader round
-# without a cell is left out: its only effect was a latch, which only
-# non-leader rules read.  A leader's cells are the non-leader's cells in
-# LEADER_ROUNDS, so an election whose leader flag turns on in round 1 wakes
-# in the leader's rounds already.
+# The rounds in which a robot acts, by its status and leader flag at the
+# phase start (wake_rounds): its status's rule cells, for a leader only
+# those in LEADER_ROUNDS.  A leader round without a cell is left out: a
+# step there could at most set a latch, which only non-leader rules read.
 _WAKE_ROUNDS: dict[tuple[Status, bool], frozenset[int]] = {
-    (status, leader): rounds & EFFECTIVE_PARTICIPATION[status]
-    for (status, leader), rounds in PARTICIPATION.items()
+    (status, leader): frozenset(rules) & LEADER_ROUNDS if leader else frozenset(rules)
+    for status, rules in RULES.items()
+    for leader in (False, True)
 }
 
 
@@ -507,14 +490,11 @@ class Ruleset(enum.Enum):
 
 
 def wake_rounds(status: Status, leader: bool) -> frozenset[int]:
-    """The rounds of a phase in which ``step`` may act on a robot that
-    starts the phase with this status and leader flag (see the module
-    docstring); in every other round ``step`` is a no-op for it."""
+    """The rounds of a phase in which a robot that starts the phase with
+    this status and leader flag acts (see the module docstring): ``step``
+    is a no-op for it in every other round, and a move there breaks
+    participation."""
     return _WAKE_ROUNDS[status, leader]
-
-
-def participates(state: RobotState | StateSnapshot, round_in_phase: int) -> bool:
-    return round_in_phase in PARTICIPATION[state.status, state.leader]
 
 
 def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Ruleset) -> int | None:

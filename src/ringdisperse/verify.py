@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .engine import ROUNDS_PER_PHASE, RunResult, Trace, phase_budget, run
 from .perception import observe
-from .protocol import participates
+from .protocol import wake_rounds
 from .ring import MIN_RING_SIZE, PORT_ONE, PORT_ZERO, move_target, occupancy_cells, succ
 from .robots import DISPERSAL_STATUSES, LEGAL_TRANSITIONS, Status, max_label_bits
 from .scenario import Scenario
@@ -104,18 +104,19 @@ class TraceCheck:
     round counter, contiguous from round 0 with the matching phase and
     round-in-phase; the perception flags of each record whose
     ``observations`` is not None; move legality; the post-round
-    occupancy), participation gating and idle immobility, cross-chain
-    co-location (b) and the round-12 retreats that net displacement
-    allows.  An illegal move is reported and not applied, so the replay
-    stays on the ring.  The occupancy is compared as a sequence of
-    ``occupancy_cells``, so a zero count, a repeated node or an unsorted
-    cell is a mismatch.  A robot perceives the node counts entering this
-    round and the round before at its node, as the engine observes it, so
-    a move rebuilds nothing per robot.  Most rounds are quiet: a round
-    that follows two rounds without a move entry perceives what the round
-    before it perceived, and a round without a move keeps the occupancy,
-    so both expectations are reused, and every given observation and cell
-    is still compared.  The expectations are filled for every robot at
+    occupancy), participation by ``protocol.wake_rounds`` and idle
+    immobility, cross-chain co-location (b) and the round-12 retreats that
+    net displacement allows.  An illegal move, a robot the scenario lacks
+    included, is reported and not applied, so the replay stays on the
+    ring.  The occupancy is compared as a sequence of ``occupancy_cells``,
+    so a zero count, a repeated node or an unsorted cell is a mismatch.  A
+    robot perceives the node counts entering this round and the round
+    before at its node, as the engine observes it, so a move rebuilds
+    nothing per robot.  Most rounds are quiet: a round that follows two
+    rounds without a move entry perceives what the round before it
+    perceived, and a round without a move keeps the occupancy, so both
+    expectations are reused, and every given observation and cell is still
+    compared.  The expectations are filled for every robot at
     once and a round's observations are compared with them as one dict;
     only a mismatch walks the robots to report it.
 
@@ -218,9 +219,13 @@ class TraceCheck:
                 if label in moving:
                     at(phase, global_round, "move-legality", "duplicate move entry", (label,))
                 moving.add(label)
-                if frm != position.get(label):
+                at_node = position.get(label)
+                if at_node is None:
+                    at(phase, global_round, "move-legality", "move of an unknown robot",
+                       (label,))
+                elif frm != at_node:
                     at(phase, global_round, "move-legality",
-                       f"claims from {frm}, actually at {position.get(label)}", (label,))
+                       f"claims from {frm}, actually at {at_node}", (label,))
                 elif port not in (PORT_ZERO, PORT_ONE) or to != move_target(self.n, frm, port):
                     at(phase, global_round, "move-legality",
                        f"port {port} from {frm} cannot reach {to}", (label,))
@@ -232,7 +237,7 @@ class TraceCheck:
                     pass
                 elif state.status is _IDLE:
                     at(phase, global_round, "idle-moved", "idle robot moved", (label,))
-                elif not participates(state, rip):
+                elif rip not in wake_rounds(state.status, state.leader):
                     mover = "leader" if state.leader else state.status.value
                     at(phase, global_round, "participation", f"{mover} moved in round {rip}",
                        (label,))

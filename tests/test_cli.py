@@ -366,16 +366,16 @@ def test_verify_rejects_obs_entries_that_are_not_three_booleans(
 
 
 def _tamper_quiet_round(lines, records, tamper):
-    """Apply ``tamper`` to the observations of the first round that follows
-    two rounds without a move, in the file lines and in the records alike;
-    by then the check's expected observations cover every robot."""
+    """Apply ``tamper`` to the record of the first round that follows two
+    rounds without a move, in the file lines and in the records alike; by
+    then the check's expected observations cover every robot."""
     target = next(i for i in range(2, len(records))
                   if not records[i - 2].moves and not records[i - 1].moves)
+    tampered = tamper(records[target])
     row = json.loads(lines[target + 1])
-    row["obs"] = {str(label): [seen.alone, seen.increase, seen.decrease] for label, seen in
-                  tamper(records[target].observations).items()}
-    tampered = dataclasses.replace(records[target],
-                                   observations=tamper(records[target].observations))
+    row["moves"] = [list(move) for move in tampered.moves]
+    row["obs"] = {str(label): [seen.alone, seen.increase, seen.decrease]
+                  for label, seen in tampered.observations.items()}
     return (lines[:target + 1] + [json.dumps(row, separators=(",", ":"))] + lines[target + 2:],
             records[:target] + [tampered] + records[target + 1:])
 
@@ -388,19 +388,31 @@ def _robot_1_as_unknown_9(observations):
     return {9 if label == 1 else label: seen for label, seen in observations.items()}
 
 
+def _observations(tamper):
+    """The record tamper that rewrites a record's observations with ``tamper``."""
+    return lambda record: dataclasses.replace(record, observations=tamper(record.observations))
+
+
+def _unknown_9_moves(record):
+    return dataclasses.replace(record, moves=record.moves + ((9, 0, 1, 1),))
+
+
 @pytest.mark.parametrize("tamper, expected", [
-    (_flip_robot_1, [
+    (_observations(_flip_robot_1), [
         "[perception-replay] phase 1 round 7: recorded Observation(alone=True, increase=True, "
         "decrease=True), recomputed Observation(alone=False, increase=False, decrease=False)"]),
-    (_robot_1_as_unknown_9, [
+    (_observations(_robot_1_as_unknown_9), [
         "[perception-replay] phase 1 round 7: recorded None, recomputed "
         "Observation(alone=False, increase=False, decrease=False)",
         "[perception-replay] phase 1 round 7: observation of an unknown robot"]),
-], ids=["flipped", "unknown-label"])
+    (_unknown_9_moves, ["[move-legality] phase 1 round 7: move of an unknown robot"]),
+], ids=["flipped", "unknown-label", "unknown-mover"])
 def test_quiet_round_observation_mismatch_is_reported_per_robot(rooted_scenario, tmp_path,
                                                                 tamper, expected):
     # a quiet round compares its observations as one dict; a mismatch must
-    # still be reported robot by robot, from the file and from memory alike
+    # still be reported robot by robot, from the file and from memory
+    # alike, and a label the scenario lacks is named as unknown there and
+    # in a move
     scenario = load_scenario(rooted_scenario)
     outcome = run(scenario)
     trace_path = tmp_path / "trace.jsonl"

@@ -1,6 +1,7 @@
 """Executor tests: frozen hand-derived oracles, verdicts, determinism."""
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
@@ -18,10 +19,10 @@ from ringdisperse.engine import (
     zero_test_stable,
 )
 from ringdisperse.perception import observe
-from ringdisperse.protocol import Ruleset, participates, step, wake_rounds
+from ringdisperse.protocol import Ruleset, step, wake_rounds
 from ringdisperse.robots import RobotState, Status
 from ringdisperse.scenario import gen_chain, gen_single_source, make_scenario
-from ringdisperse.verify import TraceCheck, enumerate_scenarios
+from ringdisperse.verify import TraceCheck, check_trace, enumerate_scenarios
 
 
 def moves_by_round(trace, phase):
@@ -281,10 +282,22 @@ def shared_node_scenarios(draw):
     return make_scenario(n, max_label, list(zip(labels, nodes)))
 
 
+@st.composite
+def single_source_scenarios(draw):
+    """Single-source scenarios with n <= 64, k = 2..24 and L <= 1023, as
+    the sweep draws them: every robot on node 0, random distinct labels."""
+    k = draw(st.integers(min_value=2, max_value=24))
+    n = draw(st.integers(min_value=k + 1, max_value=64))
+    max_label = draw(st.integers(min_value=k, max_value=1023))
+    return gen_single_source(n, k, max_label, seed=draw(st.integers(min_value=0)))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(shared_node_scenarios())
-def test_wake_schedule_matches_stepping_every_robot_on_drawn_scenarios(scenario):
-    for ruleset in Ruleset:
+@given(shared_node_scenarios(), single_source_scenarios())
+def test_wake_schedule_matches_stepping_every_robot_on_drawn_scenarios(scenario, single_source):
+    # the trace checker lets a robot move only in its wake rounds, so the
+    # run that steps every robot in every round must not break participation
+    for scenario, ruleset in itertools.product((scenario, single_source), Ruleset):
         outcome = run(scenario, ruleset)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ruleset, "wake", wake_everyone(ruleset))
@@ -292,6 +305,9 @@ def test_wake_schedule_matches_stepping_every_robot_on_drawn_scenarios(scenario)
         assert oracle.result is outcome.result, (scenario, ruleset)
         assert oracle.trace.records == outcome.trace.records, (scenario, ruleset)
         assert oracle.trace.phase_snapshots == outcome.trace.phase_snapshots, (scenario, ruleset)
+        trace = oracle.trace
+        violations = check_trace(scenario, trace.records, trace.phase_snapshots, trace.result)
+        assert "participation" not in {v.kind for v in violations}, (scenario, ruleset)
 
 
 def assert_observations_fresh_and_shared(scenario, records):
@@ -648,14 +664,14 @@ def test_latches_equal_the_observation_window(engine, rounds):
 def test_latches_skip_the_leader_rounds_without_a_rule_cell():
     # a leader in active-disperse has no rule cell in round 7, so step
     # skips it there: in round 83, round 7 of phase 5, robot 1 leads,
-    # perceives a decrease and latches none, though it participates
+    # perceives a decrease and latches none
     engine = Engine(make_scenario(5, 7, [(0, 0), (1, 0), (3, 4), (5, 4)]), Ruleset.REPAIRED)
     assert_latches_match_window(engine, 83)
     last, robot = engine.trace.records[-1], engine.robots[1]
     assert (last.phase, last.round_in_phase, last.observations[1].decrease) == (5, 7, True)
     assert (robot.status, robot.leader, robot.decrease_at_7) == (
         Status.ACTIVE_DISPERSE, True, False)
-    assert participates(robot, 7) and 7 not in wake_rounds(robot.status, robot.leader)
+    assert 7 not in wake_rounds(robot.status, robot.leader)
     assert_latches_match_window(engine, 6 * ROUNDS_PER_PHASE - 83)
 
 

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from ringdisperse.engine import ROUNDS_PER_PHASE, Engine, PhaseSnapshot
 from ringdisperse.perception import OBSERVATIONS, Observation
 from ringdisperse.protocol import (
-    EFFECTIVE_PARTICIPATION,
     LEADER_ROUNDS,
     PAPER_PARTICIPATION,
-    PARTICIPATION,
     PARTICIPATION_CONFLICTS,
     PORT_ONE,
     PORT_ZERO,
@@ -134,21 +132,14 @@ def test_participation_conflicts_are_every_difference_from_the_paper():
     differences = {
         (status, rip)
         for status in Status
-        for rip in PAPER_PARTICIPATION[status] ^ EFFECTIVE_PARTICIPATION[status]
+        for rip in PAPER_PARTICIPATION[status] ^ RULES[status].keys()
     }
     assert differences == set(PARTICIPATION_CONFLICTS)
 
 
 def test_wake_table_is_the_rule_cells():
-    # PARTICIPATION stays the checker's "may move" table: a leader in its
-    # own rounds, anyone else by status, an idle robot never
-    assert PARTICIPATION[Status.IDLE, False] == PARTICIPATION[Status.IDLE, True] == frozenset()
-    for status in Status:
-        if status is not Status.IDLE:
-            assert PARTICIPATION[status, False] == EFFECTIVE_PARTICIPATION[status]
-            assert PARTICIPATION[status, True] == LEADER_ROUNDS
-    # the engine wakes a robot only in the rounds a rule of its status acts
-    # in; an electing non-leader's leader flag can turn on in round 1, and
+    # the engine wakes a robot, and the checker lets it move, only in the
+    # rounds a rule of its status acts in; an electing non-leader's leader flag can turn on in round 1, and
     # the leader's round 5 is a non-leader's cell too
     expected = {
         (Status.LEADER_ELECTION, False): {1, 2, 3, 4, 5},
@@ -183,8 +174,9 @@ def test_leader_cells_are_the_non_leader_cells_in_the_leader_rounds():
 
 
 def test_repairs_replace_cells_of_the_literal_rules():
-    # a repair never adds a cell, so PARTICIPATION, wake_rounds and the
-    # engine's wake indexes, all derived from RULES, hold under both rulesets
+    # a repair never adds a cell, so wake_rounds and each ruleset's
+    # dispatch and wake tables, all keyed by the cells of RULES, hold
+    # under both rulesets
     assert {ruleset: ruleset.overlay for ruleset in Ruleset} == {
         Ruleset.LITERAL: {}, Ruleset.REPAIRED: REPAIRS}
     assert set(REPAIRS) == {
@@ -195,13 +187,12 @@ def test_repairs_replace_cells_of_the_literal_rules():
 
 
 def test_rulesets_dispatch_differ_in_the_repaired_cells_only():
-    # each ruleset dispatches exactly the participation rounds its status
-    # has a rule cell for
+    # each ruleset dispatches exactly the wake rounds, the rule cells
     differences = set()
-    for (status, leader), rounds in PARTICIPATION.items():
+    for status, leader in itertools.product(Status, (False, True)):
         literal = Ruleset.LITERAL.dispatch[status, leader]
         repaired = Ruleset.REPAIRED.dispatch[status, leader]
-        assert set(literal) == set(repaired) == rounds & RULES[status].keys(), (status, leader)
+        assert set(literal) == set(repaired) == wake_rounds(status, leader), (status, leader)
         differences |= {(status, rip) for rip in literal if literal[rip] is not repaired[rip]}
     assert differences == set(REPAIRS)
 
@@ -238,8 +229,9 @@ def test_ruleset_is_looked_up_by_its_name():
 
 def test_ruleset_wake_table_splits_the_wake_rounds_its_dispatch_covers():
     for ruleset in Ruleset:
-        assert ruleset.wake.keys() == ruleset.dispatch.keys() == PARTICIPATION.keys(), ruleset
-        for status, leader in PARTICIPATION:
+        keys = set(itertools.product(Status, (False, True)))
+        assert ruleset.wake.keys() == ruleset.dispatch.keys() == keys, ruleset
+        for status, leader in keys:
             always, on_change = ruleset.wake[status, leader]
             key = (ruleset, status, leader)
             assert list(always) == sorted(always) and list(on_change) == sorted(on_change), key

@@ -136,10 +136,34 @@ def test_participation_report():
     records[target] = dataclasses.replace(record, moves=record.moves + added)
     violations = validate_trace(dataclasses.replace(trace, records=records), scenario)
     # the wait robot sits round 14 out and the jump robot moves in it: the
-    # effective table, not the published one, judges them
+    # rule cells, not the published table, judge them
     assert [(v.kind, v.robots, v.global_round) for v in violations
             if v.kind in ("participation", "idle-moved")] == [
         ("idle-moved", (4,), target), ("participation", (5,), target)]
+
+
+def test_leader_moving_in_a_leader_round_without_a_rule_cell_breaks_participation():
+    # robot 1 leads in active-disperse at phase 5, and a leader of that
+    # status has rule cells in rounds 9-11 only, so no run moves it in
+    # round 7 of the phase: a trace that does is forged
+    scenario = make_scenario(5, 7, [(0, 0), (1, 0), (3, 4), (5, 4)])
+    trace = run(scenario, Ruleset.REPAIRED).trace
+    state = trace.snapshot_for(5).states[1]
+    assert (state.status, state.leader) == (Status.ACTIVE_DISPERSE, True)
+    assert 7 not in wake_rounds(state.status, state.leader)
+    target = 82
+    record = trace.records[target]
+    assert (record.phase, record.round_in_phase) == (5, 7)
+    assert 1 not in [move[0] for move in record.moves]
+    node = dict(scenario.robots)[1]
+    for earlier in trace.records[:target]:
+        node = next((to for label, _, to, _ in earlier.moves if label == 1), node)
+    records = list(trace.records)
+    records[target] = dataclasses.replace(
+        record, moves=record.moves + ((1, node, (node + 1) % scenario.n, 1),))
+    violations = validate_trace(dataclasses.replace(trace, records=records), scenario)
+    assert [(v.kind, v.robots, v.global_round) for v in violations
+            if v.kind == "participation"] == [("participation", (1,), target)]
 
 
 def test_initial_chains_wrap_and_split():

@@ -12,6 +12,10 @@ each side computes its digests in a fresh interpreter from its own
   space, minimized failures included
 - every ``ScenarioOutcome`` of that space from ``evaluate_many``, with
   checks and without
+- every ``ScenarioOutcome``, with checks, of the scenarios on the k axis
+  of acceptance criterion 4 (``gen_single_source(26, k, 1023, seed)``,
+  k = 2..24, seeds 0..19), whose larger groups reach the wait, jump and
+  passive rules that k <= 4 hardly does
 - the ``write_trace`` bytes, plain and ``--verbose``, of the chain of
   acceptance criterion 8 (ring 7, robots 1@0 2@0 3@1 4@1) and of
   ``gen_single_source(10**4, 8, 1023, seed=7)``
@@ -49,6 +53,7 @@ def sha(data):
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 space = list(enumerate_scenarios(6, 4, 7))
+k_axis = [gen_single_source(26, k, 2**10 - 1, seed) for k in range(2, 25) for seed in range(20)]
 traced = {
     "chain": make_scenario(7, 7, [(1, 0), (2, 0), (3, 1), (4, 1)]),
     "ring-10^4": gen_single_source(10**4, 8, 1023, seed=7),
@@ -64,6 +69,8 @@ with tempfile.TemporaryDirectory() as tmp:
                                      workers=2)
             kind = "checked" if checked else "unchecked"
             digests[f"outcomes-647-{kind}-{name}"] = sha(repr(outcomes))
+        digests[f"outcomes-k-axis-checked-{name}"] = sha(repr(evaluate_many(k_axis, ruleset,
+                                                                          workers=2)))
         for label, scenario in traced.items():
             outcome = run(scenario, ruleset)
             for verbose in (False, True):
