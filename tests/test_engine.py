@@ -294,10 +294,10 @@ def single_source_scenarios(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(shared_node_scenarios(), single_source_scenarios())
-def test_wake_schedule_matches_stepping_every_robot_on_drawn_scenarios(scenario, single_source):
+def test_wake_schedule_matches_stepping_every_robot_on_drawn_scenarios(shared_node, single_source):
     # the trace checker lets a robot move only in its wake rounds, so the
     # run that steps every robot in every round must not break participation
-    for scenario, ruleset in itertools.product((scenario, single_source), Ruleset):
+    for scenario, ruleset in itertools.product((shared_node, single_source), Ruleset):
         outcome = run(scenario, ruleset)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ruleset, "wake", wake_everyone(ruleset))

@@ -139,8 +139,9 @@ def test_participation_conflicts_are_every_difference_from_the_paper():
 
 def test_wake_table_is_the_rule_cells():
     # the engine wakes a robot, and the checker lets it move, only in the
-    # rounds a rule of its status acts in; an electing non-leader's leader flag can turn on in round 1, and
-    # the leader's round 5 is a non-leader's cell too
+    # rounds a rule of its status acts in; an electing non-leader's leader
+    # flag can turn on in round 1, and the leader's round 5 is a
+    # non-leader's cell too
     expected = {
         (Status.LEADER_ELECTION, False): {1, 2, 3, 4, 5},
         (Status.LEADER_ELECTION, True): {5},
