@@ -90,8 +90,10 @@ def write_trace(outcome: RunOutcome, path, verbose: bool = False) -> None:
     and are byte for byte what ``json.dumps(row, separators=(",", ":"))``
     makes of them.  A row whose occupancy or observations equal the
     previous row's reuses that row's text for them: records hold integer
-    labels, nodes and counts, so equal values format alike."""
+    labels, nodes and counts, so equal values format alike.  ValueError
+    for an unrecorded run, whose trace holds no rows to write."""
     trace = outcome.trace
+    trace.check_recorded()
     header = {
         "format": TRACE_FORMAT,
         "scenario": _scenario_json(trace.scenario),
@@ -177,6 +179,7 @@ def read_trace(path) -> tuple[dict, list[RoundRecord]]:
                 raise ValueError(f"unsupported trace format {fmt!r}")
             records: list[RoundRecord] = []
             bodies: dict[str, tuple] = {}  # body text -> (moves, observations, occupancy)
+            labels: dict[str, int] = {}  # obs key -> label
             for line in fh:  # the lines after the header
                 start = _row_start(line)
                 if start is not None:
@@ -186,7 +189,7 @@ def read_trace(path) -> tuple[dict, list[RoundRecord]]:
                         try:
                             decoded = json.loads("{" + body)
                             if not decoded.keys() & _COUNTERS:
-                                fields = bodies[body] = _fields(decoded)
+                                fields = bodies[body] = _fields(decoded, labels)
                         except (RecursionError, *_MALFORMED):  # the whole line is judged below
                             pass
                     if fields is not None:
@@ -200,7 +203,7 @@ def read_trace(path) -> tuple[dict, list[RoundRecord]]:
                 except (ValueError, RecursionError) as exc:
                     raise ValueError(
                         f"trace row {len(records) + 1} is not JSON: {exc}") from None
-                records.append(_record(row, len(records) + 1))
+                records.append(_record(row, len(records) + 1, labels))
             return header, records
     except UnicodeDecodeError:
         raise ValueError(_not_utf8(path)) from None
@@ -214,24 +217,30 @@ def _label(key: str) -> int:
     return label
 
 
-def _fields(row: dict) -> tuple:
+def _fields(row: dict, labels: dict[str, int]) -> tuple:
     """The moves, observations and occupancy of a decoded row, as a
     RoundRecord holds them; one of ``_MALFORMED`` if they are malformed.
 
     ``moves`` and ``occ`` must be lists of integer 4-tuples and pairs, and
     ``obs``, when present, an object keyed by canonical decimal labels
     whose entries are exactly three booleans, read as the shared
-    Observations.  A label no robot has is left to the replay, which
-    reports it."""
+    Observations.  The types are exact: JSON ``1`` is no boolean and
+    ``true`` no integer.  ``labels`` holds each key already read as its
+    label, so a file converts each key once.  A label no robot has is
+    left to the replay, which reports it."""
     moves, occ = row["moves"], row["occ"]
     if type(moves) is not list or type(occ) is not list:
         raise TypeError("moves or occ is not a list")
     moves = tuple([(label, frm, to, port) for label, frm, to, port in moves])
     cells = tuple([(node, count) for node, count in occ])
-    for values in (*moves, *cells):
-        for value in values:
-            if type(value) is not int:
-                raise TypeError(f"{values} are not all integers")
+    for move in moves:
+        label, frm, to, port = move
+        if not type(label) is type(frm) is type(to) is type(port) is int:
+            raise TypeError(f"{move} are not all integers")
+    for cell in cells:
+        node, count = cell
+        if not type(node) is type(count) is int:
+            raise TypeError(f"{cell} are not all integers")
     if "obs" not in row:
         return moves, None, cells
     obs = row["obs"]
@@ -239,14 +248,19 @@ def _fields(row: dict) -> tuple:
         raise TypeError("obs is not an object")
     observations = {}
     for key, bits in obs.items():
-        if type(bits) is not list or len(bits) != 3 or any(type(bit) is not bool for bit in bits):
+        if type(bits) is not list or len(bits) != 3:
             raise TypeError(f"{bits!r} is not three booleans")
         alone, increase, decrease = bits
-        observations[_label(key)] = OBSERVATIONS[alone << 2 | increase << 1 | decrease]
+        if not type(alone) is type(increase) is type(decrease) is bool:
+            raise TypeError(f"{bits!r} is not three booleans")
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = _label(key)
+        observations[label] = OBSERVATIONS[alone << 2 | increase << 1 | decrease]
     return moves, observations, cells
 
 
-def _record(row, index: int) -> RoundRecord:
+def _record(row, index: int, labels: dict[str, int]) -> RoundRecord:
     """Row ``index`` of a trace file, as ``json.loads`` decodes its line,
     as the RoundRecord it records: an object whose ``round``, ``phase``
     and ``rip`` are integers and whose other fields ``_fields`` takes.
@@ -255,7 +269,7 @@ def _record(row, index: int) -> RoundRecord:
         counters = (row["round"], row["phase"], row["rip"])
         if any(type(value) is not int for value in counters):
             raise TypeError(f"{counters} are not all integers")
-        return RoundRecord(*counters, *_fields(row))
+        return RoundRecord(*counters, *_fields(row, labels))
     except _MALFORMED as exc:
         raise ValueError(f"trace row {index} is malformed: {exc!r}") from None
 

@@ -127,6 +127,14 @@ class Trace:
               observations: dict[int, Observation], cells: tuple) -> None:
         self.records.append(RoundRecord(global_round, phase, rip, moves, observations, cells))
 
+    def check_recorded(self) -> None:
+        """ValueError when the trace holds neither records nor snapshots, as
+        the trace of a run with ``record_rounds=False`` does: there is
+        nothing to judge or to write, and an empty walk would pass."""
+        if not self.records and not self.phase_snapshots:
+            raise ValueError("the trace holds no records and no snapshots: "
+                             "its run was not recorded")
+
     def snapshot_for(self, phase: int) -> PhaseSnapshot:
         """The snapshot taken at the start of ``phase``.  Raises ValueError
         when the trace holds none for it; an unrecorded run holds none."""

@@ -7,9 +7,12 @@ crashes: the harness exists to surface them.
 
 ``TraceCheck`` keeps one record per phase start, ``(phase, nodes, states,
 statuses, electing)``, by phase and as the last one, and one state per
-robot pair for invariant (e).  ``minimize_scenario`` is one loop over
-``_shrinks``, the candidates one shrink smaller than a scenario in the
-order they are tried; a new kind of shrink is a new candidate there.
+robot pair for invariant (e).  ``check_trace`` walks a trace once for
+the kinds asked of it, and ``validate_trace`` and ``check_invariants``
+each ask for their half, so neither walk does the other's work.
+``minimize_scenario`` is one loop over ``_shrinks``, the candidates one
+shrink smaller than a scenario in the order they are tried; a new kind
+of shrink is a new candidate there.
 ``map_jobs`` streams any iterable of jobs through one kept pool, in job
 order, and ``exhaustive_search`` folds each result into its report as it
 arrives.
@@ -131,10 +134,20 @@ class TraceCheck:
     post-merge or idle, and at the first phase start where an apart pair
     shares node and status again its violation, which it keeps.  Without
     snapshots (trace files carry no statuses) only the replay runs.
+
+    ``validate`` and ``invariants`` give the walk's scope, chosen here once
+    and not tested per round.  Without ``invariants`` a phase start only
+    keeps its record, with the states participation reads and no electing
+    robots, so no round checks (b), and ``finish`` reports only the record
+    count.  Without ``validate`` a round only applies the legal moves,
+    notes the round-12 retreats and checks (b): it compares no perception
+    or occupancy and reports no replay kind.  Either way the violations
+    are the full walk's of the kinds kept, in its order.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, validate: bool = True, invariants: bool = True):
         self.n, self.k = scenario.n, scenario.k
+        self.validate, self.invariants = validate, invariants
         self.max_size = max_label_bits(scenario.max_label)
         self.labels = labels = scenario.labels()
         self.chains = initial_chains(scenario)
@@ -174,6 +187,11 @@ class TraceCheck:
             itertools.combinations(labels, 2))
         # (f) per robot, phase starts per status after its first active-disperse one
         self.after_disperse: dict[int, dict[Status, int]] = {}
+        # the scope is chosen here, once per walk, so that no round tests it
+        if not validate:
+            self.round = self._placement_round
+        if not invariants:
+            self.phase_start = self._replay_phase_start
 
     def _at(self, phase: int, global_round: int, kind: str, detail: str, robots=(),
             nodes=()) -> None:
@@ -266,18 +284,41 @@ class TraceCheck:
                f"cells {list(cells)} are not sorted, distinct and positive",
                nodes=tuple(node for node, _, _ in diff))
 
-        # (b) no cross-chain co-location while electing or merging
         if info and info[4]:
-            if self.colocated is None or self.colocated_phase is not info:
-                at_node: dict[int, list[int]] = {}
-                for label in info[4]:
-                    at_node.setdefault(position[label], []).append(label)
-                self.colocated = [(node, group) for node, group in at_node.items()
-                                  if len({self.chain_of[label] for label in group}) > 1]
-                self.colocated_phase = info
-            for node, group in self.colocated:
-                at(phase, global_round, "cross-chain-colocation", "robots from different "
-                   "chains share a node during election/merge", tuple(group), (node,))
+            self._colocation(phase, global_round, info)
+
+    def _placement_round(self, global_round: int, phase: int, rip: int, moves,
+                         observations, cells) -> None:
+        """``round`` for a walk without the replay kinds: the legal moves
+        are applied, the round-12 retreats noted and (b) checked, and
+        nothing of the replay is compared or reported."""
+        if moves:
+            position = self.position
+            for label, frm, to, port in moves:
+                if frm == position.get(label) and port in (PORT_ZERO, PORT_ONE) and (
+                        to == move_target(self.n, frm, port)):
+                    position[label] = to
+                    self.colocated = None
+                if rip == 12 and port == PORT_ZERO:
+                    self.retreated.setdefault(phase, set()).add(label)
+        info = self.phases.get(phase)
+        if info and info[4]:
+            self._colocation(phase, global_round, info)
+
+    def _colocation(self, phase: int, global_round: int, info: tuple) -> None:
+        """(b) no cross-chain co-location while electing or merging: the
+        electing or merging robots ``info[4]`` of the phase start record
+        ``info`` at their replayed nodes."""
+        if self.colocated is None or self.colocated_phase is not info:
+            at_node: dict[int, list[int]] = {}
+            for label in info[4]:
+                at_node.setdefault(self.position[label], []).append(label)
+            self.colocated = [(node, group) for node, group in at_node.items()
+                              if len({self.chain_of[label] for label in group}) > 1]
+            self.colocated_phase = info
+        for node, group in self.colocated:
+            self._at(phase, global_round, "cross-chain-colocation", "robots from different "
+                     "chains share a node during election/merge", tuple(group), (node,))
 
     def _misperceived(self, phase: int, global_round: int, observations: dict,
                       expected: dict) -> None:
@@ -293,6 +334,13 @@ class TraceCheck:
         for label in observations.keys() - position.keys():
             self._at(phase, global_round, "perception-replay",
                      "observation of an unknown robot", (label,))
+
+    def _replay_phase_start(self, phase: int, nodes: dict[int, int], states: dict) -> None:
+        """``phase_start`` for a walk without the invariants: the record
+        keeps the states, which participation reads, and names no electing
+        robot, so no round checks (b)."""
+        self.phases[phase] = self.last = (phase, nodes, states, None, [])
+        self.snapshots += 1
 
     def phase_start(self, phase: int, nodes: dict[int, int], states: dict) -> None:
         """One phase start: each robot's node and ``StateSnapshot``."""
@@ -429,9 +477,11 @@ class TraceCheck:
         if self.last is None:
             return out
         expected_rounds = ROUNDS_PER_PHASE * (self.snapshots - 1)
-        if self.rounds != expected_rounds:
+        if self.validate and self.rounds != expected_rounds:
             out.append(Violation("round-counter", detail=f"{self.rounds} records for "
                                  f"{self.snapshots} phase snapshots; expected {expected_rounds}"))
+        if not self.invariants:
+            return out
         # (e) leaves out every leader: the leader revisits nodes by design
         out.extend(state for pair, state in sorted(self.pairs.items())
                    if isinstance(state, Violation) and not self.ever_leader.intersection(pair))
@@ -461,12 +511,14 @@ class TraceCheck:
         return out
 
 
-def check_trace(scenario: Scenario, records, snapshots=(),
-                result: RunResult | None = None) -> list[Violation]:
+def check_trace(scenario: Scenario, records, snapshots=(), result: RunResult | None = None,
+                validate: bool = True, invariants: bool = True) -> list[Violation]:
     """Walk ``records`` (any iterable of RoundRecords in trace order) once,
     handing each phase-start snapshot to the check before the first record
-    of its phase; the violations of every kind."""
-    check = TraceCheck(scenario)
+    of its phase; the violations of every kind, or of the ``REPLAY_KINDS``
+    only (``invariants=False``) or of the other kinds only
+    (``validate=False``), each list as the full walk orders it."""
+    check = TraceCheck(scenario, validate, invariants)
     snaps = iter(snapshots)
     snap = next(snaps, None)
     for record in records:
@@ -483,17 +535,23 @@ def check_trace(scenario: Scenario, records, snapshots=(),
 
 def validate_trace(trace: Trace, scenario: Scenario) -> list[Violation]:
     """The trace against the model itself: the ``REPLAY_KINDS`` of
-    ``check_trace``.  The trace must hold the 19 rounds of every phase it
-    snapshots, so a record dropped from the end is a round-counter
-    violation too."""
-    return [v for v in check_trace(scenario, trace.records, trace.phase_snapshots, trace.result)
-            if v.kind in REPLAY_KINDS]
+    ``check_trace``, from a walk that judges no invariant.  The trace must
+    hold the 19 rounds of every phase it snapshots, so a record dropped
+    from the end is a round-counter violation too.  ValueError for the
+    empty trace of an unrecorded run."""
+    trace.check_recorded()
+    return check_trace(scenario, trace.records, trace.phase_snapshots, trace.result,
+                       invariants=False)
 
 
 def check_invariants(trace: Trace) -> list[Violation]:
-    """The lemma-derived invariant kinds of ``check_trace``."""
-    return [v for v in check_trace(trace.scenario, trace.records, trace.phase_snapshots,
-                                   trace.result) if v.kind not in REPLAY_KINDS]
+    """The lemma-derived invariant kinds of ``check_trace``, from a walk
+    that replays positions from the legal moves and compares no
+    perception or occupancy.  ValueError for the empty trace of an
+    unrecorded run."""
+    trace.check_recorded()
+    return check_trace(trace.scenario, trace.records, trace.phase_snapshots, trace.result,
+                       validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +664,13 @@ def evaluate_scenario(
     validate: bool = True,
     invariants: bool = True,
 ) -> ScenarioOutcome:
-    """Run ``scenario`` with a ``TraceCheck`` fed round by round, unless
-    neither kind is asked for; no trace is kept."""
-    check = TraceCheck(scenario) if validate or invariants else None
+    """Run ``scenario`` with a ``TraceCheck`` of the asked kinds fed round
+    by round, unless neither kind is asked for; no trace is kept."""
+    check = TraceCheck(scenario, validate, invariants) if validate or invariants else None
     outcome = run(scenario, ruleset, record_rounds=False, sink=check)
     violations = check.finish(outcome.result) if check is not None else []
-    validation = [v for v in violations if validate and v.kind in REPLAY_KINDS]
-    kinds = tuple(sorted({v.kind for v in violations if invariants and v.kind not in REPLAY_KINDS}))
+    validation = [v for v in violations if v.kind in REPLAY_KINDS]
+    kinds = tuple(sorted({v.kind for v in violations} - REPLAY_KINDS))
     return ScenarioOutcome(
         scenario=scenario,
         result=outcome.result,

@@ -464,7 +464,7 @@ def _json_loads_or_message(path):
         except (ValueError, RecursionError) as exc:
             return f"trace row {len(records) + 1} is not JSON: {exc}"
         try:
-            records.append(_record(row, len(records) + 1))
+            records.append(_record(row, len(records) + 1, {}))
         except ValueError as exc:
             return str(exc)
     return records
@@ -762,6 +762,44 @@ def test_write_trace_matches_the_json_dumps_writer(tmp_path, ruleset):
             write_trace(outcome, tmp_path / "trace.jsonl", verbose)
             assert (tmp_path / "trace.jsonl").read_bytes() == \
                 (tmp_path / "reference.jsonl").read_bytes(), (scenario, verbose)
+
+
+def test_write_trace_refuses_an_unrecorded_run(tmp_path):
+    # the run livelocks after 228 rounds, none of them recorded: a header
+    # claiming them over no rows would fail verify
+    scenario = make_scenario(5, 7, [(0, 0), (1, 0), (3, 4), (5, 4)])
+    outcome = run(scenario, Ruleset.REPAIRED, record_rounds=False)
+    assert outcome.rounds_used == 228
+    with pytest.raises(ValueError, match="not recorded"):
+        write_trace(outcome, tmp_path / "trace.jsonl")
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
+# row 2 of the verbose criterion 8 trace: a move, two occupied nodes, and
+# observations that hold true and false
+_ROW_2 = ('{"round":1,"phase":1,"rip":2,"moves":[[2,0,1,1]],"occ":[[1,3],[2,1]],"obs":{'
+          '"1":[false,false,false],"2":[true,false,true],"3":[true,false,false],'
+          '"4":[false,false,false]}}')
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"2":[true,', '"2":[1,', "TypeError('[1, False, True] is not three booleans')"),
+    ('"1":[false,', '"1":[0,', "TypeError('[0, False, False] is not three booleans')"),
+    ('"moves":[[2,', '"moves":[[true,', "TypeError('(True, 0, 1, 1) are not all integers')"),
+    ('[[1,3]', '[[1,true]', "TypeError('(1, True) are not all integers')"),
+    ('"round":1,', '"round":true,', "TypeError('(True, 1, 2) are not all integers')"),
+], ids=["obs-1-for-true", "obs-0-for-false", "move-label-true", "occ-count-true",
+        "round-true"])
+def test_read_trace_keeps_json_booleans_and_integers_apart(tmp_path, old, new, message):
+    # 1 == True in Python, so only the exact type tells them apart; each
+    # row is rejected with the message pinned here
+    path = tmp_path / "trace.jsonl"
+    write_trace(run(_CRITERION_8_CHAIN), path, verbose=True)
+    lines = path.read_text().splitlines()
+    assert lines[2] == _ROW_2
+    lines[2] = _ROW_2.replace(old, new, 1)
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_or_message(path) == f"trace row 2 is malformed: {message}"
 
 
 def test_trace_bytes_are_deterministic(rooted_scenario, tmp_path):

@@ -18,6 +18,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringdisperse import engine as engine_module
 from ringdisperse.engine import RoundRecord, RunResult, run
@@ -550,6 +552,123 @@ def test_evaluate_scenario_without_checks_records_no_round(monkeypatch):
                                      workers=1):
             assert outcome.rounds_used > 0
     assert rounds == []
+
+
+def test_an_unrecorded_trace_is_an_error_not_a_clean_check():
+    # this run livelocks, and a walk over its empty trace would find nothing
+    scenario = make_scenario(5, 7, [(0, 0), (1, 0), (3, 4), (5, 4)])
+    outcome = run(scenario, Ruleset.REPAIRED, record_rounds=False)
+    assert outcome.result is RunResult.LIVELOCK
+    with pytest.raises(ValueError, match="not recorded"):
+        validate_trace(outcome.trace, scenario)
+    with pytest.raises(ValueError, match="not recorded"):
+        check_invariants(outcome.trace)
+    assert check_invariants(run(scenario, Ruleset.REPAIRED).trace)
+
+
+@st.composite
+def small_scenarios(draw):
+    """Scenarios with n <= 12, k <= 5 and L <= 15: distinct labels on
+    nodes drawn uniformly, so one chain or several."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    k = draw(st.integers(min_value=1, max_value=min(5, n - 1)))
+    max_label = draw(st.integers(min_value=k, max_value=15))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=max_label),
+                           min_size=k, max_size=k, unique=True))
+    nodes = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k))
+    return make_scenario(n, max_label, list(zip(labels, nodes)))
+
+
+@st.composite
+def single_source_scenarios(draw):
+    """Single-source scenarios with k = 2..10 and n <= 32, whose groups
+    reach the wait, jump and passive rules."""
+    k = draw(st.integers(min_value=2, max_value=10))
+    n = draw(st.integers(min_value=k + 1, max_value=32))
+    return gen_single_source(n, k, 63, seed=draw(st.integers(min_value=0, max_value=2**32)))
+
+
+def _replayed_node(scenario, records, label):
+    """Where ``label`` stands entering the first round after ``records``."""
+    node = dict(scenario.robots)[label]
+    for record in records:
+        node = next((to for mover, _, to, _ in record.moves if mover == label), node)
+    return node
+
+
+def _tamper(scenario, records, kind, pick):
+    """``records`` with one record rewritten by ``kind``; ``pick`` chooses
+    the record and the robot.  The records' observation dicts are shared,
+    so a rewrite copies them."""
+    index = pick % len(records)
+    record = records[index]
+    labels = scenario.labels()
+    label = labels[pick % len(labels)]
+    records = list(records)
+    if kind == "move-target":
+        moved = [i for i, r in enumerate(records) if r.moves] or [index]
+        index = moved[pick % len(moved)]
+        record = records[index]
+        if record.moves:
+            mover, frm, to, port = record.moves[0]
+            moves = ((mover, frm, (to + 1) % scenario.n, port),) + record.moves[1:]
+            records[index] = dataclasses.replace(record, moves=moves)
+    elif kind == "observation-bit":
+        seen = record.observations[label]
+        records[index] = dataclasses.replace(record, observations={
+            **record.observations, label: Observation(not seen.alone, *seen[1:])})
+    elif kind == "occupancy-cell":
+        node, count = record.occupancy[pick % len(record.occupancy)]
+        cells = tuple((at, count + 1 if at == node else c) for at, c in record.occupancy)
+        records[index] = dataclasses.replace(record, occupancy=cells)
+    elif kind == "dropped-record":
+        del records[index]
+    elif kind == "phase-number":
+        records[index] = dataclasses.replace(record, phase=record.phase + 1 + pick % 3)
+    else:  # a forged move of a robot from its replayed node, perhaps outside its rounds
+        node = _replayed_node(scenario, records[:index], label)
+        forged = (label, node, (node + 1) % scenario.n, 1)
+        moves = tuple(sorted(record.moves + (forged,)))
+        records[index] = dataclasses.replace(record, moves=moves)
+    return records
+
+
+TAMPERS = ("move-target", "observation-bit", "occupancy-cell", "dropped-record",
+           "phase-number", "forged-move")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(small_scenarios(), single_source_scenarios()),
+       st.lists(st.tuples(st.sampled_from(TAMPERS), st.integers(min_value=0, max_value=10**6)),
+                min_size=1, max_size=3))
+def test_scoped_walks_are_the_split_of_the_full_walk(scenario, tampers):
+    # validate_trace walks without the invariants and check_invariants
+    # without the replay comparisons; each must still report exactly its
+    # kinds of the full walk, in the same order, on clean and tampered traces
+    for ruleset in Ruleset:
+        trace = run(scenario, ruleset).trace
+        records = trace.records
+        for kind, pick in tampers:
+            records = _tamper(scenario, records, kind, pick)
+        tampered = dataclasses.replace(trace, records=records)
+        found = check_trace(scenario, records, trace.phase_snapshots, trace.result)
+        assert validate_trace(tampered, scenario) == [
+            v for v in found if v.kind in REPLAY_KINDS], (scenario, ruleset, tampers)
+        assert check_invariants(tampered) == [
+            v for v in found if v.kind not in REPLAY_KINDS], (scenario, ruleset, tampers)
+
+
+@pytest.mark.parametrize("ruleset", list(Ruleset))
+def test_scoped_streamed_checks_are_the_split_of_the_full_one(ruleset):
+    # evaluate_scenario hands its flags to the check the engine feeds
+    sample = list(enumerate_scenarios(6, 4, 7))[::300]
+    for scenario in sample:
+        full = evaluate_scenario(scenario, ruleset)
+        replay = evaluate_scenario(scenario, ruleset, invariants=False)
+        lemmas = evaluate_scenario(scenario, ruleset, validate=False)
+        assert (replay.validation_count, replay.finding_kinds) == (full.validation_count, ())
+        assert (lemmas.validation_count, lemmas.finding_kinds) == (0, full.finding_kinds)
+    assert any(evaluate_scenario(s, ruleset).finding_kinds for s in sample)
 
 
 def test_tiny_search_all_disperse():

@@ -19,6 +19,12 @@ each side computes its digests in a fresh interpreter from its own
 - the ``write_trace`` bytes, plain and ``--verbose``, of the chain of
   acceptance criterion 8 (ring 7, robots 1@0 2@0 3@1 4@1) and of
   ``gen_single_source(10**4, 8, 1023, seed=7)``
+- the ``validate_trace`` lists and the ``check_invariants`` lists of those
+  two runs, clean and with each of a fixed set of tampers (a move target,
+  an observation bit, an occupancy cell, a dropped record, a phase number
+  and a forged move), one record rewritten per tamper
+- ``read_trace`` of their ``--verbose`` files and what ``verify_trace_file``
+  makes of it
 
 and ``rows_to_csv`` of the k axis of acceptance criterion 4 (n = 26,
 L = 1023, k = 2..24, 20 seeds, repaired).  One line per output gives its
@@ -41,16 +47,46 @@ from bench_pairs import export, git
 
 # run in each exported tree; prints {output name: sha256} as one JSON line
 DIGESTS = r'''
-import hashlib, json, os, tempfile
-from ringdisperse.cli import write_trace
+import dataclasses, hashlib, json, os, tempfile
+from ringdisperse.cli import read_trace, verify_trace_file, write_trace
 from ringdisperse.engine import run
+from ringdisperse.perception import Observation
 from ringdisperse.protocol import Ruleset
 from ringdisperse.scenario import gen_single_source, make_scenario
 from ringdisperse.sweep import SweepSpec, rows_to_csv, run_sweep
-from ringdisperse.verify import enumerate_scenarios, evaluate_many, exhaustive_search
+from ringdisperse.verify import (check_invariants, enumerate_scenarios, evaluate_many,
+                                 exhaustive_search, validate_trace)
 
 def sha(data):
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+def tampers(scenario, records):
+    """(name, records) for the clean records and for each fixed tamper, one
+    record rewritten as a copy; observation dicts are shared, so copied."""
+    yield "clean", records
+    n, label = scenario.n, min(scenario.labels())
+    def rewrite(index, **fields):
+        tampered = list(records)
+        tampered[index] = dataclasses.replace(records[index], **fields)
+        return tampered
+    moved = next(i for i, r in enumerate(records) if r.moves)
+    mover, frm, to, port = records[moved].moves[0]
+    yield "move-target", rewrite(moved, moves=((mover, frm, (to + 1) % n, port),)
+                                 + records[moved].moves[1:])
+    seen = records[0].observations[label]
+    yield "observation-bit", rewrite(0, observations={
+        **records[0].observations, label: Observation(not seen.alone, *seen[1:])})
+    middle = len(records) // 2
+    (node, count), *rest = records[middle].occupancy
+    yield "occupancy-cell", rewrite(middle, occupancy=((node, count + 1), *rest))
+    yield "dropped-record", records[:len(records) // 3] + records[len(records) // 3 + 1:]
+    yield "phase-number", rewrite(3, phase=99)
+    forged = 19 + 6  # round 7 of phase 2
+    at = dict(scenario.robots)[label]
+    for record in records[:forged]:
+        at = next((to for who, _, to, _ in record.moves if who == label), at)
+    yield "forged-move", rewrite(forged, moves=tuple(sorted(
+        records[forged].moves + ((label, at, (at + 1) % n, 1),))))
 
 space = list(enumerate_scenarios(6, 4, 7))
 k_axis = [gen_single_source(26, k, 2**10 - 1, seed) for k in range(2, 25) for seed in range(20)]
@@ -71,6 +107,7 @@ with tempfile.TemporaryDirectory() as tmp:
             digests[f"outcomes-647-{kind}-{name}"] = sha(repr(outcomes))
         digests[f"outcomes-k-axis-checked-{name}"] = sha(repr(evaluate_many(k_axis, ruleset,
                                                                           workers=2)))
+        replay, lemmas, files = [], [], []
         for label, scenario in traced.items():
             outcome = run(scenario, ruleset)
             for verbose in (False, True):
@@ -78,6 +115,15 @@ with tempfile.TemporaryDirectory() as tmp:
                 with open(path, "rb") as fh:
                     form = "verbose" if verbose else "plain"
                     digests[f"trace-{label}-{form}-{name}"] = sha(fh.read())
+            header, records = read_trace(path)  # the verbose file
+            files.append((label, header, records, verify_trace_file(header, records, scenario)))
+            for tamper, records in tampers(scenario, outcome.trace.records):
+                trace = dataclasses.replace(outcome.trace, records=records)
+                replay.append((label, tamper, validate_trace(trace, scenario)))
+                lemmas.append((label, tamper, check_invariants(trace)))
+        digests[f"validate-trace-traced-{name}"] = sha(repr(replay))
+        digests[f"check-invariants-traced-{name}"] = sha(repr(lemmas))
+        digests[f"verify-trace-file-traced-{name}"] = sha(repr(files))
 spec = SweepSpec(vary="k", points=tuple(range(2, 25)), n=26, k=0, max_label=2**10 - 1,
                  seeds=20, ruleset=Ruleset.REPAIRED)
 digests["sweep-k-axis-repaired"] = sha(rows_to_csv(run_sweep(spec, workers=2)))
