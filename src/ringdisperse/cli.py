@@ -460,12 +460,12 @@ def _cmd_search(args) -> int:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "report.txt").write_text(report.render() + "\n", encoding="utf-8")
-            for idx, (outcome, minimized) in enumerate(report.failures):
+            for idx, (result, finding_kinds, minimized) in enumerate(report.failures):
                 path = out_dir / f"finding-{idx:04d}.scn"
                 body = render_scenario(minimized)
-                kinds = ",".join(outcome.finding_kinds) or "none"
+                kinds = ",".join(finding_kinds) or "none"
                 path.write_text(
-                    f"# outcome: {outcome.result.value}\n# findings: {kinds}\n{body}",
+                    f"# outcome: {result.value}\n# findings: {kinds}\n{body}",
                     encoding="utf-8",
                 )
         except OSError as exc:

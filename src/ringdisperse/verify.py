@@ -15,7 +15,12 @@ shrink smaller than a scenario in the order they are tried; a new kind
 of shrink is a new candidate there.
 ``map_jobs`` streams any iterable of jobs through one kept pool, in job
 order, and ``exhaustive_search`` folds each result into its report as it
-arrives.
+arrives, keeping of a failure only what the report reads.
+``evaluate_many`` streams too: it yields each outcome in input order as
+the pool produces it, so a caller's own work on an outcome overlaps the
+pool's on later ones.  A job's error surfaces when the iteration reaches
+it, not at the call, and an iteration left before its end closes the
+kept pool.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import functools
 import itertools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import ROUNDS_PER_PHASE, RunResult, Trace, phase_budget, run
 from .perception import observe
@@ -574,6 +581,16 @@ class ScenarioOutcome:
         return self.result is RunResult.DISPERSED
 
 
+class Failure(NamedTuple):
+    """What a search keeps of a run that did not disperse: its verdict,
+    its lemma finding kinds and the scenario that reproduces the verdict,
+    minimized unless the search was asked not to."""
+
+    result: RunResult
+    finding_kinds: tuple[str, ...]
+    minimized: Scenario
+
+
 @dataclass
 class SearchReport:
     n_max: int
@@ -583,7 +600,7 @@ class SearchReport:
     total: int = 0
     tallies: dict = field(default_factory=dict)
     validation_violations: int = 0
-    failures: list = field(default_factory=list)  # (ScenarioOutcome, minimized Scenario)
+    failures: list[Failure] = field(default_factory=list)
 
     @property
     def all_dispersed(self) -> bool:
@@ -600,11 +617,11 @@ class SearchReport:
         lines.append(f"trace validation violations: {self.validation_violations}")
         if self.failures:
             lines.append(f"failures ({len(self.failures)}):")
-            for outcome, minimized in self.failures:
-                kinds = ", ".join(outcome.finding_kinds) or "no lemma violation detected"
+            for result, finding_kinds, minimized in self.failures:
+                kinds = ", ".join(finding_kinds) or "no lemma violation detected"
                 lines.append(
                     f"  - n={minimized.n} robots={minimized.robots} -> "
-                    f"{outcome.result.value}; findings: {kinds}"
+                    f"{result.value}; findings: {kinds}"
                 )
         else:
             lines.append("no failures")
@@ -764,11 +781,18 @@ def evaluate_many(
     validate: bool = True,
     invariants: bool = True,
     workers: int | None = None,
-) -> list[ScenarioOutcome]:
-    """Evaluate scenarios across a worker pool, results in input order."""
+) -> Iterator[ScenarioOutcome]:
+    """Each scenario's outcome, yielded in input order as ``map_jobs``
+    produces it, so a caller works on outcome i (say, minimizes it) while
+    the pool still judges later chunks; ``list()`` it to keep them all.
+    Nothing runs until the iteration starts, so a job's error, a bad
+    ``RINGDISPERSE_WORKERS`` included, is raised by the iteration, not by
+    this call, and an iteration left before its end closes the kept pool.
+    Chunks of 16 let the first results arrive while most of a sample of a
+    hundred or so scenarios is still being judged."""
     evaluate = functools.partial(
         evaluate_scenario, ruleset=ruleset, validate=validate, invariants=invariants)
-    return list(map_jobs(evaluate, scenarios, workers, chunksize=64, serial_max=64))
+    return map_jobs(evaluate, scenarios, workers, chunksize=16, serial_max=64)
 
 
 def exhaustive_search(
@@ -787,27 +811,28 @@ def exhaustive_search(
     space."""
     report = SearchReport(n_max, k_max, l_max, ruleset.value)
     job = functools.partial(_search_job, ruleset=ruleset, minimize=minimize)
-    for outcome, minimized in map_jobs(job, enumerate_scenarios(n_max, k_max, l_max),
-                                       workers, chunksize=64, serial_max=64):
+    for result, validation_count, failure in map_jobs(
+            job, enumerate_scenarios(n_max, k_max, l_max), workers, chunksize=64,
+            serial_max=64):
         report.total += 1
-        key = outcome.result.value
-        report.tallies[key] = report.tallies.get(key, 0) + 1
-        report.validation_violations += outcome.validation_count
-        if not outcome.ok:
-            report.failures.append((outcome, minimized))
+        report.tallies[result.value] = report.tallies.get(result.value, 0) + 1
+        report.validation_violations += validation_count
+        if failure is not None:
+            report.failures.append(failure)
     return report
 
 
 def _search_job(scenario: Scenario, ruleset, minimize: bool) -> tuple:
-    """One scenario as ``exhaustive_search`` judges it: its outcome, and
-    for a run that did not disperse the scenario that reproduces its
-    verdict, minimized when ``minimize`` is set (None for a dispersed run)."""
+    """One scenario as ``exhaustive_search`` judges it: its verdict, its
+    count of validation violations, and for a run that did not disperse
+    its ``Failure`` (None for a dispersed run), so only what the report
+    reads comes back from a worker."""
     outcome = evaluate_scenario(scenario, ruleset)
     if outcome.ok:
-        return outcome, None
-    if not minimize:
-        return outcome, scenario
-    return outcome, minimize_scenario(scenario, ruleset, outcome.result)
+        return outcome.result, outcome.validation_count, None
+    minimized = minimize_scenario(scenario, ruleset, outcome.result) if minimize else scenario
+    return outcome.result, outcome.validation_count, Failure(
+        outcome.result, outcome.finding_kinds, minimized)
 
 
 def _shrinks(scenario: Scenario):

@@ -59,7 +59,7 @@ def rooted_results():
         for k in range(1, min(ROOTED_K_MAX, n - 1) + 1)
         for labels in itertools.combinations(range(L_MAX + 1), k)
     ]
-    return evaluate_many(scenarios, Ruleset.REPAIRED, validate=True, invariants=True)
+    return list(evaluate_many(scenarios, Ruleset.REPAIRED, validate=True, invariants=True))
 
 
 def test_criterion_1_model_fidelity():
@@ -113,11 +113,7 @@ def test_criterion_2_rooted_theorem(rooted_results):
 
 def test_criterion_3_multi_source():
     report = exhaustive_search(6, 3, L_MAX, Ruleset.REPAIRED, minimize=True)
-    unexplained = [
-        (outcome, minimized)
-        for outcome, minimized in report.failures
-        if not outcome.finding_kinds
-    ]
+    unexplained = [failure for failure in report.failures if not failure.finding_kinds]
     passed = report.total > 0 and (report.all_dispersed or not unexplained)
     branch = (
         "100% dispersed within budget"

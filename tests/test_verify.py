@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 import multiprocessing.pool
@@ -15,6 +16,7 @@ import time
 import tracemalloc
 import warnings
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -374,7 +376,7 @@ def test_findings_on_a_647_sample_are_pinned():
                            "unique-leader": 92}, 75),
     }
     for ruleset, (kinds, unexplained) in pinned.items():
-        outcomes = evaluate_many(sample, ruleset, workers=1)
+        outcomes = list(evaluate_many(sample, ruleset, workers=1))
         assert len(outcomes) == 575
         assert Counter(kind for o in outcomes for kind in o.finding_kinds) == kinds
         assert sum(o.validation_count for o in outcomes) == 0
@@ -902,6 +904,56 @@ def test_search_report_is_the_same_on_one_and_two_workers(ruleset):
     serial = exhaustive_search(4, 3, 3, ruleset, workers=1)
     assert serial.total == 114
     assert exhaustive_search(4, 3, 3, ruleset, workers=2).render() == serial.render()
+
+
+# every 224th (6,4,7) scenario, as the search-647 benchmark samples it:
+# 129 scenarios, past the serial cutoff of 64
+STREAM_SLICE = list(enumerate_scenarios(6, 4, 7))[::224]
+
+
+@pytest.mark.parametrize("ruleset", [Ruleset.REPAIRED, Ruleset.LITERAL], ids=lambda r: r.value)
+def test_evaluate_many_streams_the_serial_outcomes_in_order(pool_log, ruleset):
+    assert len(STREAM_SLICE) == 129
+    streamed = evaluate_many(STREAM_SLICE, ruleset, workers=2)
+    assert isinstance(streamed, Iterator)
+    serial = list(evaluate_many(STREAM_SLICE, ruleset, workers=1))
+    assert [outcome.scenario for outcome in serial] == STREAM_SLICE
+    assert list(streamed) == serial
+    assert [(event, workers) for event, workers, _ in pool_log] == [("built", 2)]
+
+
+@pytest.mark.parametrize("ruleset", [Ruleset.REPAIRED, Ruleset.LITERAL], ids=lambda r: r.value)
+def test_minimizing_while_the_outcomes_stream_gives_the_same_scenarios(ruleset):
+    # the search-647 loop: each failure is minimized in this process while
+    # the iteration is still open and the pool judges later chunks
+    outcomes = evaluate_many(STREAM_SLICE, ruleset, workers=2)
+    streamed = []
+    for outcome in outcomes:
+        if not outcome.ok:
+            assert inspect.getgeneratorstate(outcomes) == inspect.GEN_SUSPENDED
+            streamed.append(minimize_scenario(outcome.scenario, ruleset, outcome.result))
+    after = [minimize_scenario(outcome.scenario, ruleset, outcome.result)
+             for outcome in list(evaluate_many(STREAM_SLICE, ruleset, workers=1))
+             if not outcome.ok]
+    assert streamed == after
+    assert len(after) > 10
+
+
+def test_leaving_an_evaluate_many_iteration_closes_the_pool(pool_log):
+    for _ in evaluate_many(STREAM_SLICE, Ruleset.REPAIRED, workers=2):
+        break
+    assert [(event, workers) for event, workers, _ in pool_log] == [
+        ("built", 2), ("terminated", 2)]
+    outcomes = list(evaluate_many(STREAM_SLICE, Ruleset.REPAIRED, workers=2))
+    assert [outcome.scenario for outcome in outcomes] == STREAM_SLICE
+    assert [event for event, _, _ in pool_log] == ["built", "terminated", "built"]
+
+
+def test_evaluate_many_raises_at_iteration_not_at_the_call(monkeypatch):
+    monkeypatch.setenv("RINGDISPERSE_WORKERS", "abc")
+    outcomes = evaluate_many(STREAM_SLICE, Ruleset.REPAIRED)
+    with pytest.raises(ValueError, match="RINGDISPERSE_WORKERS"):
+        next(outcomes)
 
 
 CLEAN_EXIT = """

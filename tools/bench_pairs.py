@@ -14,7 +14,12 @@ gives the per-layer numbers.  The output has the keys of the earlier
 ``BENCH_<pr>.json`` files: per workload and end-to-end metric each side's
 median, inclusive quartiles and runs, the pairs the change wins (ties count
 for neither) and the change over the parent; and whether the digests,
-tallies and robot-rounds of the two sides are equal on every seed.  The
+tallies and robot-rounds of the two sides are equal on every seed.  Next
+to the metrics, ``unit_host_s`` summarizes each run's median unit time on
+this host, unscaled by the probe, in the same way: the probe runs in the
+benchmark process, so a change that moves work into or out of that
+process's share of the cores changes what the probe samples, and the
+host time shows whether a gain holds without the scaling.  The
 file is rewritten after each workload, so an interrupted run keeps what it
 finished.  A progress line per run goes to standard error.
 """
@@ -91,8 +96,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         sys.stderr.write(done.stderr)
         raise SystemExit(f"{tree.name} {workload} seed {seed}: no result lines "
                          f"(exit {done.returncode})") from None
+    host = stats.get("unit_host_s")  # --trace 1 runs have none
     return {
         "exit": done.returncode,
+        "unit_host_s": statistics.median(host) if host else None,
         "correct": result["correct"] and result["failed"] == 0 and done.returncode == 0,
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
         "simulated": (stats["digests"], stats["tallies"], stats["robot_rounds"]),
@@ -136,12 +143,16 @@ def describe(result: dict) -> str:
     parts = []
     for workload, entry in result["end_to_end"].items():
         rate = entry["metrics"].get("runs_per_s")
+        host = entry["unit_host_s"]
         if rate:
             parts.append(f"{workload} runs_per_s {rate['parent_median']} -> "
                          f"{rate['change_median']} ({rate['change_vs_parent']:+.1%}, the change "
                          f"faster in {rate['change_wins']} of {entry['pairs']} pairs; the "
                          f"parent's interquartile range is "
-                         f"{rate['parent_quartiles'][1] - rate['parent_quartiles'][0]:.1f})")
+                         f"{rate['parent_quartiles'][1] - rate['parent_quartiles'][0]:.1f}), "
+                         f"unscaled unit host time {host['parent_median']} -> "
+                         f"{host['change_median']} s ({host['change_vs_parent']:+.1%}, the change "
+                         f"faster in {host['change_wins']} of {entry['pairs']})")
     return ("Medians and inclusive quartiles of alternating parent/change pairs, both sides "
             "run from git archive exports of their commits. " + "; ".join(parts) + ".")
 
@@ -185,6 +196,8 @@ def main(argv=None) -> int:
                                   [p["change"]["metrics"][name] for p in pairs], better)
                     for name, better in metrics
                 },
+                "unit_host_s": summary([p["parent"]["unit_host_s"] for p in pairs],
+                                       [p["change"]["unit_host_s"] for p in pairs], "lower"),
             }
             layers = run_pair(trees, workload, args.layer_seed, seconds, 1)
             result["per_layer"][workload] = {

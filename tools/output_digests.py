@@ -12,6 +12,10 @@ each side computes its digests in a fresh interpreter from its own
   space, minimized failures included
 - every ``ScenarioOutcome`` of that space from ``evaluate_many``, with
   checks and without
+- the minimized scenarios of that space as the search-647 benchmark loop
+  makes them: each failure minimized with ``minimize_scenario`` in the
+  calling process while the iteration over ``evaluate_many`` is still
+  open, so the pool judges later chunks meanwhile
 - every ``ScenarioOutcome``, with checks, of the scenarios on the k axis
   of acceptance criterion 4 (``gen_single_source(26, k, 1023, seed)``,
   k = 2..24, seeds 0..19), whose larger groups reach the wait, jump and
@@ -55,7 +59,7 @@ from ringdisperse.protocol import Ruleset
 from ringdisperse.scenario import gen_single_source, make_scenario
 from ringdisperse.sweep import SweepSpec, rows_to_csv, run_sweep
 from ringdisperse.verify import (check_invariants, enumerate_scenarios, evaluate_many,
-                                 exhaustive_search, validate_trace)
+                                 exhaustive_search, minimize_scenario, validate_trace)
 
 def sha(data):
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
@@ -101,12 +105,15 @@ with tempfile.TemporaryDirectory() as tmp:
         name = ruleset.value
         digests[f"search-647-{name}"] = sha(exhaustive_search(6, 4, 7, ruleset, workers=2).render())
         for checked in (True, False):
-            outcomes = evaluate_many(space, ruleset, validate=checked, invariants=checked,
-                                     workers=2)
+            outcomes = list(evaluate_many(space, ruleset, validate=checked, invariants=checked,
+                                          workers=2))
             kind = "checked" if checked else "unchecked"
             digests[f"outcomes-647-{kind}-{name}"] = sha(repr(outcomes))
-        digests[f"outcomes-k-axis-checked-{name}"] = sha(repr(evaluate_many(k_axis, ruleset,
-                                                                          workers=2)))
+        minimized = [minimize_scenario(outcome.scenario, ruleset, outcome.result)
+                     for outcome in evaluate_many(space, ruleset, workers=2) if not outcome.ok]
+        digests[f"minimized-647-streamed-{name}"] = sha(repr(minimized))
+        digests[f"outcomes-k-axis-checked-{name}"] = sha(repr(list(evaluate_many(
+            k_axis, ruleset, workers=2))))
         replay, lemmas, files = [], [], []
         for label, scenario in traced.items():
             outcome = run(scenario, ruleset)
