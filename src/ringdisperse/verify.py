@@ -788,8 +788,9 @@ def evaluate_many(
     Nothing runs until the iteration starts, so a job's error, a bad
     ``RINGDISPERSE_WORKERS`` included, is raised by the iteration, not by
     this call, and an iteration left before its end closes the kept pool.
-    Chunks of 16 let the first results arrive while most of a sample of a
-    hundred or so scenarios is still being judged."""
+    Chunks are 16 jobs, not ``exhaustive_search``'s 64: a sample of about
+    a hundred scenarios then makes enough chunks for the caller's work to
+    overlap the pool's, where two chunks of 64 finish together."""
     evaluate = functools.partial(
         evaluate_scenario, ruleset=ruleset, validate=validate, invariants=invariants)
     return map_jobs(evaluate, scenarios, workers, chunksize=16, serial_max=64)
