@@ -7,7 +7,14 @@ decides and writes every robot's state.  At round 1 of every phase the
 engine reads each robot's status and leader flag and builds a wake
 schedule from the ruleset's ``wake`` table: per round of the phase, the
 robots ``step`` may act on, and apart from them those it acts on only
-when they perceive a change.  ``step`` returns
+when they perceive a change.  The schedule is built per (status, leader)
+group, so a round steps its robots group by group, not in labels order,
+and its lists are shared between rounds and only read.  That order cannot
+be observed: ``step`` reads and writes only its own robot's state, the
+round's moves are committed together, a sink gets the moves sorted by
+label and the observations built in labels order, and the only other
+trace of it, the insertion order of ``Placement.counts``, is read sorted
+or by length.  ``step`` returns
 the port a robot moves through, or None to stay; a skipped call is one
 that would have returned None and changed nothing.
 
@@ -62,13 +69,14 @@ wrapper set on this module or on ``Placement`` sees every call.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .perception import OBSERVATIONS, Observation, observe
 from .protocol import Ruleset, step
 from .ring import Placement, move_target
-from .robots import RobotState, StateSnapshot, apply_pending_status, max_label_bits
+from .robots import RobotState, StateSnapshot, Status, apply_pending_status, max_label_bits
 from .scenario import Scenario
 
 ROUNDS_PER_PHASE = 19
@@ -78,6 +86,9 @@ _ABSTRACT_STATE = attrgetter(*StateSnapshot._fields[:-1])
 _NET_DISP = attrgetter(StateSnapshot._fields[-1])
 # the moves of a round without a sink in which no robot acts; never written
 _NOTHING: dict = {}
+# per round of a phase, the labels stepped always and those stepped only on
+# a perceived change (Engine._build_wake_schedule); index 0 is unused
+WakeSchedule = tuple[list[Sequence[int]], list[Sequence[int]]]
 
 
 class RunResult(enum.Enum):
@@ -226,7 +237,7 @@ class Engine:
         self.net_disp_at_13: list[tuple[int, ...]] = []
         # the wake schedule of the current phase (_build_wake_schedule);
         # built at round 1
-        self.wake_schedule: tuple[list[list[int]], list[list[int]]] = ([], [])
+        self.wake_schedule: WakeSchedule = ([], [])
         self.trace = Trace(scenario, ruleset)
         self.sink = sink if sink is not None else self.trace if record_rounds else None
 
@@ -254,20 +265,36 @@ class Engine:
         return ((tuple([(by_robot[label] - origin) % n for label in labels]),
                  tuple(map(_ABSTRACT_STATE, states))), tuple(map(_NET_DISP, states)))
 
-    def _build_wake_schedule(self) -> tuple[list[list[int]], list[list[int]]]:
+    def _build_wake_schedule(self) -> WakeSchedule:
         """Per round of the phase now starting, the labels ``ruleset.wake``
-        steps in it always and those it steps only on a perceived change,
-        in labels order; index 0 is unused."""
-        woken: list[list[int]] = [[] for _ in range(ROUNDS_PER_PHASE + 1)]
-        on_change: list[list[int]] = [[] for _ in range(ROUNDS_PER_PHASE + 1)]
-        wake = self.ruleset.wake
-        # self.robots is keyed in labels order
+        steps in it always and those it steps only on a perceived change;
+        index 0 is unused.
+
+        The labels are grouped by (status, leader) in one pass, each group
+        in labels order, and a round's labels are its groups' in the order
+        the groups were first met.  A round that no group wakes holds the
+        shared empty tuple and a round that one group wakes holds that
+        group's list, so the lists are shared and read only.  The order
+        within a round cannot be observed (see the module docstring)."""
+        groups: dict[tuple[Status, bool], list[int]] = {}
         for label, state in self.robots.items():
-            always, changed = wake[state.status, state.leader]
+            key = state.status, state.leader
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [label]
+            else:
+                group.append(label)
+        woken: list[Sequence[int]] = [()] * (ROUNDS_PER_PHASE + 1)
+        on_change: list[Sequence[int]] = [()] * (ROUNDS_PER_PHASE + 1)
+        wake = self.ruleset.wake
+        for key, group in groups.items():
+            always, changed = wake[key]
             for rip in always:
-                woken[rip].append(label)
+                slot = woken[rip]
+                woken[rip] = slot + group if slot else group
             for rip in changed:
-                on_change[rip].append(label)
+                slot = on_change[rip]
+                on_change[rip] = slot + group if slot else group
         return woken, on_change
 
     def _run_rounds(self, count: int) -> int:
@@ -290,7 +317,8 @@ class Engine:
                 self.wake_schedule = woken_by_round, on_change_by_round = (
                     self._build_wake_schedule())
             elif rip == 13:
-                self.net_disp_at_13.append(tuple(robots[label].net_disp for label in labels))
+                # self.robots is keyed in labels order
+                self.net_disp_at_13.append(tuple(map(_NET_DISP, robots.values())))
             woken = woken_by_round[rip]
             # after a round without a move no count changed and no robot
             # moved last, so nobody perceives a change and the robots stepped
@@ -321,9 +349,9 @@ class Engine:
                     # node's count changed
                     for label in on_change:
                         node = by_robot[label]
-                        count, previous = counts[node], prev_counts.get(node, 0)
-                        if count != previous and label not in moved_last:
-                            port = step(robots[label], observe(count, previous, False),
+                        now, before = counts[node], prev_counts.get(node, 0)
+                        if now != before and label not in moved_last:
+                            port = step(robots[label], observe(now, before, False),
                                         rip, ruleset)
                             if port is not None:
                                 moves[label] = port

@@ -449,15 +449,18 @@ class Ruleset(enum.Enum):
     """A ruleset: ``RULES`` with the cells of its ``overlay`` replaced, and
     the tables derived from its cells once, when the member is built.
 
-    ``dispatch[status, leader]`` maps each of ``wake_rounds(status,
-    leader)`` to the rule ``step`` runs there.  ``wake[status, leader]``
-    splits those rounds, given the status and leader flag at the phase
-    start, into two sorted tuples: the rounds the engine always steps the
-    robot in, and those in which every cell acts only on a perceived change
-    (for leader election also the leader's cells, since its leader flag can
-    turn on in round 1).  ``reads_net_disp`` is true when some cell's rule
-    is not known to leave ``net_disp`` unread; ``engine.run``'s livelock
-    proof rests on it.  A member's value is its name.
+    ``dispatch[status]`` is a pair indexed by the leader flag, the
+    non-leader's cells then the leader's: ``dispatch[status][leader]``
+    maps each of ``wake_rounds(status, leader)`` to the rule ``step`` runs
+    there, so ``step`` finds its cell without building a tuple key.
+    ``wake[status, leader]`` splits those rounds, given the status and
+    leader flag at the phase start, into two sorted tuples: the rounds the
+    engine always steps the robot in, and those in which every cell acts
+    only on a perceived change (for leader election also the leader's
+    cells, since its leader flag can turn on in round 1).
+    ``reads_net_disp`` is true when some cell's rule is not known to leave
+    ``net_disp`` unread; ``engine.run``'s livelock proof rests on it.  A
+    member's value is its name.
     """
 
     LITERAL = "literal", {}
@@ -470,20 +473,22 @@ class Ruleset(enum.Enum):
 
     def __init__(self, name: str, overlay: dict[tuple[Status, int], Rule]):
         self.overlay = overlay
-        self.dispatch: dict[tuple[Status, bool], dict[int, Rule]] = {
-            (status, leader): {rip: overlay.get((status, rip), RULES[status][rip])
-                               for rip in sorted(rounds)}
-            for (status, leader), rounds in _WAKE_ROUNDS.items()
+        self.dispatch: dict[Status, tuple[dict[int, Rule], dict[int, Rule]]] = {
+            status: tuple({rip: overlay.get((status, rip), RULES[status][rip])
+                           for rip in sorted(_WAKE_ROUNDS[status, leader])}
+                          for leader in (False, True))
+            for status in RULES
         }
         self.wake: dict[tuple[Status, bool], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for (status, leader), rounds in _WAKE_ROUNDS.items():
             held = (leader, True) if status is Status.LEADER_ELECTION else (leader,)
             on_change = {rip for rip in rounds if all(
-                _acts_only_on_change(self.dispatch[status, now].get(rip), now) for now in held)}
+                _acts_only_on_change(self.dispatch[status][now].get(rip), now) for now in held)}
             self.wake[status, leader] = (tuple(sorted(rounds - on_change)),
                                          tuple(sorted(on_change)))
         self.reads_net_disp = any(rule not in _NET_DISP_UNREAD
-                                  for cells in self.dispatch.values() for rule in cells.values())
+                                  for both in self.dispatch.values()
+                                  for cells in both for rule in cells.values())
 
     # hash by identity, as Status does, not by name
     __hash__ = object.__hash__
@@ -501,8 +506,8 @@ def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Rule
     """Decide one robot's move for this round: the port it moves through,
     or None to stay; mutates ``state``."""
     # the robot's rule cell for this round, if it acts in it: one lookup per
-    # woken robot-round
-    rule = ruleset.dispatch[state.status, state.leader].get(round_in_phase)
+    # woken robot-round, the leader flag indexing the status's pair
+    rule = ruleset.dispatch[state.status][state.leader].get(round_in_phase)
     if rule is None:
         return STAY
     # the latches read by repairs 1 and 2; apply_pending_status clears them

@@ -100,6 +100,14 @@ class LinearFit:
         return f"rounds ~ {' + '.join(terms)} (R^2 = {self.r_squared:.4f})"
 
 
+# the features fit_rounds can fit against, each read from a row
+_FEATURES = {
+    "max_size": lambda row: max_label_bits(row.max_label),
+    "k": lambda row: row.k,
+    "n": lambda row: row.n,
+}
+
+
 def fit_rounds(
     rows: list[SweepRow],
     features: tuple[str, ...] = ("max_size", "k"),
@@ -110,8 +118,12 @@ def fit_rounds(
 
     With ``per_point_mean`` the seeds of each (n, k, L) point are averaged
     first, so the fit measures the scaling of the expected round count
-    rather than per-seed label luck.
+    rather than per-seed label luck.  A feature other than ``max_size``,
+    ``k`` and ``n`` raises ValueError before numpy is loaded.
     """
+    unknown = [name for name in features if name not in _FEATURES]
+    if unknown:
+        raise ValueError(f"unknown fit features {unknown}; known: {', '.join(_FEATURES)}")
     usable = [row for row in rows if row.outcome == "dispersed"]
     if per_point_mean:
         by_point: dict[tuple[int, int, int], list[SweepRow]] = {}
@@ -129,13 +141,8 @@ def fit_rounds(
     # but a fitting ``sweep`` start without it
     import numpy as np
 
-    columns = {
-        "max_size": lambda row: max_label_bits(row.max_label),
-        "k": lambda row: row.k,
-        "n": lambda row: row.n,
-    }
     design = np.array(
-        [[columns[name](row) for name in features] + [1.0] for row in usable]
+        [[_FEATURES[name](row) for name in features] + [1.0] for row in usable]
     )
     y = np.array([row.rounds for row in usable], dtype=float)
     coeffs, _, _, _ = np.linalg.lstsq(design, y, rcond=None)

@@ -310,6 +310,28 @@ def test_wake_schedule_matches_stepping_every_robot_on_drawn_scenarios(shared_no
         assert "participation" not in {v.kind for v in violations}, (scenario, ruleset)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(list(Status)), st.booleans()), min_size=1,
+                max_size=24),
+       st.sampled_from(list(Ruleset)))
+def test_wake_schedule_holds_the_labels_each_robots_wake_rounds_put_there(keys, ruleset):
+    # the schedule is built per (status, leader) group; as sets its lists
+    # are the per-robot build's, and no round holds a label twice
+    scenario = make_scenario(len(keys) + 2, 1023, [(3 * i + 1, i) for i in range(len(keys))])
+    engine = Engine(scenario, ruleset, record_rounds=False)
+    for label, (status, leader) in zip(engine.labels, keys):
+        engine.robots[label].status, engine.robots[label].leader = status, leader
+    woken, on_change = engine._build_wake_schedule()
+    assert len(woken) == len(on_change) == ROUNDS_PER_PHASE + 1
+    assert not woken[0] and not on_change[0]
+    for rip in range(1, ROUNDS_PER_PHASE + 1):
+        for side, built in enumerate((woken[rip], on_change[rip])):
+            expected = {label for label, key in zip(engine.labels, keys)
+                        if rip in ruleset.wake[key][side]}
+            assert len(built) == len(set(built)), (rip, side)
+            assert set(built) == expected, (rip, side)
+
+
 def assert_observations_fresh_and_shared(scenario, records):
     """Each record's observations equal what ``observe`` gives from the
     placements replayed from the moves, and a record holds the very dict

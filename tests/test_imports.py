@@ -101,3 +101,24 @@ def test_numpy_is_loaded_only_by_the_fit(tmp_path):
     assert ran.startswith("False False 0 final placement: ")
     assert swept == "False False 0 no fit: not enough dispersed rows"
     assert fitted == f"True {fit!r}", "the same fit, bit for bit"
+
+
+UNKNOWN_FEATURE = """
+import sys
+from ringdisperse.sweep import SweepRow, fit_rounds
+rows = [SweepRow(26, k, 7, 0, "repaired", "dispersed", 10 * k, 1) for k in range(2, 6)]
+try:
+    fit_rounds(rows, features=("L",))
+except ValueError as exc:
+    print("numpy" in sys.modules, exc)
+"""
+
+
+def test_fit_rounds_rejects_an_unknown_feature_before_numpy_loads():
+    # "L" is the CSV's column name, not a feature: it names the ones there are
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", UNKNOWN_FEATURE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "False unknown fit features ['L']; known: max_size, k, n\n"

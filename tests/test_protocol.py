@@ -167,8 +167,8 @@ def test_leader_cells_are_the_non_leader_cells_in_the_leader_rounds():
     # so the wake rounds of a non-leader cover those of a leader, which an
     # election whose leader flag turns on in round 1 relies on
     for ruleset, status in itertools.product(Ruleset, Status):
-        leader = ruleset.dispatch[status, True]
-        plain = ruleset.dispatch[status, False]
+        leader = ruleset.dispatch[status][True]
+        plain = ruleset.dispatch[status][False]
         assert leader.keys() == plain.keys() & LEADER_ROUNDS, (ruleset, status)
         assert all(leader[rip] is plain[rip] for rip in leader), (ruleset, status)
         assert wake_rounds(status, True) <= wake_rounds(status, False), status
@@ -191,11 +191,23 @@ def test_rulesets_dispatch_differ_in_the_repaired_cells_only():
     # each ruleset dispatches exactly the wake rounds, the rule cells
     differences = set()
     for status, leader in itertools.product(Status, (False, True)):
-        literal = Ruleset.LITERAL.dispatch[status, leader]
-        repaired = Ruleset.REPAIRED.dispatch[status, leader]
+        literal = Ruleset.LITERAL.dispatch[status][leader]
+        repaired = Ruleset.REPAIRED.dispatch[status][leader]
         assert set(literal) == set(repaired) == wake_rounds(status, leader), (status, leader)
         differences |= {(status, rip) for rip in literal if literal[rip] is not repaired[rip]}
     assert differences == set(REPAIRS)
+
+
+def test_dispatch_is_the_rules_with_the_overlay_applied():
+    # dispatch[status][leader] holds a cell in each wake round and none in
+    # any other, and the cell is RULES' unless the ruleset's overlay
+    # replaces it
+    for ruleset, status, leader in itertools.product(Ruleset, Status, (False, True)):
+        cells = ruleset.dispatch[status][leader]
+        for rip in range(1, ROUNDS_PER_PHASE + 1):
+            expected = (ruleset.overlay.get((status, rip), RULES[status][rip])
+                        if rip in wake_rounds(status, leader) else None)
+            assert cells.get(rip) is expected, (ruleset, status, leader, rip)
 
 
 # the cells whose rules read a latch: repair 1 reads decrease_at_7 and
@@ -231,22 +243,24 @@ def test_ruleset_is_looked_up_by_its_name():
 def test_ruleset_wake_table_splits_the_wake_rounds_its_dispatch_covers():
     for ruleset in Ruleset:
         keys = set(itertools.product(Status, (False, True)))
-        assert ruleset.wake.keys() == ruleset.dispatch.keys() == keys, ruleset
+        assert all(len(both) == 2 for both in ruleset.dispatch.values()), ruleset
+        dispatched = set(itertools.product(ruleset.dispatch, (False, True)))
+        assert ruleset.wake.keys() == dispatched == keys, ruleset
         for status, leader in keys:
             always, on_change = ruleset.wake[status, leader]
             key = (ruleset, status, leader)
             assert list(always) == sorted(always) and list(on_change) == sorted(on_change), key
             assert not set(always) & set(on_change), key
             assert set(always) | set(on_change) == wake_rounds(status, leader), key
-            assert ruleset.dispatch[status, leader].keys() == wake_rounds(status, leader), key
+            assert ruleset.dispatch[status][leader].keys() == wake_rounds(status, leader), key
 
 
 def test_reads_net_disp_is_derived_from_the_dispatched_rules():
     # engine.run's livelock proof rests on it: only repair 4 reads net_disp
     assert Ruleset.LITERAL.reads_net_disp is False
     assert Ruleset.REPAIRED.reads_net_disp is True
-    readers = {rule for ruleset in Ruleset for cells in ruleset.dispatch.values()
-               for rule in cells.values() if rule not in _NET_DISP_UNREAD}
+    readers = {rule for ruleset in Ruleset for both in ruleset.dispatch.values()
+               for cells in both for rule in cells.values() if rule not in _NET_DISP_UNREAD}
     assert readers == {_arm_only_at_start}
 
 

@@ -20,6 +20,10 @@ each side computes its digests in a fresh interpreter from its own
   of acceptance criterion 4 (``gen_single_source(26, k, 1023, seed)``,
   k = 2..24, seeds 0..19), whose larger groups reach the wait, jump and
   passive rules that k <= 4 hardly does
+- the unrecorded ``engine.run`` outcome, as (result, rounds used, phases
+  used, livelock cycle, final placement), of every scenario of the
+  (6,4,7) space and of that k axis: the path ``sweep`` and minimization's
+  reproduce runs take, and the only output that holds ``RunOutcome.cycle``
 - the ``write_trace`` bytes, plain and ``--verbose``, of the chain of
   acceptance criterion 8 (ring 7, robots 1@0 2@0 3@1 4@1) and of
   ``gen_single_source(10**4, 8, 1023, seed=7)``
@@ -114,6 +118,11 @@ with tempfile.TemporaryDirectory() as tmp:
         digests[f"minimized-647-streamed-{name}"] = sha(repr(minimized))
         digests[f"outcomes-k-axis-checked-{name}"] = sha(repr(list(evaluate_many(
             k_axis, ruleset, workers=2))))
+        digests[f"unrecorded-runs-647-and-k-axis-{name}"] = sha(repr([
+            (outcome.result, outcome.rounds_used, outcome.phases_used, outcome.cycle,
+             outcome.final_placement)
+            for outcome in (run(scenario, ruleset, record_rounds=False)
+                            for scenario in space + k_axis)]))
         replay, lemmas, files = [], [], []
         for label, scenario in traced.items():
             outcome = run(scenario, ruleset)
