@@ -2,7 +2,7 @@
 dispersion on an oriented ring."""
 
 from .engine import RunOutcome, RunResult, Trace, run
-from .protocol import Ruleset
+from .protocol import RuleTable, Ruleset
 from .robots import RobotState, Status, max_label_bits
 from .scenario import (
     Scenario,
@@ -18,6 +18,7 @@ from .verify import (
     check_invariants,
     exhaustive_search,
     minimize_scenario,
+    search,
     validate_trace,
 )
 
@@ -26,6 +27,7 @@ __all__ = [
     "RunResult",
     "Trace",
     "run",
+    "RuleTable",
     "Ruleset",
     "RobotState",
     "Status",
@@ -41,5 +43,6 @@ __all__ = [
     "check_invariants",
     "exhaustive_search",
     "minimize_scenario",
+    "search",
     "validate_trace",
 ]

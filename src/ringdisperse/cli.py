@@ -24,8 +24,9 @@ result are names of a ruleset and a verdict, that its rounds is an
 integer and the rows whole phases, and that the rows bear the result
 out, then feeds the records to the one trace walk,
 ``verify.check_trace``.  Trace files carry no robot statuses, so from a
-file the walk runs its replay only; participation, idle immobility and
-the invariants are checked in memory.  A violation prints as ``[kind]
+file the walk is asked for its replay only, and builds none of the
+invariants' tables; participation, idle immobility and the invariants
+are checked in memory.  A violation prints as ``[kind]
 phase P round R: ...``; a malformed row, a line that is not UTF-8, and
 any file in another format (the dense-occupancy v1 included) are
 invalid input.
@@ -289,9 +290,10 @@ def verify_trace_file(header: dict, records: list[RoundRecord], scenario: Scenar
     ruleset and result against their names, its rounds for an integer,
     the row count for whole phases, and its result against the records
     (see ``_ends_dispersed``), then walk the records with
-    ``verify.check_trace``.  Without phase-start statuses, which trace
-    files do not carry, the walk runs the replay only.  The ruleset is
-    not checked against the records: that takes a run of the scenario."""
+    ``verify.check_trace``.  Trace files carry no phase-start statuses,
+    so the walk is asked for the replay only and builds none of the
+    invariants' tables.  The ruleset is not checked against the records:
+    that takes a run of the scenario."""
     problems: list[str] = []
     if header.get("scenario") != _scenario_json(scenario):
         problems.append("trace header scenario differs from the scenario file")
@@ -307,7 +309,7 @@ def verify_trace_file(header: dict, records: list[RoundRecord], scenario: Scenar
     if not records or len(records) % ROUNDS_PER_PHASE:
         problems.append(f"trace has {len(records)} rows, not a positive multiple of "
                         f"{ROUNDS_PER_PHASE}: a run ends on a phase boundary")
-    violations = check_trace(scenario, records)
+    violations = check_trace(scenario, records, invariants=False)
     result = header.get("result")
     if result in [member.value for member in RunResult]:
         dispersed = _ends_dispersed(records)

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .perception import OBSERVATIONS, Observation, observe
-from .protocol import Ruleset, step
+from .protocol import RuleTable, Ruleset, step
 from .ring import Placement, move_target
 from .robots import RobotState, StateSnapshot, Status, apply_pending_status, max_label_bits
 from .scenario import Scenario
@@ -125,7 +125,7 @@ class Trace:
     a run that records nothing."""
 
     scenario: Scenario
-    ruleset: Ruleset
+    ruleset: RuleTable
     records: list[RoundRecord] = field(default_factory=list)
     phase_snapshots: list[PhaseSnapshot] = field(default_factory=list)
     result: "RunResult | None" = None  # set once the run reaches a verdict
@@ -209,7 +209,7 @@ class Engine:
     docstring); without one, ``record_rounds`` makes the trace the sink.
     """
 
-    def __init__(self, scenario: Scenario, ruleset: Ruleset, record_rounds: bool = True,
+    def __init__(self, scenario: Scenario, ruleset: RuleTable, record_rounds: bool = True,
                  sink=None):
         self.scenario = scenario
         self.ruleset = ruleset
@@ -433,7 +433,7 @@ def _repeats_forever(
 
 def run(
     scenario: Scenario,
-    ruleset: Ruleset = Ruleset.REPAIRED,
+    ruleset: RuleTable = Ruleset.REPAIRED,
     max_phases: int | None = None,
     record_rounds: bool = True,
     sink=None,

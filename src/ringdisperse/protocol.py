@@ -4,13 +4,15 @@ Each phase is 19 synchronous rounds.  ``RULES[status][round]`` is the
 literal rule a robot runs in that round given its status at the phase
 start: the one copy of the per-round rules.  A status change decided
 mid-phase is held in ``pending_status`` and committed only at the phase
-boundary.  A ruleset is data, not a branch in a rule: a ``Ruleset`` member
-is ``RULES`` with the cells of its ``overlay`` replaced, and carries the
-tables derived from those cells.  The literal ruleset replaces none; the
-repaired one replaces the five cells of ``REPAIRS``, which fix four
-flag-timing defects.  A member's ``reads_net_disp`` says whether its rules
-read ``net_disp``; a rule counts as a reader unless it is known not to be
-one (every literal rule and repairs 1-3).  Only the repaired ruleset reads
+boundary.  A ruleset is data, not a branch in a rule: ``RuleTable(name,
+overlay)``, the one constructor of a ruleset, is ``RULES`` with the cells
+of ``overlay`` replaced, and carries the tables derived from those cells.
+Both ``Ruleset`` members are built by it: the literal ruleset replaces no
+cell, the repaired one the five cells of ``REPAIRS``, which fix four
+flag-timing defects; any other overlay runs wherever a member does.  A
+ruleset's ``reads_net_disp`` says whether its rules read ``net_disp``; a
+rule counts as a reader unless it is known not to be one (every literal
+rule and repairs 1-3).  Of the members only the repaired ruleset reads
 it, in round 13 of active-disperse (repair 4), and ``engine.run``'s
 livelock proof rests on that.
 
@@ -43,7 +45,7 @@ at every phase boundary and appear in no snapshot, livelock key or trace,
 so such a round is not run, and a leader that moves in it breaks
 participation.
 
-A member's ``wake[status, leader]`` splits the wake rounds in two: the
+A ruleset's ``wake[status, leader]`` splits the wake rounds in two: the
 rounds the robot is always stepped in, and the rounds whose cells act
 only on a perceived change.  Given neither an increase nor a decrease,
 ``step`` returns STAY in the latter and changes no field, the latches
@@ -445,9 +447,12 @@ def _acts_only_on_change(rule: Rule | None, leader: bool) -> bool:
     return rule is None or rule in _CHANGE_RULES or (not leader and rule in _LEADER_RULES)
 
 
-class Ruleset(enum.Enum):
+class RuleTable:
     """A ruleset: ``RULES`` with the cells of its ``overlay`` replaced, and
-    the tables derived from its cells once, when the member is built.
+    the tables derived from its cells once, when it is built, for the
+    members and any other overlay alike.  Its ``value`` is its name.  It
+    pickles by name and overlay, its rules named by function, so a pool
+    worker rebuilds the tables; a member pickles by name.
 
     ``dispatch[status]`` is a pair indexed by the leader flag, the
     non-leader's cells then the leader's: ``dispatch[status][leader]``
@@ -459,19 +464,14 @@ class Ruleset(enum.Enum):
     only on a perceived change (for leader election also the leader's
     cells, since its leader flag can turn on in round 1).
     ``reads_net_disp`` is true when some cell's rule is not known to leave
-    ``net_disp`` unread; ``engine.run``'s livelock proof rests on it.  A
-    member's value is its name.
+    ``net_disp`` unread; ``engine.run``'s livelock proof rests on it.  So
+    a rule that is neither a literal rule nor a repair, a wrapper
+    included, is stepped in every wake round of its cell and counts as a
+    reader: soundness by construction.
     """
 
-    LITERAL = "literal", {}
-    REPAIRED = "repaired", REPAIRS
-
-    def __new__(cls, name: str, overlay: dict[tuple[Status, int], Rule]):
-        member = object.__new__(cls)
-        member._value_ = name
-        return member
-
     def __init__(self, name: str, overlay: dict[tuple[Status, int], Rule]):
+        self._value_ = name
         self.overlay = overlay
         self.dispatch: dict[Status, tuple[dict[int, Rule], dict[int, Rule]]] = {
             status: tuple({rip: overlay.get((status, rip), RULES[status][rip])
@@ -490,6 +490,29 @@ class Ruleset(enum.Enum):
                                   for both in self.dispatch.values()
                                   for cells in both for rule in cells.values())
 
+    @property
+    def value(self) -> str:
+        return self._value_
+
+    def __reduce__(self):
+        return RuleTable, (self._value_, self.overlay)
+
+
+class Ruleset(RuleTable, enum.Enum):
+    """The two shipped rulesets, the ones the CLI names, each built by
+    ``RuleTable``.  A member's value is its name; it hashes by identity
+    and pickles by name, as any enum member."""
+
+    LITERAL = "literal", {}
+    REPAIRED = "repaired", REPAIRS
+
+    # the enum maps a value to its member before __init__ runs, so the value
+    # is set here as well
+    def __new__(cls, name: str, overlay: dict[tuple[Status, int], Rule]):
+        member = object.__new__(cls)
+        member._value_ = name
+        return member
+
     # hash by identity, as Status does, not by name
     __hash__ = object.__hash__
 
@@ -502,7 +525,8 @@ def wake_rounds(status: Status, leader: bool) -> frozenset[int]:
     return _WAKE_ROUNDS[status, leader]
 
 
-def step(state: RobotState, obs: Observation, round_in_phase: int, ruleset: Ruleset) -> int | None:
+def step(state: RobotState, obs: Observation, round_in_phase: int,
+         ruleset: RuleTable) -> int | None:
     """Decide one robot's move for this round: the port it moves through,
     or None to stay; mutates ``state``."""
     # the robot's rule cell for this round, if it acts in it: one lookup per

@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass
 
 from .engine import run
-from .protocol import Ruleset
+from .protocol import RuleTable
 from .robots import max_label_bits
 from .scenario import ScenarioError, gen_single_source
 from .verify import map_jobs
@@ -25,7 +25,7 @@ class SweepSpec:
     k: int
     max_label: int
     seeds: int
-    ruleset: Ruleset
+    ruleset: RuleTable
 
     def parameters(self):
         for point in self.points:
@@ -47,7 +47,7 @@ class SweepRow:
     phases: float
 
 
-def _sweep_worker(params: tuple[int, int, int, int], ruleset: Ruleset) -> SweepRow:
+def _sweep_worker(params: tuple[int, int, int, int], ruleset: RuleTable) -> SweepRow:
     n, k, max_label, seed = params
     try:
         with warnings.catch_warnings():

@@ -1,4 +1,4 @@
-"""Trace validation, lemma-derived invariant checks, and exhaustive search.
+"""Trace validation, lemma-derived invariant checks, and search over scenarios.
 
 The invariant suite is scoped tightly to each lemma's premise so that a
 reported violation points at a genuine protocol gap rather than an
@@ -14,8 +14,10 @@ each ask for their half, so neither walk does the other's work.
 shrink smaller than a scenario in the order they are tried; a new kind
 of shrink is a new candidate there.
 ``map_jobs`` streams any iterable of jobs through one kept pool, in job
-order, and ``exhaustive_search`` folds each result into its report as it
+order, and ``search``, the one fold over scenarios, takes any iterable of
+them under any ruleset and folds each result into its report as it
 arrives, keeping of a failure only what the report reads.
+``exhaustive_search`` is ``search`` over ``enumerate_scenarios``.
 ``evaluate_many`` streams too: it yields each outcome in input order as
 the pool produces it, so a caller's own work on an outcome overlaps the
 pool's on later ones.  A job's error surfaces when the iteration reaches
@@ -143,12 +145,13 @@ class TraceCheck:
     snapshots (trace files carry no statuses) only the replay runs.
 
     ``validate`` and ``invariants`` give the walk's scope, chosen here once
-    and not tested per round.  Without ``invariants`` a phase start only
-    keeps its record, with the states participation reads and no electing
-    robots, so no round checks (b), and ``finish`` reports only the record
-    count.  Without ``validate`` a round only applies the legal moves,
-    notes the round-12 retreats and checks (b): it compares no perception
-    or occupancy and reports no replay kind.  Either way the violations
+    and not tested per round.  Without ``invariants`` no chain, pair or
+    tally is built, a phase start only keeps its record, with the states
+    participation reads and no electing robots, so no round checks (b),
+    and ``finish`` reports only the record count.  Without ``validate`` a
+    round only applies the legal moves, notes the round-12 retreats and
+    checks (b): it compares no perception or occupancy and reports no
+    replay kind.  Either way the violations
     are the full walk's of the kinds kept, in its order.
     """
 
@@ -157,15 +160,7 @@ class TraceCheck:
         self.validate, self.invariants = validate, invariants
         self.max_size = max_label_bits(scenario.max_label)
         self.labels = labels = scenario.labels()
-        self.chains = initial_chains(scenario)
-        chain_at = {node: idx for idx, chain in enumerate(self.chains) for node in chain}
-        self.chain_of = {label: chain_at[node] for label, node in scenario.robots}
-        self.members = [[label for label in labels if self.chain_of[label] == idx]
-                        for idx in range(len(self.chains))]
         starts = [node for _, node in scenario.robots]
-        # (a) holds for chains whose back group starts with more than one robot
-        self.electing_chains = [idx for idx, chain in enumerate(self.chains)
-                                if starts.count(chain[0]) > 1]
         self.violations: list[Violation] = []
         # the replay: positions and node counts entering the next round, and
         # the node counts entering the round before it
@@ -185,6 +180,22 @@ class TraceCheck:
         self.last: tuple | None = None
         self.retreated: dict[int, set[int]] = {}
         self.snapshots = 0
+        # the scope is chosen here, once per walk, so that no round tests it
+        if not validate:
+            self.round = self._placement_round
+        if not invariants:
+            # the replay reads no chain, pair or tally: the pair table alone
+            # is O(k^2)
+            self.phase_start = self._replay_phase_start
+            return
+        self.chains = initial_chains(scenario)
+        chain_at = {node: idx for idx, chain in enumerate(self.chains) for node in chain}
+        self.chain_of = {label: chain_at[node] for label, node in scenario.robots}
+        self.members = [[label for label in labels if self.chain_of[label] == idx]
+                        for idx in range(len(self.chains))]
+        # (a) holds for chains whose back group starts with more than one robot
+        self.electing_chains = [idx for idx, chain in enumerate(self.chains)
+                                if starts.count(chain[0]) > 1]
         self.merged_at: list[int | None] = [None] * len(self.chains)
         self.ever_leader: set[int] = set()
         # (e) each pair's state: None until both robots are post-merge or
@@ -194,11 +205,6 @@ class TraceCheck:
             itertools.combinations(labels, 2))
         # (f) per robot, phase starts per status after its first active-disperse one
         self.after_disperse: dict[int, dict[Status, int]] = {}
-        # the scope is chosen here, once per walk, so that no round tests it
-        if not validate:
-            self.round = self._placement_round
-        if not invariants:
-            self.phase_start = self._replay_phase_start
 
     def _at(self, phase: int, global_round: int, kind: str, detail: str, robots=(),
             nodes=()) -> None:
@@ -562,7 +568,7 @@ def check_invariants(trace: Trace) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive small-instance search
+# search over scenarios, exhaustive or not
 
 
 @dataclass(slots=True)
@@ -593,9 +599,11 @@ class Failure(NamedTuple):
 
 @dataclass
 class SearchReport:
-    n_max: int
-    k_max: int
-    l_max: int
+    """What ``search`` keeps: the tallies and the failures of one scenario
+    source under one ruleset.  ``source`` is the text the first line of
+    ``render`` names the scenarios by, and ``ruleset`` the ruleset's name."""
+
+    source: str
     ruleset: str
     total: int = 0
     tallies: dict = field(default_factory=dict)
@@ -608,8 +616,7 @@ class SearchReport:
 
     def render(self) -> str:
         lines = [
-            f"exhaustive search: n <= {self.n_max}, k <= {self.k_max}, "
-            f"labels in [0, {self.l_max}], ruleset {self.ruleset}",
+            f"{self.source}, ruleset {self.ruleset}",
             f"scenarios run: {self.total}",
         ]
         for key in ("dispersed", "livelock", "budget-exceeded"):
@@ -788,12 +795,39 @@ def evaluate_many(
     Nothing runs until the iteration starts, so a job's error, a bad
     ``RINGDISPERSE_WORKERS`` included, is raised by the iteration, not by
     this call, and an iteration left before its end closes the kept pool.
-    Chunks are 16 jobs, not ``exhaustive_search``'s 64: a sample of about
+    Chunks are 16 jobs, not ``search``'s 64: a sample of about
     a hundred scenarios then makes enough chunks for the caller's work to
     overlap the pool's, where two chunks of 64 finish together."""
     evaluate = functools.partial(
         evaluate_scenario, ruleset=ruleset, validate=validate, invariants=invariants)
     return map_jobs(evaluate, scenarios, workers, chunksize=16, serial_max=64)
+
+
+def search(
+    scenarios,
+    ruleset,
+    source: str,
+    minimize: bool = True,
+    workers: int | None = None,
+) -> SearchReport:
+    """Run each of the iterable ``scenarios`` under ``ruleset``, a
+    ``Ruleset`` member or any ``RuleTable``; tally the verdicts and keep
+    each failure, minimized unless ``minimize`` is off.  Each failure is
+    minimized in the worker that judged it, in the one pool of the
+    search.  The scenarios are pulled once, as the pool takes them, and
+    each result is folded into the report as it arrives, so the search
+    holds the tallies and the failures, not the scenarios.  ``source``
+    names the scenarios in the report's first line."""
+    report = SearchReport(source, ruleset.value)
+    job = functools.partial(_search_job, ruleset=ruleset, minimize=minimize)
+    for result, validation_count, failure in map_jobs(job, scenarios, workers, chunksize=64,
+                                                      serial_max=64):
+        report.total += 1
+        report.tallies[result.value] = report.tallies.get(result.value, 0) + 1
+        report.validation_violations += validation_count
+        if failure is not None:
+            report.failures.append(failure)
+    return report
 
 
 def exhaustive_search(
@@ -804,27 +838,16 @@ def exhaustive_search(
     minimize: bool = True,
     workers: int | None = None,
 ) -> SearchReport:
-    """Run every small instance; tally outcomes and minimize failures.
-    Each failure is minimized in the worker that judged it, in the one
-    pool of the search.  The scenarios stream from ``enumerate_scenarios``
-    through the pool, and each result is folded into the report as it
-    arrives, so the search holds the tallies and the failures, not the
-    space."""
-    report = SearchReport(n_max, k_max, l_max, ruleset.value)
-    job = functools.partial(_search_job, ruleset=ruleset, minimize=minimize)
-    for result, validation_count, failure in map_jobs(
-            job, enumerate_scenarios(n_max, k_max, l_max), workers, chunksize=64,
-            serial_max=64):
-        report.total += 1
-        report.tallies[result.value] = report.tallies.get(result.value, 0) + 1
-        report.validation_violations += validation_count
-        if failure is not None:
-            report.failures.append(failure)
-    return report
+    """``search`` over every small instance, ``enumerate_scenarios(n_max,
+    k_max, l_max)``; a space past ``ENUMERATION_GUARD`` raises ValueError
+    before any run."""
+    return search(enumerate_scenarios(n_max, k_max, l_max), ruleset,
+                  f"exhaustive search: n <= {n_max}, k <= {k_max}, labels in [0, {l_max}]",
+                  minimize, workers)
 
 
 def _search_job(scenario: Scenario, ruleset, minimize: bool) -> tuple:
-    """One scenario as ``exhaustive_search`` judges it: its verdict, its
+    """One scenario as ``search`` judges it: its verdict, its
     count of validation violations, and for a run that did not disperse
     its ``Failure`` (None for a dispersed run), so only what the report
     reads comes back from a worker."""

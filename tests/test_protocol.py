@@ -18,8 +18,10 @@ from ringdisperse.protocol import (
     PORT_ZERO,
     REPAIRS,
     RULES,
+    RuleTable,
     Ruleset,
     _arm_only_at_start,
+    _hear_arrival,
     _NET_DISP_UNREAD,
     step,
     wake_rounds,
@@ -262,6 +264,63 @@ def test_reads_net_disp_is_derived_from_the_dispatched_rules():
     readers = {rule for ruleset in Ruleset for both in ruleset.dispatch.values()
                for cells in both for rule in cells.values() if rule not in _NET_DISP_UNREAD}
     assert readers == {_arm_only_at_start}
+
+
+def test_a_ruleset_built_from_repairs_has_the_repaired_tables():
+    # the members are built by the one constructor, so any other name with
+    # the same overlay derives the same tables
+    for member, overlay in ((Ruleset.REPAIRED, REPAIRS), (Ruleset.LITERAL, {})):
+        built = RuleTable(f"{member.value} again", overlay)
+        assert isinstance(member, RuleTable) and type(built) is RuleTable
+        assert built.value == f"{member.value} again"
+        assert (built.overlay, built.dispatch, built.wake, built.reads_net_disp) == (
+            member.overlay, member.dispatch, member.wake, member.reads_net_disp)
+
+
+def test_a_ruleset_pickles_by_name_and_overlay():
+    built = RuleTable("repaired again", REPAIRS)
+    assert built.__reduce__() == (RuleTable, ("repaired again", REPAIRS))
+    data = pickle.dumps(built)
+    # the derived tables are rebuilt, not pickled
+    assert len(data) < len(pickle.dumps(vars(built))) / 2
+    copy = pickle.loads(data)
+    assert type(copy) is RuleTable and copy is not built
+    assert (copy.value, copy.overlay, copy.dispatch, copy.wake, copy.reads_net_disp) == (
+        built.value, built.overlay, built.dispatch, built.wake, built.reads_net_disp)
+    for member in Ruleset:
+        assert len(pickle.dumps(member)) < len(data) and pickle.loads(pickle.dumps(member)) is member
+
+
+# labels of the robots that passive round 15's wrapped rule was called for
+_WRAPPED_CALLS: list[int] = []
+
+
+def _wrapped_hear_arrival(state: RobotState, obs: Observation):
+    """Passive round 15's rule behind a wrapper: a rule neither among the
+    change rules nor among those known to leave net_disp unread."""
+    _WRAPPED_CALLS.append(state.label)
+    return _hear_arrival(state, obs)
+
+
+def test_a_wrapped_rule_is_stepped_in_every_wake_round_and_reads_net_disp():
+    # soundness by construction: a rule the tables do not know is stepped
+    # without a perceived change, and counts as reading net_disp
+    wrapped = RuleTable("wrapped", {(Status.PASSIVE, 15): _wrapped_hear_arrival})
+    assert 15 in Ruleset.LITERAL.wake[Status.PASSIVE, False][1]
+    always, on_change = wrapped.wake[Status.PASSIVE, False]
+    assert 15 in always and 15 not in on_change
+    assert wrapped.reads_net_disp and not Ruleset.LITERAL.reads_net_disp
+    assert {key: tables for key, tables in wrapped.wake.items()
+            if key != (Status.PASSIVE, False)} == {
+        key: tables for key, tables in Ruleset.LITERAL.wake.items()
+        if key != (Status.PASSIVE, False)}
+    # two lone passive robots perceive no change all phase, and each is
+    # stepped in round 15 all the same
+    eng = phase_engine(6, 7, {1: (0, Status.PASSIVE, {}), 2: (3, Status.PASSIVE, {})},
+                       ruleset=wrapped)
+    _WRAPPED_CALLS.clear()
+    assert eng.run_phase() == 0
+    assert sorted(_WRAPPED_CALLS) == [1, 2]
 
 
 @st.composite

@@ -26,9 +26,10 @@ from hypothesis import strategies as st
 from ringdisperse import engine as engine_module
 from ringdisperse.engine import RoundRecord, RunResult, run
 from ringdisperse.perception import Observation
-from ringdisperse.protocol import Ruleset, wake_rounds
+from ringdisperse.protocol import REPAIRS, RuleTable, Ruleset, wake_rounds
 from ringdisperse.robots import Status
-from ringdisperse.scenario import Scenario, gen_chain, gen_single_source, make_scenario
+from ringdisperse.scenario import (Scenario, gen_chain, gen_multi_source, gen_single_source,
+                                  make_scenario)
 from ringdisperse.verify import (
     REPLAY_KINDS,
     TraceCheck,
@@ -42,6 +43,7 @@ from ringdisperse.verify import (
     initial_chains,
     map_jobs,
     minimize_scenario,
+    search,
     validate_trace,
     worker_count,
 )
@@ -671,6 +673,61 @@ def test_scoped_streamed_checks_are_the_split_of_the_full_one(ruleset):
         assert (replay.validation_count, replay.finding_kinds) == (full.validation_count, ())
         assert (lemmas.validation_count, lemmas.finding_kinds) == (0, full.finding_kinds)
     assert any(evaluate_scenario(s, ruleset).finding_kinds for s in sample)
+
+
+def test_a_replay_only_walk_builds_no_pair_table():
+    # invariant (e) keeps a state per robot pair, 12.5 million at k = 5,000;
+    # a walk without the invariants, as for a trace file, needs none
+    k = 5_000
+    scenario = make_scenario(2 * k, 2**13 - 1, [(label, 2 * label) for label in range(k)])
+    tracemalloc.start()
+    try:
+        assert check_trace(scenario, [], invariants=False) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
+# every 60th (5,4,7) scenario: 191, past the serial cutoff of 64
+SAMPLE_547 = list(enumerate_scenarios(5, 4, 7))[::60]
+
+
+@pytest.mark.parametrize("member, overlay", [(Ruleset.REPAIRED, REPAIRS), (Ruleset.LITERAL, {})],
+                         ids=["repaired", "literal"])
+def test_a_built_ruleset_gives_its_members_outcomes_in_the_pool(member, overlay):
+    # pickled, as the pool pickles it with each chunk, and rebuilt there
+    built = pickle.loads(pickle.dumps(RuleTable(f"{member.value} again", overlay)))
+    expected = list(evaluate_many(SAMPLE_547, member, workers=1))
+    assert any(not outcome.ok for outcome in expected)
+    assert list(evaluate_many(SAMPLE_547, built, workers=2)) == expected
+
+
+@pytest.mark.parametrize("ruleset", [Ruleset.REPAIRED, Ruleset.LITERAL], ids=lambda r: r.value)
+def test_search_pulls_a_generator_once_and_reports_alike_on_one_and_two_workers(ruleset):
+    def draws(pulled):
+        for seed in range(100):
+            pulled.append(seed)
+            yield gen_multi_source(12, 5, 15, 3, seed)
+
+    reports = []
+    for workers in (1, 2):
+        pulled = []
+        scenarios = draws(pulled)
+        reports.append(search(scenarios, ruleset, "100 multi-source draws", workers=workers))
+        assert pulled == list(range(100)) and next(scenarios, None) is None
+    serial, pooled = reports
+    assert serial.total == 100
+    assert serial.render().startswith(f"100 multi-source draws, ruleset {ruleset.value}\n")
+    assert pooled.render() == serial.render()
+
+
+def test_exhaustive_search_is_search_over_the_enumeration():
+    report = exhaustive_search(4, 3, 3, Ruleset.LITERAL, workers=1)
+    same = search(enumerate_scenarios(4, 3, 3), Ruleset.LITERAL,
+                  "exhaustive search: n <= 4, k <= 3, labels in [0, 3]", workers=1)
+    assert report == same and report.failures
+    assert [f.name for f in dataclasses.fields(report)][:2] == ["source", "ruleset"]
 
 
 def test_tiny_search_all_disperse():

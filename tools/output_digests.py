@@ -9,7 +9,9 @@ each side computes its digests in a fresh interpreter from its own
 ``src``.  The outputs, each under both rulesets:
 
 - the rendered ``exhaustive_search`` report of the (n <= 6, k <= 4, L = 7)
-  space, minimized failures included
+  space, minimized failures included, on two workers, and of the
+  (n <= 5, k <= 3, L = 7) space on one worker, the serial path of the fold
+- ``pickle.dumps`` of the ruleset member, which a pool task carries
 - every ``ScenarioOutcome`` of that space from ``evaluate_many``, with
   checks and without
 - the minimized scenarios of that space as the search-647 benchmark loop
@@ -55,7 +57,7 @@ from bench_pairs import export, git
 
 # run in each exported tree; prints {output name: sha256} as one JSON line
 DIGESTS = r'''
-import dataclasses, hashlib, json, os, tempfile
+import dataclasses, hashlib, json, os, pickle, tempfile
 from ringdisperse.cli import read_trace, verify_trace_file, write_trace
 from ringdisperse.engine import run
 from ringdisperse.perception import Observation
@@ -108,6 +110,9 @@ with tempfile.TemporaryDirectory() as tmp:
     for ruleset in Ruleset:
         name = ruleset.value
         digests[f"search-647-{name}"] = sha(exhaustive_search(6, 4, 7, ruleset, workers=2).render())
+        digests[f"search-537-serial-{name}"] = sha(
+            exhaustive_search(5, 3, 7, ruleset, workers=1).render())
+        digests[f"pickle-{name}"] = sha(pickle.dumps(ruleset))
         for checked in (True, False):
             outcomes = list(evaluate_many(space, ruleset, validate=checked, invariants=checked,
                                           workers=2))
