@@ -11,9 +11,8 @@ each side computes its digests in a fresh interpreter from its own
 - the rendered ``exhaustive_search`` report of the (n <= 6, k <= 4, L = 7)
   space, minimized failures included, on two workers, and of the
   (n <= 5, k <= 3, L = 7) space on one worker, the serial path of the fold
-- ``pickle.dumps`` of the ruleset member, which a pool task carries
-- every ``ScenarioOutcome`` of that space from ``evaluate_many``, with
-  checks and without
+- every ``ScenarioOutcome`` of the (6,4,7) space from ``evaluate_many``,
+  with checks and without
 - the minimized scenarios of that space as the search-647 benchmark loop
   makes them: each failure minimized with ``minimize_scenario`` in the
   calling process while the iteration over ``evaluate_many`` is still
@@ -35,6 +34,7 @@ each side computes its digests in a fresh interpreter from its own
   and a forged move), one record rewritten per tamper
 - ``read_trace`` of their ``--verbose`` files and what ``verify_trace_file``
   makes of it
+- ``pickle.dumps`` of the ruleset member, which a pool task carries
 
 and ``rows_to_csv`` of the k axis of acceptance criterion 4 (n = 26,
 L = 1023, k = 2..24, 20 seeds, repaired).  One line per output gives its
