@@ -59,8 +59,11 @@ stepped, and in any other round one is stepped only if it stayed and its
 node's count changed, the two change bits of its observation.  Only a
 sink gets ``snapshot()``s, each robot's once per phase start.  Every
 run, with a sink or without, builds the livelock key from the robots'
-fields, so a run without a sink builds no snapshot.  A move commit adjusts
-the counts of the nodes its movers leave and enter.
+fields, so a run without a sink builds no snapshot.  Each robot's
+``net_disp`` entering round 13, the history the livelock proof reads, is
+kept per phase only under a ruleset that reads ``net_disp``; under the
+literal rules every repeat is a cycle and nothing reads it.  A move
+commit adjusts the counts of the nodes its movers leave and enter.
 ``observe`` and ``step`` are looked up as module globals at every call,
 and ``apply_moves`` and ``occupancy_vector`` called as methods, so that a
 wrapper set on this module or on ``Placement`` sees every call.
@@ -216,6 +219,10 @@ class Engine:
         self.n = scenario.n
         self.max_size = max_label_bits(scenario.max_label)
         self.labels = scenario.labels()
+        low, high = min(self.labels), max(self.labels)
+        if low < 0 or high > scenario.max_label:
+            raise ValueError(f"label {low if low < 0 else high} outside "
+                             f"[0, {scenario.max_label}]")
         self.robots = {
             label: RobotState(label=label, max_size=self.max_size)
             for label in self.labels
@@ -232,8 +239,10 @@ class Engine:
         self.global_round = 0
         self.phase = 1
         self.round_in_phase = 1
-        # per finished phase, each robot's net_disp entering round 13, the
-        # one round whose rule can read it (in labels order)
+        # per phase that reached round 13, each robot's net_disp entering
+        # it, the one round whose rule can read it (in labels order); kept
+        # only under a ruleset that reads net_disp, as only then does
+        # _repeats_forever read it
         self.net_disp_at_13: list[tuple[int, ...]] = []
         # the wake schedule of the current phase (_build_wake_schedule);
         # built at round 1
@@ -252,7 +261,8 @@ class Engine:
         """The livelock key, split as ((placement, states without
         ``net_disp``), ``net_disp`` vector), canonicalized over ring
         rotations; the states are read from the robots' fields, in labels
-        order, as the ``StateSnapshot`` fields.
+        order (``self.robots`` is keyed in it), as the ``StateSnapshot``
+        fields.
 
         The canonical placement is the lexicographic minimum over all n
         rotations.  Only the rotation that puts ``labels[0]`` on node 0
@@ -261,7 +271,7 @@ class Engine:
         """
         labels, by_robot, robots = self.labels, self.placement.by_robot, self.robots
         origin, n = by_robot[labels[0]], self.n
-        states = [robots[label] for label in labels]
+        states = list(robots.values())
         return ((tuple([(by_robot[label] - origin) % n for label in labels]),
                  tuple(map(_ABSTRACT_STATE, states))), tuple(map(_NET_DISP, states)))
 
@@ -302,6 +312,7 @@ class Engine:
         one, handing each phase start and round to the sink if there is one.
         Returns the number of moves committed."""
         robots, labels, ruleset, n = self.robots, self.labels, self.ruleset, self.n
+        reads_net_disp = ruleset.reads_net_disp
         sink = self.sink
         placement, prev_placement = self.placement, self.prev_placement
         moved_last, moved_before_last = self.moved_last, self.moved_before_last
@@ -316,7 +327,7 @@ class Engine:
                     self._hand_on_phase_start(phase, placement)
                 self.wake_schedule = woken_by_round, on_change_by_round = (
                     self._build_wake_schedule())
-            elif rip == 13:
+            elif rip == 13 and reads_net_disp:
                 # self.robots is keyed in labels order
                 self.net_disp_at_13.append(tuple(map(_NET_DISP, robots.values())))
             woken = woken_by_round[rip]
@@ -394,8 +405,8 @@ class Engine:
             moved_before_last, moved_last = moved_last, moves
             global_round += 1
             if rip == ROUNDS_PER_PHASE:
-                for label in labels:
-                    apply_pending_status(robots[label])
+                for state in robots.values():
+                    apply_pending_status(state)
                 phase += 1
                 rip = 1
             else:
@@ -499,11 +510,12 @@ def run(
             break
         abstract, disp = engine.snapshot_key()
         earlier = seen.setdefault(abstract, [])
-        cycle = next(((a, engine.phase) for a, disp_a in earlier
-                      if _repeats_forever(engine, a, disp_a, disp)), None)
-        if cycle is not None:
-            result = RunResult.LIVELOCK
-            break
+        if earlier:  # a new key, as at every phase start of a dispersing run, repeats nothing
+            cycle = next(((a, engine.phase) for a, disp_a in earlier
+                          if _repeats_forever(engine, a, disp_a, disp)), None)
+            if cycle is not None:
+                result = RunResult.LIVELOCK
+                break
         earlier.append((engine.phase, disp))
         if engine.phase > max_phases:
             result = RunResult.BUDGET_EXCEEDED

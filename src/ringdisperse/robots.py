@@ -88,9 +88,10 @@ class StateSnapshot(NamedTuple):
 _SNAPSHOT_FIELDS = attrgetter(*StateSnapshot._fields)
 
 
-@dataclass
+@dataclass(slots=True)
 class RobotState:
-    """One robot's protocol variables.
+    """One robot's protocol variables, in slots: a state has no
+    ``__dict__`` and takes no attribute but its fields.
 
     ``le_bit`` is the label-bit cursor for leader election (1..max_size);
     ``disp_bit`` is the separate cursor for the dispersal splits, where

@@ -21,7 +21,7 @@ from ringdisperse.engine import (
 from ringdisperse.perception import observe
 from ringdisperse.protocol import Ruleset, step, wake_rounds
 from ringdisperse.robots import RobotState, Status
-from ringdisperse.scenario import gen_chain, gen_single_source, make_scenario
+from ringdisperse.scenario import Scenario, gen_chain, gen_single_source, make_scenario
 from ringdisperse.verify import TraceCheck, check_trace, enumerate_scenarios
 
 
@@ -433,6 +433,58 @@ def test_a_livelock_carries_the_cycle_it_proved(sample_647, ruleset):
             assert short.cycle is None, scenario
             cut += 1
     assert livelocks > 0 and cut > 0
+
+
+# a repaired late cycle: budget-exceeded at its budget of 120 phases, and a
+# livelock proven at phase 159 with a longer budget
+LATE_CYCLE = make_scenario(9, 255, [(47, 4), (98, 2), (119, 5), (123, 4), (154, 5),
+                                    (235, 2), (242, 7)])
+
+
+@pytest.mark.parametrize("checked", [False, True], ids=["unrecorded", "checked"])
+def test_a_repaired_late_cycle_is_proven_past_its_budget(checked):
+    def sink():
+        return TraceCheck(LATE_CYCLE) if checked else None
+    cut = run(LATE_CYCLE, Ruleset.REPAIRED, record_rounds=False, sink=sink())
+    assert (cut.result, cut.phases_used, cut.cycle) == (RunResult.BUDGET_EXCEEDED, 120, None)
+    longer = run(LATE_CYCLE, Ruleset.REPAIRED, max_phases=480, record_rounds=False,
+                 sink=sink())
+    # the earliest phase start the one at 159 repeats is 141
+    assert (longer.result, longer.phases_used, longer.cycle) == (
+        RunResult.LIVELOCK, 158, (141, 159))
+
+
+def test_net_disp_at_13_is_kept_only_where_the_livelock_proof_reads_it():
+    scenario = make_scenario(9, 7, [(1, 0), (2, 0), (3, 1), (4, 1)])
+    for ruleset in Ruleset:
+        engine = Engine(scenario, ruleset, record_rounds=False)
+        for _ in range(3):
+            engine.run_phase()
+        for _ in range(12):  # rounds 1-12 of phase 4; its round 13 is next
+            engine.step_round()
+        at_12 = len(engine.net_disp_at_13)
+        engine.step_round()
+        if ruleset.reads_net_disp:
+            assert at_12 == 3
+            assert engine.net_disp_at_13[-1] == tuple(
+                engine.robots[label].net_disp for label in engine.labels)
+            assert len(engine.net_disp_at_13) == 4
+        else:
+            assert at_12 == 0 and engine.net_disp_at_13 == []
+
+
+def test_the_engine_rejects_labels_outside_the_label_bound(monkeypatch):
+    def no_round(*args):
+        raise AssertionError("a round ran")
+    monkeypatch.setattr(engine_module, "step", no_round)
+    monkeypatch.setattr(engine_module, "observe", no_round)
+    # a raw Scenario skips make_scenario's checks
+    too_high = Scenario(2001, 1023, tuple((label, label) for label in range(2000)))
+    with pytest.raises(ValueError, match=r"label 1999 outside \[0, 1023\]"):
+        run(too_high, record_rounds=False)
+    negative = Scenario(5, 7, ((-1, 0), (3, 0)))
+    with pytest.raises(ValueError, match=r"label -1 outside \[0, 7\]"):
+        Engine(negative, Ruleset.REPAIRED)
 
 
 @pytest.mark.parametrize("mode, ruleset, max_phases, result, phases", [

@@ -70,6 +70,10 @@ def test_apply_pending_noop_still_resets_phase_locals():
     assert st_.move_var == 0
     assert not st_.decrease_at_7 and not st_.increase_in_10_12
     assert st_.start == 1
+    # slotted: a misspelt latch is an error, not a new attribute
+    assert not hasattr(st_, "__dict__")
+    with pytest.raises(AttributeError):
+        st_.decrease_at7 = False
 
 
 def test_apply_pending_rejects_backedge():

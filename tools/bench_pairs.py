@@ -14,7 +14,14 @@ gives the per-layer numbers.  The output has the keys of the earlier
 ``BENCH_<pr>.json`` files: per workload and end-to-end metric each side's
 median, inclusive quartiles and runs, the pairs the change wins (ties count
 for neither) and the change over the parent; and whether the digests,
-tallies and robot-rounds of the two sides are equal on every seed.  Next
+tallies and robot-rounds of the two sides are equal on every seed.  Each
+metric also states the two rules a change is judged by: ``claim_met``,
+whether a claimed gain holds (the change wins at least nine tenths of the
+pairs, and its median beats the parent's by more than the parent's
+interquartile range), and ``within_bound``, whether the change's median is
+no worse than the parent's by more than the metric's ``bound`` in
+``BENCHMARK.json``.  The description names every metric outside its bound
+and every one that would meet a claim.  Next
 to the metrics, ``unit_host_s`` summarizes each run's median unit time on
 this host, unscaled by the probe, in the same way: the probe runs in the
 benchmark process, so a change that moves work into or out of that
@@ -117,26 +124,40 @@ def run_pair(trees: dict, workload: str, seed: int, seconds: float, trace: int) 
     return runs
 
 
-def summary(parent: list[float], change: list[float], better: str) -> dict:
+def summary(parent: list[float], change: list[float], better: str,
+            bound: float | None = None) -> dict:
+    """One metric over the pairs, parent run i against change run i.
+
+    ``claim_met``: the change wins at least nine tenths of the pairs and
+    its median beats the parent's by more than the parent's interquartile
+    range.  ``within_bound``, given ``bound``: the change's median is no
+    worse than the parent's by more than ``bound`` times the parent's."""
     def quartiles(values):
         if len(values) < 2:
-            return [round(values[0], 4)] * 2
+            return [values[0]] * 2
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        return [round(q1, 4), round(q3, 4)]
+        return [q1, q3]
 
     sign = 1 if better == "higher" else -1
     parent_median, change_median = statistics.median(parent), statistics.median(change)
-    return {
+    parent_q1, parent_q3 = quartiles(parent)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    out = {
         "better": better,
         "parent_median": round(parent_median, 4),
         "change_median": round(change_median, 4),
-        "parent_quartiles": quartiles(parent),
-        "change_quartiles": quartiles(change),
-        "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "parent_quartiles": [round(q, 4) for q in (parent_q1, parent_q3)],
+        "change_quartiles": [round(q, 4) for q in quartiles(change)],
+        "change_wins": wins,
         "change_vs_parent": round(change_median / parent_median - 1, 4) if parent_median else 0.0,
         "parent_runs": [round(v, 4) for v in parent],
         "change_runs": [round(v, 4) for v in change],
+        "claim_met": (10 * wins >= 9 * len(parent)
+                      and sign * (change_median - parent_median) > parent_q3 - parent_q1),
     }
+    if bound is not None:
+        out["within_bound"] = sign * (change_median - parent_median) >= -bound * parent_median
+    return out
 
 
 def describe(result: dict) -> str:
@@ -153,8 +174,14 @@ def describe(result: dict) -> str:
                          f"unscaled unit host time {host['parent_median']} -> "
                          f"{host['change_median']} s ({host['change_vs_parent']:+.1%}, the change "
                          f"faster in {host['change_wins']} of {entry['pairs']})")
+    met = [f"{workload} {name}" for workload, entry in result["end_to_end"].items()
+           for name, metric in entry["metrics"].items() if metric["claim_met"]]
+    outside = [f"{workload} {name}" for workload, entry in result["end_to_end"].items()
+               for name, metric in entry["metrics"].items() if not metric["within_bound"]]
     return ("Medians and inclusive quartiles of alternating parent/change pairs, both sides "
-            "run from git archive exports of their commits. " + "; ".join(parts) + ".")
+            "run from git archive exports of their commits. " + "; ".join(parts) + ". "
+            f"A claimed gain would be met on: {', '.join(met) or 'none'}. "
+            f"Worse than the parent by more than the bound: {', '.join(outside) or 'none'}.")
 
 
 def main(argv=None) -> int:
@@ -162,7 +189,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
     seconds = args.seconds or benchmark["run_seconds"]
-    metrics = [(m["name"], m["better"]) for m in benchmark["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in benchmark["end_to_end"]]
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     nproc = len(os.sched_getaffinity(0))
     memory_gb = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30
@@ -193,8 +220,8 @@ def main(argv=None) -> int:
                 "all_correct": all(p[side]["correct"] for p in pairs for side in p),
                 "metrics": {
                     name: summary([p["parent"]["metrics"][name] for p in pairs],
-                                  [p["change"]["metrics"][name] for p in pairs], better)
-                    for name, better in metrics
+                                  [p["change"]["metrics"][name] for p in pairs], better, bound)
+                    for name, better, bound in metrics
                 },
                 "unit_host_s": summary([p["parent"]["unit_host_s"] for p in pairs],
                                        [p["change"]["unit_host_s"] for p in pairs], "lower"),
